@@ -9,8 +9,7 @@ a continuation schedule for the control regularization.
 """
 
 from .config import ConfigError, RunConfig, parse_config
-from .extension import (ExtensionParams, extension_linearization,
-                        extension_residual, solve_extension,
+from .extension import (ExtensionParams, solve_extension,
                         solve_laplace_beltrami)
 from .flow import (AdjointFlowState, FlowParams, FlowState, SolverError,
                    dissipation, inflow_profile, reduced_gradient,

@@ -18,8 +18,8 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
 from .extension import ExtensionParams, solve_extension, solve_laplace_beltrami
-from .flow import FlowParams, FlowState, SolverError, dissipation, solve_state
-from .kkt import DofMap, KktParams, KktVector, gradient_fd_slopes
+from .flow import FlowParams, SolverError, dissipation, solve_state
+from .kkt import DofMap, KktParams, gradient_fd_slopes
 from .lagrangian import Spaces
 from .mesh import (Mesh, MeshError, load_msh, signed_areas, worst_quality,
                    write_vtk)
@@ -90,7 +90,7 @@ def cmd_solve_flow(cfg: RunConfig) -> int:
                         inflow=cfg.inflow, newton_tol=cfg.flow_newton_tol)
     w = np.zeros((mesh.num_vertices, 2))
     state = solve_state(mesh, w, params, spaces=spaces)
-    j = dissipation(mesh, w, state, cfg.nu)
+    j = dissipation(mesh, w, state, cfg.nu, spaces)
     out = _outdir(cfg)
     path = out / "flow.vtk"
     write_vtk(mesh, {"velocity": state.v, "pressure": state.p}, path)
@@ -203,9 +203,8 @@ def cmd_deform(cfg: RunConfig) -> int:
     spaces = Spaces.build(mesh)
     c = np.ones(spaces.num_loop)
     b = solve_laplace_beltrami(mesh, c, spaces)
-    domain = "holdall" if cfg.mode == "holdall" else "fluid"
     w = solve_extension(mesh, b, ExtensionParams(eta_ext=cfg.eta_ext),
-                        domain=domain, spaces=spaces)
+                        spaces=spaces)
     out = _outdir(cfg)
     path = out / "deformed.vtk"
     write_vtk(mesh, {"displacement": w}, path)

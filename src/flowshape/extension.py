@@ -3,11 +3,16 @@
 Two stages.  A Laplace-Beltrami solve on the closed obstacle polyline turns
 the scalar control c into a vector boundary datum b (componentwise curve
 mass-plus-stiffness system with right-hand side c n).  A nonlinear advective
-elliptic solve then extends b into a displacement w on the fluid domain, or
-on the whole holdall, with the symmetrized-gradient principal part and the
-advection term eta_ext (Dw w) that lets cells trade volume under large
-deformations.  Setting eta_ext to zero recovers a plain linear-elastic-style
-extension.
+elliptic solve then extends b into a displacement w on the extension domain
+of the mesh (the fluid domain, or the whole holdall), with the
+symmetrized-gradient principal part and the advection term eta_ext (Dw w)
+that lets cells trade volume under large deformations.  Setting eta_ext to
+zero recovers a plain linear-elastic-style extension.  The residual and its
+derivative come from the term engine
+(:func:`flowshape.lagrangian.extension_terms`); the nonlinear solve is the
+damped Newton method of :mod:`flowshape.newton`, which stops when the
+residual norm is below ``newton_tol`` and the Newton correction is at most
+``sqrt(newton_tol) * (1 + |w|)``.
 """
 
 from __future__ import annotations
@@ -15,23 +20,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .fem import P1Geometry, assemble_boundary_curve
-from .flow import SolverError
-from .lagrangian import _S12, Spaces
+from .fem import assemble_boundary_curve, eliminate_dirichlet
+from .lagrangian import Spaces, extension_terms
 from .mesh import Mesh, boundary_normals
+from .newton import semismooth_newton
 
-__all__ = [
-    "ExtensionParams", "solve_laplace_beltrami", "solve_extension",
-    "extension_residual", "extension_linearization",
-]
+__all__ = ["ExtensionParams", "solve_laplace_beltrami", "solve_extension"]
 
 
 @dataclass(frozen=True)
 class ExtensionParams:
-    """Advection strength and Newton controls of the extension solve."""
+    """Advection strength and Newton controls of the extension solve.
+
+    The solve stops when the residual norm is below newton_tol and the
+    Newton correction is at most sqrt(newton_tol) * (1 + |w|).
+    """
 
     eta_ext: float = 1.0
     newton_tol: float = 1e-10
@@ -58,134 +63,37 @@ def solve_laplace_beltrami(mesh: Mesh, c: np.ndarray,
     return np.column_stack([solve(rhs[:, 0]), solve(rhs[:, 1])])
 
 
-def _ext_geometry(mesh: Mesh, domain: str, spaces: Spaces | None) -> P1Geometry:
-    if domain == "holdall":
-        if spaces is not None and spaces.mesh.is_holdall:
-            return spaces.geo_ext
-        return P1Geometry.build(mesh)
-    if domain != "fluid":
-        raise ValueError(f"unknown extension domain {domain!r}")
-    return spaces.geo_fluid if spaces is not None else P1Geometry.build(
-        mesh, mesh.fluid_cells)
-
-
-def extension_residual(mesh: Mesh, w: np.ndarray, b: np.ndarray,
-                       params: ExtensionParams, domain: str = "fluid",
-                       spaces: Spaces | None = None) -> np.ndarray:
-    """Assembled weak residual of the extension equation, flat (2 nv,).
-
-    Convention: the residual is the negative of the interior form plus the
-    boundary load, so the equation reads residual(w) = 0 with the boundary
-    term driving the deformation.  Outer-boundary rows are not modified.
-    """
-    geo = _ext_geometry(mesh, domain, spaces)
-    curve = (spaces.curve if spaces is not None
-             else assemble_boundary_curve(mesh))
-    w = np.asarray(w, dtype=float)
-    wloc = w[geo.tri]
-    Dw = np.einsum("tla,tlb->tab", wloc, geo.grads)
-    sym = Dw + np.swapaxes(Dw, 1, 2)
-    Wbar = np.einsum("nm,tmb->tnb", _S12, wloc)
-    loc = -geo.area[:, None, None] * (
-        np.einsum("tab,tnb->tna", sym, geo.grads)
-        + params.eta_ext * np.einsum("tab,tnb->tna", Dw, Wbar))
-    out = np.zeros((mesh.num_vertices, 2))
-    np.add.at(out, geo.tri, loc)
-    out[curve.loop] += curve.mass @ np.asarray(b, dtype=float)
-    return out.ravel()
-
-
-def extension_linearization(mesh: Mesh, w: np.ndarray,
-                            params: ExtensionParams, domain: str = "fluid",
-                            spaces: Spaces | None = None) -> dict:
-    """Frechet derivative blocks of the extension residual.
-
-    Returns ``{"w": (2 nv, 2 nv) CSR, "b": (2 nv, 2 m) CSR}``.  The b block
-    is the constant boundary mass coupling; the w block carries the
-    symmetrized-gradient operator plus the advection linearization
-    eta_ext ((D w_dot) w + Dw w_dot).
-    """
-    geo = _ext_geometry(mesh, domain, spaces)
-    curve = (spaces.curve if spaces is not None
-             else assemble_boundary_curve(mesh))
-    w = np.asarray(w, dtype=float)
-    wloc = w[geo.tri]
-    G = geo.grads
-    Dw = np.einsum("tla,tlb->tab", wloc, G)
-    Wbar = np.einsum("nm,tmb->tnb", _S12, wloc)
-    gg = np.einsum("tma,tna->tmn", G, G)
-    eye = np.eye(2)
-    loc = np.einsum("tmn,ac->tnamc", gg, eye)
-    loc += np.einsum("tma,tnc->tnamc", G, G)
-    loc += params.eta_ext * (
-        np.einsum("tnb,tmb,ac->tnamc", Wbar, G, eye)
-        + np.einsum("tac,nm->tnamc", Dw, _S12))
-    loc = -geo.area[:, None, None, None, None] * loc
-    nv = mesh.num_vertices
-    dofs = (2 * geo.tri[:, :, None] + np.arange(2)[None, None, :]).reshape(-1, 6)
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
-    Aw = sparse.coo_matrix((loc.reshape(-1, 36).ravel(), (rows, cols)),
-                           shape=(2 * nv, 2 * nv)).tocsr()
-    Mcoo = curve.mass.tocoo()
-    brows = (2 * curve.loop[Mcoo.row][:, None] + np.arange(2)).ravel()
-    bcols = (2 * Mcoo.col[:, None] + np.arange(2)).ravel()
-    Ab = sparse.coo_matrix(
-        (np.repeat(Mcoo.data, 2), (brows, bcols)),
-        shape=(2 * nv, 2 * len(curve.loop))).tocsr()
-    return {"w": Aw, "b": Ab}
-
-
 def solve_extension(mesh: Mesh, b: np.ndarray, params: ExtensionParams,
-                    domain: str = "fluid",
                     spaces: Spaces | None = None,
                     initial: np.ndarray | None = None) -> np.ndarray:
     """Damped Newton solve of the nonlinear extension, returns w (nv, 2).
 
-    The displacement vanishes on the whole outer boundary and is free on the
-    obstacle loop (and, in holdall mode, inside the obstacle).  For
-    eta_ext = 0 the problem is linear and one step converges.
+    The residual is the lam_w gradient of the term engine: its interior
+    extension residual plus the boundary load M b on the obstacle loop.  The
+    displacement vanishes on the whole outer boundary and is free on the
+    obstacle loop (and, on a holdall mesh, inside the obstacle).  For
+    eta_ext = 0 the problem is linear and one factorization converges.
     """
+    spaces = spaces or Spaces.build(mesh)
     nv = mesh.num_vertices
-    outer = mesh.outer_boundary_vertices()
-    fixed = (2 * outer[:, None] + np.arange(2)).ravel()
-    w = (np.zeros((nv, 2)) if initial is None
-         else np.array(initial, dtype=float))
-    w.reshape(-1)[fixed] = 0.0
+    fixed = (2 * mesh.outer_boundary_vertices()[:, None]
+             + np.arange(2)).ravel()
+    load = np.zeros((nv, 2))
+    load[spaces.curve.loop] = spaces.curve.mass @ np.asarray(b, dtype=float)
+    w = (np.zeros(2 * nv) if initial is None
+         else np.array(initial, dtype=float).ravel())
+    w[fixed] = 0.0
 
-    def residual(wfield):
-        r = extension_residual(mesh, wfield, b, params, domain, spaces)
+    def residual(x):
+        r = (extension_terms(spaces, x.reshape(nv, 2), params.eta_ext)[0]
+             + load).ravel()
         r[fixed] = 0.0
         return r
 
-    history = []
-    for _ in range(params.newton_max_iter):
-        r = residual(w)
-        rnorm = float(np.linalg.norm(r))
-        history.append(rnorm)
-        if rnorm < params.newton_tol:
-            return w
-        A = extension_linearization(mesh, w, params, domain, spaces)["w"]
-        mask = np.ones(2 * nv)
-        mask[fixed] = 0.0
-        D = sparse.diags(mask)
-        A = (D @ A @ D + sparse.diags(1.0 - mask)).tocsc()
-        try:
-            step = spla.splu(A).solve(-r)
-        except RuntimeError as exc:
-            raise SolverError(f"singular extension linearization: {exc}",
-                              history, kind="singular")
-        scale = 1.0
-        for _ in range(30):
-            trial = w + scale * step.reshape(nv, 2)
-            if np.linalg.norm(residual(trial)) < rnorm:
-                break
-            scale *= 0.5
-        else:
-            raise SolverError(
-                f"extension line search stalled at residual {rnorm:.3e}",
-                history, kind="stall")
-        w = w + scale * step.reshape(nv, 2)
-    raise SolverError(
-        f"extension Newton did not converge: last residual {history[-1]:.3e}",
-        history)
+    def factorize(x, active):
+        H = extension_terms(spaces, x.reshape(nv, 2), params.eta_ext)[1]
+        return spla.splu(eliminate_dirichlet(H.T, fixed).tocsc()).solve
+
+    w, _ = semismooth_newton(residual, factorize, w, params.newton_tol,
+                             params.newton_max_iter, "extension")
+    return w.reshape(nv, 2)

@@ -1,7 +1,6 @@
-"""P1 finite-element machinery: quadrature, shape gradients, sparse assembly.
-
-Volume operators are assembled over triangles, curve operators over the
-arc-length parameterized obstacle polyline.  All matrices are scipy CSR.
+"""P1 finite-element machinery: quadrature, per-triangle geometry, curve
+operators on the arc-length parameterized obstacle polyline, and the
+Dirichlet elimination of a sparse system.  All matrices are scipy CSR.
 """
 
 from __future__ import annotations
@@ -15,14 +14,10 @@ from .mesh import Mesh, BoundaryTag, MeshError, obstacle_loop
 
 __all__ = [
     "quadrature_triangle",
-    "p1_gradients",
     "P1Geometry",
-    "assemble_volume",
-    "mass_matrix",
-    "stiffness_matrix",
     "CurveOperators",
     "assemble_boundary_curve",
-    "apply_dirichlet",
+    "eliminate_dirichlet",
 ]
 
 # Dunavant rules on the reference triangle in barycentric coordinates.
@@ -72,20 +67,6 @@ def quadrature_triangle(order: int):
     return pts.copy(), w.copy()
 
 
-def p1_gradients(coords: np.ndarray) -> np.ndarray:
-    """Constant gradients of the three nodal hat functions on one triangle."""
-    coords = np.asarray(coords, dtype=float)
-    d1 = coords[1] - coords[0]
-    d2 = coords[2] - coords[0]
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    if det <= 0.0:
-        raise MeshError("degenerate or negatively oriented triangle")
-    # rows of the inverse Jacobian give the gradients of the barycentric coords
-    g1 = np.array([d2[1], -d2[0]]) / det
-    g2 = np.array([-d1[1], d1[0]]) / det
-    return np.array([-g1 - g2, g1, g2])
-
-
 @dataclass(frozen=True)
 class P1Geometry:
     """Precomputed per-triangle data for vectorized assembly.
@@ -121,47 +102,6 @@ class P1Geometry:
     @property
     def num_triangles(self) -> int:
         return len(self.tri)
-
-
-def assemble_volume(mesh: Mesh, kernel, n_dofs: int | None = None,
-                    cells: np.ndarray | None = None, order: int = 4):
-    """Assemble a scalar-field operator sum_T kernel(T) into a CSR matrix.
-
-    ``kernel(tri_coords, grads, area, qpoints, qweights)`` returns the local
-    3x3 matrix of one triangle; global dof = vertex index.
-    """
-    geo = P1Geometry.build(mesh, cells)
-    qp, qw = quadrature_triangle(order)
-    n = mesh.num_vertices if n_dofs is None else n_dofs
-    rows, cols, vals = [], [], []
-    for t in range(geo.num_triangles):
-        loc = kernel(mesh.vertices[geo.tri[t]], geo.grads[t], geo.area[t], qp, qw)
-        idx = geo.tri[t]
-        rows.append(np.repeat(idx, 3))
-        cols.append(np.tile(idx, 3))
-        vals.append(np.asarray(loc, dtype=float).ravel())
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return mat.tocsr()
-
-
-def mass_matrix(mesh: Mesh, cells: np.ndarray | None = None) -> sp.csr_matrix:
-    """P1 mass matrix over the given cells (all cells by default)."""
-    def kernel(coords, grads, area, qp, qw):
-        m = np.einsum("q,ql,qm->lm", qw, qp, qp)
-        return area * m
-
-    return assemble_volume(mesh, kernel, order=2, cells=cells)
-
-
-def stiffness_matrix(mesh: Mesh, cells: np.ndarray | None = None) -> sp.csr_matrix:
-    """P1 stiffness matrix (homogeneous Laplace) over the given cells."""
-    def kernel(coords, grads, area, qp, qw):
-        return area * grads @ grads.T
-
-    return assemble_volume(mesh, kernel, order=1, cells=cells)
 
 
 # -- curve operators on the obstacle polyline -------------------------------------
@@ -210,32 +150,15 @@ def assemble_boundary_curve(mesh: Mesh, tag: BoundaryTag = BoundaryTag.OBSTACLE)
 # -- Dirichlet conditions ---------------------------------------------------------
 
 
-def apply_dirichlet(matrix: sp.spmatrix, rhs: np.ndarray, dofs, values):
-    """Impose matrix[d] = e_d, rhs[d] = value by symmetric row/column elimination.
+def eliminate_dirichlet(matrix: sp.spmatrix, dofs) -> sp.csr_matrix:
+    """Symmetric elimination D A D + (I - D) of the rows and columns ``dofs``.
 
-    Returns the modified (csr matrix, rhs).  The eliminated columns are folded
-    into the right-hand side so the reduced system stays consistent.
+    D is the diagonal 0/1 mask of the free dofs, so each constrained dof
+    keeps a unit diagonal and decouples.  A Newton step with the eliminated
+    matrix and a residual that vanishes on ``dofs`` leaves the Dirichlet
+    values of the iterate unchanged.
     """
-    dofs = np.asarray(dofs, dtype=int)
-    values = np.broadcast_to(np.asarray(values, dtype=float), dofs.shape)
-    uniq, first = np.unique(dofs, return_index=True)
-    if len(uniq) != len(dofs):
-        for d in uniq:
-            vs = values[dofs == d]
-            if np.ptp(vs) > 0.0:
-                raise ValueError(f"conflicting Dirichlet values for dof {d}")
-        dofs, values = uniq, values[first]
-    if len(dofs) == 0:
-        return matrix.tocsr(), np.asarray(rhs, dtype=float).copy()
-    n = matrix.shape[0]
-    A = matrix.tocsc(copy=True)
-    rhs = np.asarray(rhs, dtype=float).copy()
-    full = np.zeros(n)
-    full[dofs] = values
-    rhs -= A @ full
-    mask = np.ones(n)
-    mask[dofs] = 0.0
+    mask = np.ones(matrix.shape[0])
+    mask[np.asarray(dofs, dtype=int)] = 0.0
     D = sp.diags(mask)
-    A = D @ A @ D + sp.diags(1.0 - mask)
-    rhs[dofs] = values
-    return A.tocsr(), rhs
+    return (D @ matrix @ D + sp.diags(1.0 - mask)).tocsr()

@@ -8,20 +8,24 @@ adjoint-multiplier gradient of the functional, its Jacobian is the transpose
 pairing of the corresponding second-derivative blocks, and the adjoint matrix
 is the transpose of the state Jacobian at the converged state.  Equal-order
 P1-P1 velocity/pressure is stabilized by the element-wise pressure term with
-coefficient mu and the longest reference edge as length scale.
+coefficient mu and the longest reference edge as length scale.  The state
+is solved by the damped Newton method of :mod:`flowshape.newton`; it stops
+when the residual norm is below ``newton_tol`` and the Newton correction is
+at most ``sqrt(newton_tol) * (1 + |u|)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .fem import quadrature_triangle
+from .fem import eliminate_dirichlet, quadrature_triangle
 from .lagrangian import Spaces, gradient_blocks, hessian_blocks, zero_blocks
 from .mesh import BoundaryTag, Mesh
+from .newton import SolverError, semismooth_newton
 
 __all__ = [
     "SolverError", "FlowParams", "FlowState", "AdjointFlowState",
@@ -30,28 +34,13 @@ __all__ = [
 ]
 
 
-class SolverError(RuntimeError):
-    """A failed solve, classified by ``kind``; carries the residual history.
-
-    The kinds are ``"singular"`` (the linearization cannot be factorized),
-    ``"stall"`` (no step with a damping above the floor is accepted) and
-    ``"divergence"`` (the iteration budget runs out without convergence).
-    The message starts with the kind.
-    """
-
-    KINDS = ("singular", "stall", "divergence")
-
-    def __init__(self, message, history=None, kind="divergence"):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown solver failure kind {kind!r}")
-        super().__init__(f"{kind}: {message}")
-        self.kind = kind
-        self.history = list(history) if history is not None else []
-
-
 @dataclass(frozen=True)
 class FlowParams:
-    """Viscosity, stabilization and Newton controls of the flow solves."""
+    """Viscosity, stabilization and Newton controls of the flow solves.
+
+    The state solve stops when the residual norm is below newton_tol and
+    the Newton correction is at most sqrt(newton_tol) * (1 + |u|).
+    """
 
     nu: float = 0.01
     mu: float = 0.1
@@ -221,14 +210,6 @@ def _flow_dirichlet(mesh: Mesh, params, homogeneous, override, pin_pressure):
     return np.concatenate(dofs), np.concatenate(values)
 
 
-def _constrain(A: sparse.spmatrix, dofs: np.ndarray) -> sparse.csr_matrix:
-    n = A.shape[0]
-    mask = np.ones(n)
-    mask[dofs] = 0.0
-    D = sparse.diags(mask)
-    return (D @ A @ D + sparse.diags(1.0 - mask)).tocsr()
-
-
 def solve_state(mesh: Mesh, w: np.ndarray, params,
                 spaces: Spaces | None = None, body_force=None,
                 dirichlet_override=None, pin_pressure=None,
@@ -236,7 +217,10 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
     """Damped Newton solve of the pulled-back stationary flow equations.
 
     ``pin_pressure`` is a (vertex, value) pair fixing the pressure level for
-    fully enclosed configurations; the tunnel's open outflow needs none.
+    fully enclosed configurations; the tunnel's open outflow needs none.  See
+    :func:`flowshape.newton.semismooth_newton` for globalization and the stop
+    test; a failure raises a classified :class:`SolverError` that carries
+    the residual history.
     """
     spaces = spaces or Spaces.build(mesh)
     if np.any(_element_dets(spaces, w) <= 0.0):
@@ -257,30 +241,14 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
         r[dofs] = 0.0
         return r
 
-    history = []
-    for _ in range(params.newton_max_iter):
-        r = residual(u)
-        rnorm = float(np.linalg.norm(r))
-        history.append(rnorm)
-        if rnorm < params.newton_tol:
-            return FlowState(u[:2 * nv].reshape(nv, 2).copy(), u[2 * nv:].copy())
-        A = _state_jacobian(spaces, params, w, u[:2 * nv].reshape(nv, 2),
-                            u[2 * nv:])
-        A = _constrain(A, dofs)
-        try:
-            step = spla.splu(A.tocsc()).solve(-r)
-        except RuntimeError as exc:
-            raise SolverError(f"singular state Jacobian: {exc}", history,
-                              kind="singular")
-        scale = 1.0
-        for _ in range(30):
-            if np.linalg.norm(residual(u + scale * step)) < rnorm:
-                break
-            scale *= 0.5
-        u = u + scale * step
-    raise SolverError(
-        f"state Newton did not converge: last residual {history[-1]:.3e}",
-        history)
+    def factorize(uvec, active):
+        A = _state_jacobian(spaces, params, w, uvec[:2 * nv].reshape(nv, 2),
+                            uvec[2 * nv:])
+        return spla.splu(eliminate_dirichlet(A, dofs).tocsc()).solve
+
+    u, _ = semismooth_newton(residual, factorize, u, params.newton_tol,
+                             params.newton_max_iter, "state")
+    return FlowState(u[:2 * nv].reshape(nv, 2).copy(), u[2 * nv:].copy())
 
 
 def _element_dets(spaces: Spaces, w) -> np.ndarray:
@@ -289,15 +257,16 @@ def _element_dets(spaces: Spaces, w) -> np.ndarray:
     return det
 
 
-def dissipation(mesh: Mesh, w: np.ndarray, state: FlowState, nu: float) -> float:
+def dissipation(mesh: Mesh, w: np.ndarray, state: FlowState, nu: float,
+                spaces: Spaces | None = None) -> float:
     """Pulled-back energy dissipation (nu/2) integral |Dv (DF)^-1|^2 det(DF)."""
     from .transform import element_kinematics, pushed_gradients
-    spaces_geo = Spaces.build(mesh).geo_fluid
-    _, J, A = element_kinematics(spaces_geo, np.asarray(w, float))
-    g = pushed_gradients(spaces_geo, A)
-    M = np.einsum("tla,tlb->tab", state.v[spaces_geo.tri], g)
+    geo = (spaces or Spaces.build(mesh)).geo_fluid
+    _, J, A = element_kinematics(geo, np.asarray(w, float))
+    g = pushed_gradients(geo, A)
+    M = np.einsum("tla,tlb->tab", state.v[geo.tri], g)
     return 0.5 * nu * float(np.sum(
-        spaces_geo.area * J * np.einsum("tab,tab->t", M, M)))
+        geo.area * J * np.einsum("tab,tab->t", M, M)))
 
 
 def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
@@ -320,7 +289,7 @@ def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     rhs = -np.concatenate([grad["v"].ravel(), grad["p"]])
     dofs, _ = _flow_dirichlet(mesh, params, True, dirichlet_override,
                               pin_pressure)
-    A = _constrain(A, dofs)
+    A = eliminate_dirichlet(A, dofs)
     rhs[dofs] = 0.0
     try:
         sol = spla.splu(A.tocsc()).solve(rhs)

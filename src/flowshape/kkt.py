@@ -5,23 +5,28 @@ flow state ``v, p``, Neumann datum ``b`` of the extension, boundary control
 ``c``, their adjoints ``lam_w, lam_v, lam_p, lam_b``, and the two geometric
 multipliers ``lam_vol`` (volume) and ``lam_bc`` (barycenter).  Residual and
 matrix come from the term engine in :mod:`flowshape.lagrangian`; this module
-adds the degree-of-freedom bookkeeping, the boundary conditions, and a damped
-semismooth Newton loop (the determinant penalty makes the map piecewise
-smooth, with an active-set generalized derivative).
+adds the degree-of-freedom bookkeeping and the boundary conditions, and
+solves the system with the damped semismooth Newton method of
+:mod:`flowshape.newton` (the determinant penalty makes the map piecewise
+smooth, with an active-set generalized derivative).  A solve stops when the
+residual norm is below ``newton_tol`` and the Newton correction is at most
+``sqrt(newton_tol) * (1 + |u|)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .flow import SolverError, velocity_dirichlet
+from .fem import eliminate_dirichlet
+from .flow import velocity_dirichlet
 from .lagrangian import (BLOCK_NAMES, Spaces, block_sizes, gradient_blocks,
                          hessian_blocks, total_value, zero_blocks)
-from .mesh import BoundaryTag, Mesh
+from .mesh import Mesh
+from .newton import semismooth_newton
 
 __all__ = [
     "KktParams", "KktVector", "DofMap", "volume_residual",
@@ -36,7 +41,9 @@ class KktParams:
 
     alpha weights the control cost, beta the determinant penalty with
     threshold eta_det, eta_ext is the advection weight of the nonlinear
-    extension, and delta scales the inflow profile.
+    extension, and delta scales the inflow profile.  A Newton solve stops
+    when the residual norm is below newton_tol and the Newton correction is
+    at most sqrt(newton_tol) * (1 + |u|).
     """
 
     alpha: float = 1e-2
@@ -225,11 +232,7 @@ def kkt_matrix(mesh: Mesh, y: KktVector, params: KktParams,
     """
     spaces = spaces or Spaces.build(mesh)
     dm, dofs, _ = _dirichlet(spaces, params)
-    A = _assemble(spaces, params, y, dm, active)
-    mask = np.ones(dm.total)
-    mask[dofs] = 0.0
-    D = sparse.diags(mask)
-    return (D @ A @ D + sparse.diags(1.0 - mask)).tocsr()
+    return eliminate_dirichlet(_assemble(spaces, params, y, dm, active), dofs)
 
 
 def _assemble(spaces: Spaces, params: KktParams, y: KktVector,
@@ -300,14 +303,7 @@ def gradient_fd_slopes(mesh: Mesh, y: KktVector, params: KktParams,
     return slopes
 
 
-# A damping below this floor counts as a stall: such a step leaves the
-# iterate where it is, and accepting it only spends iterations before the
-# solve fails anyway.  The converging solves of the test suite and of the
-# benchmark workloads accept dampings down to 2^-9.
-_MIN_DAMPING = 2.0 ** -10
-
-
-def _factorize(A, history, what):
+def _factorize(A):
     """Solver for ``A x = b`` from an equilibrated LU factorization.
 
     Symmetric diagonal equilibration: the control stationarity rows carry a
@@ -318,11 +314,7 @@ def _factorize(A, history, what):
     A = A.tocsc()
     rowmax = np.abs(A).max(axis=1).toarray().ravel()
     d = 1.0 / np.sqrt(np.where(rowmax > 0.0, rowmax, 1.0))
-    try:
-        lu = spla.splu((sparse.diags(d) @ A @ sparse.diags(d)).tocsc())
-    except RuntimeError as exc:
-        raise SolverError(f"singular {what} matrix: {exc}", history,
-                          kind="singular")
+    lu = spla.splu((sparse.diags(d) @ A @ sparse.diags(d)).tocsc())
 
     def linsolve(rhs):
         x = d * lu.solve(d * rhs)
@@ -332,109 +324,6 @@ def _factorize(A, history, what):
     return linsolve
 
 
-def _semismooth_newton(residual, jacobian, penalty_active, x, tol, max_iter,
-                       what):
-    """Damped semismooth Newton iteration; returns ``(x, residual_history)``.
-
-    ``residual(x)`` is the flat residual, ``jacobian(x, active)`` an element
-    of its generalized derivative whose determinant-penalty active set is
-    ``active`` (None: the set at x), and ``penalty_active(x)`` that set.
-
-    Globalization is the error-oriented natural monotonicity test: a trial
-    point is accepted when the simplified Newton step there (same
-    factorization) is shorter than the current step.  It is affine
-    invariant, which matters because the control stationarity rows scale
-    with alpha.  A step that no damping down to ``_MIN_DAMPING`` makes pass
-    is a ``stall``, unless the rejected trials crossed eta_det: the penalty
-    gradient has a kink where an element's det(DF) equals eta_det, and the
-    default derivative (ties inactive) misses the one-sided derivative along
-    a step that compresses such an element.  The step is then computed once
-    more from the linearization with the active set of the shortest
-    rejected trial that crossed, and only its failure is a stall.  So is a
-    kink element that a later relinearization has to switch back: the
-    active set then cycles, each one-sided model putting the root on the
-    other side.  Both errors count the elements at the kink.
-
-    Convergence needs a residual norm below ``tol`` and a Newton correction
-    of at most ``sqrt(tol) * (1 + |x|)``.  The residual alone weighs the
-    control rows with alpha, so at small alpha a residual below ``tol``
-    still admits control errors of order ``tol / alpha``; at quadratic
-    convergence, a relative correction of ``sqrt(tol)`` leaves one of order
-    ``tol``.  After a full step the simplified Newton step of the line
-    search serves as that correction, so a converging solve costs no extra
-    factorization.
-    """
-    history = []
-    correction = np.inf
-    flipped = False  # elements switched by the last relinearization
-    for _ in range(max_iter):
-        r = residual(x)
-        rnorm = float(np.linalg.norm(r))
-        history.append(rnorm)
-        xtol = np.sqrt(tol) * (1.0 + float(np.linalg.norm(x)))
-        if rnorm < tol and correction <= xtol:
-            return x, history
-        here = penalty_active(x)
-        active = None
-        while True:
-            linsolve = _factorize(jacobian(x, active), history, what)
-            step = linsolve(-r)
-            if not np.all(np.isfinite(step)):
-                raise SolverError(f"non-finite {what} Newton step", history,
-                                  kind="singular")
-            snorm = float(np.linalg.norm(step))
-            if rnorm < tol and snorm <= xtol:
-                return x, history
-            scale, simplified, crossed = _line_search(
-                residual, linsolve, x, step, penalty_active, here)
-            if scale is not None:
-                break
-            kink = np.zeros_like(here) if crossed is None else crossed != here
-            if active is not None or not kink.any():
-                raise SolverError(
-                    f"{what} line search needs a damping below "
-                    f"{_MIN_DAMPING:.1e} at residual {rnorm:.3e}; "
-                    f"{int(kink.sum())} element(s) at the determinant-penalty "
-                    "kink", history, kind="stall")
-            if np.any(kink & flipped):
-                raise SolverError(
-                    f"{what} active set cycles at residual {rnorm:.3e}: "
-                    f"{int(np.sum(kink & flipped))} element(s) at the "
-                    "determinant-penalty kink cross eta_det back and forth",
-                    history, kind="stall")
-            flipped, active = kink, crossed
-        x = x + scale * step
-        correction = (float(np.linalg.norm(simplified)) if scale == 1.0
-                      else np.inf)
-    raise SolverError(
-        f"{what} Newton did not converge in {max_iter} iterations: last "
-        f"residual {history[-1]:.3e}", history, kind="divergence")
-
-
-def _line_search(residual, linsolve, x, step, penalty_active, here):
-    """Natural monotonicity test on the dampings 1, 1/2, ... down to the floor.
-
-    Returns ``(scale, simplified_step, None)`` for the first damping that
-    passes.  When none above ``_MIN_DAMPING`` does, returns ``(None, None,
-    crossed)``: ``crossed`` is the penalty active set of the shortest
-    rejected trial whose set differs from ``here``, the set at x (None if
-    no trial crossed eta_det).
-    """
-    snorm = float(np.linalg.norm(step))
-    crossed = None
-    scale = 1.0
-    while scale >= _MIN_DAMPING:
-        trial = x + scale * step
-        simplified = linsolve(-residual(trial))
-        if np.linalg.norm(simplified) < snorm:
-            return scale, simplified, None
-        at_trial = penalty_active(trial)
-        if np.any(at_trial != here):
-            crossed = at_trial
-        scale *= 0.5
-    return None, None, crossed
-
-
 def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
               spaces: Spaces | None = None,
               return_info: bool = False):
@@ -442,9 +331,9 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
 
     Starts from ``y0`` projected onto the Dirichlet data and factorizes the
     generalized derivative with a sparse direct solver.  See
-    :func:`_semismooth_newton` for globalization and the stop test.  Raises a
-    classified :class:`SolverError` on a singular matrix, a stall or
-    divergence.
+    :func:`flowshape.newton.semismooth_newton` for globalization and the stop
+    test.  Raises a classified :class:`SolverError` on a singular matrix, a
+    stall or divergence.
     """
     spaces = spaces or Spaces.build(mesh)
     dm, dofs, values = _dirichlet(spaces, params)
@@ -455,15 +344,16 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
     def residual(uvec):
         return kkt_residual(mesh, dm.unpack(uvec), params, spaces)
 
-    def jacobian(uvec, active):
-        return kkt_matrix(mesh, dm.unpack(uvec), params, spaces, active)
+    def factorize(uvec, active):
+        return _factorize(kkt_matrix(mesh, dm.unpack(uvec), params, spaces,
+                                     active))
 
     def penalty_active(uvec):
         return penalty_active_set(spaces, uvec[wslice].reshape(-1, 2),
                                   params.eta_det)
 
-    u, history = _semismooth_newton(residual, jacobian, penalty_active, u,
-                                    params.newton_tol, params.newton_max_iter,
-                                    "KKT")
+    u, history = semismooth_newton(residual, factorize, u, params.newton_tol,
+                                   params.newton_max_iter, "KKT",
+                                   penalty_active)
     y = dm.unpack(u)
     return (y, history) if return_info else y

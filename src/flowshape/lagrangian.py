@@ -35,8 +35,8 @@ from .mesh import BoundaryTag, Mesh, boundary_normals
 from .transform import (element_kinematics, pushed_gradients,
                         det_penalty_gradient, det_penalty_hessian)
 
-__all__ = ["Spaces", "block_sizes", "zero_blocks", "total_value",
-           "gradient_blocks", "hessian_blocks"]
+__all__ = ["Spaces", "block_sizes", "zero_blocks", "extension_terms",
+           "total_value", "gradient_blocks", "hessian_blocks"]
 
 # integral of phi_l phi_m over a triangle is area * S12[l, m]
 _S12 = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -156,6 +156,59 @@ def _curve_stiff_pair(seg_length, u, v):
     return np.sum(du * dv / seg_length[:, None])
 
 
+def _vdofs(tri):
+    return (2 * tri[:, :, None] + np.arange(2)[None, None, :]).reshape(len(tri), 6)
+
+
+def _scatter(loc, rows, cols, nr, nc) -> sparse.coo_matrix:
+    t, R, C = loc.shape
+    r = np.repeat(rows, C, axis=1).ravel()
+    c = np.tile(cols, (1, R)).ravel()
+    return sparse.coo_matrix((loc.reshape(t, R * C).ravel(), (r, c)),
+                             shape=(nr, nc))
+
+
+# -- extension operator -----------------------------------------------------------
+
+
+def extension_terms(spaces: Spaces, w: np.ndarray, eta_ext: float):
+    """Interior residual of the extension equation and its (w, lam_w) block.
+
+    The residual is the interior part of the lam_w gradient, (nv, 2): minus
+    the symmetrized-gradient form and the advection eta_ext (Dw w), tested
+    with each hat function over the extension domain; the boundary load on
+    the obstacle loop is not included.  The block, with rows w and columns
+    lam_w, is the transposed derivative of that residual with respect to w,
+    as a sparse COO matrix.  The extension pairing is linear in lam_w, so
+    the block applied to lam_w is the pairing's w gradient.
+    """
+    geo = spaces.geo_ext
+    tri, G, area = geo.tri, geo.grads, geo.area
+    wloc = w[tri]
+    Dw = np.einsum("tla,tlb->tab", wloc, G)
+    W = area[:, None, None] * (_S12 @ wloc)           # integral of phi_n w
+    loc = -area[:, None, None] * (G @ (Dw + np.swapaxes(Dw, 1, 2)))
+    loc -= eta_ext * (W @ np.swapaxes(Dw, 1, 2))
+    residual = np.zeros((spaces.mesh.num_vertices, 2))
+    np.add.at(residual, tri, loc)
+
+    # H[t, m, c, n, a]: row dof (vertex m, component c) of w, column dof
+    # (n, a) of lam_w; the terms with delta_ca share the factor K[m, n]
+    K = (area[:, None, None] * (G @ np.swapaxes(G, 1, 2))
+         + eta_ext * (G @ np.swapaxes(W, 1, 2)))
+    aS12 = area[:, None, None] * _S12
+    H = np.empty((len(tri), 3, 2, 3, 2))
+    for c in range(2):
+        for a in range(2):
+            H[:, :, c, :, a] = -(area[:, None, None] * G[:, :, a, None]
+                                 * G[:, None, :, c]
+                                 + eta_ext * Dw[:, a, c, None, None] * aS12)
+        H[:, :, c, :, c] -= K
+    dofs = _vdofs(tri)
+    n = 2 * spaces.mesh.num_vertices
+    return residual, _scatter(H.reshape(-1, 6, 6), dofs, dofs, n, n)
+
+
 # -- value ------------------------------------------------------------------------
 
 
@@ -217,7 +270,6 @@ def total_value(spaces: Spaces, params, z: dict):
 def gradient_blocks(spaces: Spaces, params, z: dict) -> dict:
     """All eleven first-derivative blocks, without boundary conditions."""
     f = _fluid_frame(spaces, z)
-    e = _ext_frame(spaces, z)
     nu, mu = params.nu, params.mu
     out = zero_blocks(spaces)
     area, J, g, h = f.area, f.J, f.g, f.h
@@ -260,14 +312,10 @@ def gradient_blocks(spaces: Spaces, params, z: dict) -> dict:
     gw -= _scalar(z["lam_vol"]) * aJ[:, None, None] * g
     np.add.at(out["w"], f.tri, gw)
 
-    # displacement block, extension terms (symmetrized gradient + advection)
-    Dlw_sym = e.Dlw + np.swapaxes(e.Dlw, 1, 2)
-    Pw = e.area[:, None, None] * np.einsum("lm,tla,tmb->tab", _S12, e.wloc, e.lwloc)
-    Lam = e.area[:, None, None] * np.einsum("mn,tnb->tmb", _S12, e.lwloc)
-    gwe = -e.area[:, None, None] * np.einsum("tcb,tmb->tmc", Dlw_sym, e.G)
-    gwe -= params.eta_ext * (np.einsum("trc,tmr->tmc", Pw, e.G)
-                             + np.einsum("tac,tma->tmc", e.Dw, Lam))
-    np.add.at(out["w"], e.tri, gwe)
+    # extension equation (the lam_w block) and its pairing's w gradient
+    ext, Hwlw = extension_terms(spaces, z["w"], params.eta_ext)
+    out["lam_w"] += ext
+    out["w"] += (Hwlw @ z["lam_w"].ravel()).reshape(-1, 2)
     out["w"] += det_penalty_gradient(spaces.geo_ext, z["w"], params.eta_det,
                                      params.beta)
 
@@ -295,13 +343,6 @@ def gradient_blocks(spaces: Spaces, params, z: dict) -> dict:
     glp += mh2[:, None] * np.einsum("tnr,tr->tn", AG, f.ghp)
     np.add.at(out["lam_p"], f.tri, glp)
 
-    # adjoint displacement block (the extension equation)
-    Dw_sym = e.Dw + np.swapaxes(e.Dw, 1, 2)
-    W = e.area[:, None, None] * np.einsum("nl,tlb->tnb", _S12, e.wloc)
-    glw = -e.area[:, None, None] * np.einsum("tab,tnb->tna", Dw_sym, e.G)
-    glw -= params.eta_ext * np.einsum("tab,tnb->tna", e.Dw, W)
-    np.add.at(out["lam_w"], e.tri, glw)
-
     # boundary blocks on the obstacle loop
     if spaces.curve is not None:
         loop = spaces.curve.loop
@@ -321,18 +362,6 @@ def gradient_blocks(spaces: Spaces, params, z: dict) -> dict:
 
 
 # -- Hessian ----------------------------------------------------------------------
-
-
-def _vdofs(tri):
-    return (2 * tri[:, :, None] + np.arange(2)[None, None, :]).reshape(len(tri), 6)
-
-
-def _scatter(loc, rows, cols, nr, nc) -> sparse.coo_matrix:
-    t, R, C = loc.shape
-    r = np.repeat(rows, C, axis=1).ravel()
-    c = np.tile(cols, (1, R)).ravel()
-    return sparse.coo_matrix((loc.reshape(t, R * C).ravel(), (r, c)),
-                             shape=(nr, nc))
 
 
 def _wpat(g, antiJ, s, Y, X=None, gg=None):
@@ -489,17 +518,7 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None) -> dict:
                                       sizes["w"], sizes["lam_p"])
 
     # -- (w, lam_w): the extension linearization
-    ggG = np.einsum("tma,tna->tmn", e.G, e.G)
-    W = e.area[:, None, None] * np.einsum("nl,tlb->tnb", _S12, e.wloc)
-    WG = np.einsum("tnb,tmb->tmn", W, e.G)
-    aS12 = e.area[:, None, None] * _S12[None, :, :]
-    Hwlw = -e.area[:, None, None, None, None] * (
-        np.einsum("tmn,ca->tmcna", ggG, eye)
-        + np.einsum("tma,tnc->tmcna", e.G, e.G))
-    Hwlw -= params.eta_ext * (np.einsum("tmn,ca->tmcna", WG, eye)
-                              + np.einsum("tmn,tac->tmcna", aS12, e.Dw))
-    blocks[("w", "lam_w")] = _scatter(Hwlw.reshape(-1, 6, 6), edofs, edofs,
-                                      sizes["w"], sizes["lam_w"])
+    blocks[("w", "lam_w")] = extension_terms(spaces, z["w"], params.eta_ext)[1]
 
     # -- (w, lam_vol) and (w, lam_bc)
     blocks[("w", "lam_vol")] = _scatter(

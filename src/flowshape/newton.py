@@ -1,0 +1,155 @@
+"""Damped semismooth Newton method shared by every nonlinear solve.
+
+The coupled optimality system, the shape subsystem of the iterative driver,
+the flow state and the nonlinear extension all call :func:`semismooth_newton`
+with their own residual and factorization; failures are reported as a
+classified :class:`SolverError`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["SolverError", "semismooth_newton"]
+
+
+class SolverError(RuntimeError):
+    """A failed solve, classified by ``kind``; carries the residual history.
+
+    The kinds are ``"singular"`` (the linearization cannot be factorized),
+    ``"stall"`` (no step with a damping above the floor is accepted) and
+    ``"divergence"`` (the iteration budget runs out without convergence).
+    The message starts with the kind.
+    """
+
+    KINDS = ("singular", "stall", "divergence")
+
+    def __init__(self, message, history=None, kind="divergence"):
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown solver failure kind {kind!r}")
+        super().__init__(f"{kind}: {message}")
+        self.kind = kind
+        self.history = list(history) if history is not None else []
+
+
+# A damping below this floor counts as a stall: such a step leaves the
+# iterate where it is, and accepting it only spends iterations before the
+# solve fails anyway.  The converging solves of the test suite and of the
+# benchmark workloads accept dampings down to 2^-9.
+_MIN_DAMPING = 2.0 ** -10
+
+
+def _no_penalty(x):
+    return np.zeros(0, dtype=bool)
+
+
+def semismooth_newton(residual, factorize, x, tol, max_iter, what,
+                      penalty_active=None):
+    """Damped semismooth Newton iteration; returns ``(x, residual_history)``.
+
+    ``residual(x)`` is the flat residual and ``factorize(x, active)`` returns
+    a solver ``rhs -> step`` for an element of its generalized derivative
+    whose determinant-penalty active set is ``active`` (None: the set at x);
+    a ``RuntimeError`` from it is a singular matrix.  ``penalty_active(x)``
+    is that set, a boolean mask over the elements; without it the residual
+    is taken as smooth.
+
+    Globalization is the error-oriented natural monotonicity test: a trial
+    point is accepted when the simplified Newton step there (same
+    factorization) is shorter than the current step.  It is affine
+    invariant, which matters because the control stationarity rows scale
+    with alpha.  A step that no damping down to ``_MIN_DAMPING`` makes pass
+    is a ``stall``, unless the rejected trials crossed eta_det: the penalty
+    gradient has a kink where an element's det(DF) equals eta_det, and the
+    default derivative (ties inactive) misses the one-sided derivative along
+    a step that compresses such an element.  The step is then computed once
+    more from the linearization with the active set of the shortest rejected
+    trial that crossed, and only its failure is a stall.  So is a kink
+    element that a later relinearization has to switch back: the active set
+    then cycles, each one-sided model putting the root on the other side.
+    Both errors count the elements at the kink.
+
+    Convergence needs a residual norm below ``tol`` and a Newton correction
+    of at most ``sqrt(tol) * (1 + |x|)``.  The residual alone weighs the
+    control rows with alpha, so at small alpha a residual below ``tol``
+    still admits control errors of order ``tol / alpha``; at quadratic
+    convergence, a relative correction of ``sqrt(tol)`` leaves one of order
+    ``tol``.  After a full step the simplified Newton step of the line
+    search serves as that correction, so a converging solve costs no extra
+    factorization.
+    """
+    penalty_active = penalty_active or _no_penalty
+    history = []
+    correction = np.inf
+    flipped = False  # elements switched by the last relinearization
+    for _ in range(max_iter):
+        r = residual(x)
+        rnorm = float(np.linalg.norm(r))
+        history.append(rnorm)
+        xtol = np.sqrt(tol) * (1.0 + float(np.linalg.norm(x)))
+        if rnorm < tol and correction <= xtol:
+            return x, history
+        here = penalty_active(x)
+        active = None
+        while True:
+            try:
+                linsolve = factorize(x, active)
+            except RuntimeError as exc:
+                raise SolverError(f"singular {what} matrix: {exc}", history,
+                                  kind="singular") from exc
+            step = linsolve(-r)
+            if not np.all(np.isfinite(step)):
+                raise SolverError(f"non-finite {what} Newton step", history,
+                                  kind="singular")
+            snorm = float(np.linalg.norm(step))
+            if rnorm < tol and snorm <= xtol:
+                return x, history
+            scale, simplified, crossed = _line_search(
+                residual, linsolve, x, step, penalty_active, here)
+            if scale is not None:
+                break
+            kink = np.zeros_like(here) if crossed is None else crossed != here
+            if active is not None or not kink.any():
+                at_kink = (f"; {int(kink.sum())} element(s) at the "
+                           "determinant-penalty kink" if here.size else "")
+                raise SolverError(
+                    f"{what} line search needs a damping below "
+                    f"{_MIN_DAMPING:.1e} at residual {rnorm:.3e}{at_kink}",
+                    history, kind="stall")
+            if np.any(kink & flipped):
+                raise SolverError(
+                    f"{what} active set cycles at residual {rnorm:.3e}: "
+                    f"{int(np.sum(kink & flipped))} element(s) at the "
+                    "determinant-penalty kink cross eta_det back and forth",
+                    history, kind="stall")
+            flipped, active = kink, crossed
+        x = x + scale * step
+        correction = (float(np.linalg.norm(simplified)) if scale == 1.0
+                      else np.inf)
+    raise SolverError(
+        f"{what} Newton did not converge in {max_iter} iterations: last "
+        f"residual {history[-1]:.3e}", history, kind="divergence")
+
+
+def _line_search(residual, linsolve, x, step, penalty_active, here):
+    """Natural monotonicity test on the dampings 1, 1/2, ... down to the floor.
+
+    Returns ``(scale, simplified_step, None)`` for the first damping that
+    passes.  When none above ``_MIN_DAMPING`` does, returns ``(None, None,
+    crossed)``: ``crossed`` is the penalty active set of the shortest
+    rejected trial whose set differs from ``here``, the set at x (None if
+    no trial crossed eta_det).
+    """
+    snorm = float(np.linalg.norm(step))
+    crossed = None
+    scale = 1.0
+    while scale >= _MIN_DAMPING:
+        trial = x + scale * step
+        simplified = linsolve(-residual(trial))
+        if np.linalg.norm(simplified) < snorm:
+            return scale, simplified, None
+        at_trial = penalty_active(trial)
+        if np.any(at_trial != here):
+            crossed = at_trial
+        scale *= 0.5
+    return None, None, crossed

@@ -19,12 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .flow import (AdjointFlowState, FlowParams, FlowState, SolverError,
+from .flow import (FlowParams, FlowState, SolverError, dissipation,
                    solve_adjoint, solve_state)
-from .kkt import (DofMap, KktParams, KktVector, _semismooth_newton,
-                  kkt_matrix, kkt_residual, penalty_active_set, solve_kkt)
+from .kkt import (DofMap, KktParams, KktVector, _factorize, kkt_matrix,
+                  kkt_residual, penalty_active_set, solve_kkt)
 from .lagrangian import Spaces
 from .mesh import Mesh, worst_quality
+from .newton import semismooth_newton
 from .transform import element_kinematics
 
 __all__ = [
@@ -106,12 +107,11 @@ class RunLog:
 
 def _diagnostics(spaces: Spaces, params: KktParams, y: KktVector):
     """Dissipation, control cost, penalty and constraint residuals at y."""
-    from .flow import dissipation as _dissip
     from .kkt import barycenter_residual, volume_residual
     from .transform import det_penalty
 
     mesh = spaces.mesh
-    j = _dissip(mesh, y.w, FlowState(y.v, y.p), params.nu)
+    j = dissipation(mesh, y.w, FlowState(y.v, y.p), params.nu, spaces)
     if spaces.curve is not None and len(y.c):
         cnorm = float(np.sqrt(y.c @ (spaces.curve.mass @ y.c)))
     else:
@@ -193,17 +193,17 @@ def _shape_subsolve(spaces: Spaces, params: KktParams, dm: DofMap,
     def residual(x):
         return kkt_residual(mesh, dm.unpack(full(x)), params, spaces)[sel]
 
-    def jacobian(x, active):
+    def factorize(x, active):
         A = kkt_matrix(mesh, dm.unpack(full(x)), params, spaces, active)
-        return A[sel][:, sel]
+        return _factorize(A[sel][:, sel])
 
     def penalty_active(x):
         return penalty_active_set(spaces, full(x)[wslice].reshape(-1, 2),
                                   params.eta_det)
 
-    x, _ = _semismooth_newton(residual, jacobian, penalty_active, u[sel],
-                              params.newton_tol, params.newton_max_iter,
-                              "shape subsystem")
+    x, _ = semismooth_newton(residual, factorize, u[sel], params.newton_tol,
+                             params.newton_max_iter, "shape subsystem",
+                             penalty_active)
     return full(x)
 
 

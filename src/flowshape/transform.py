@@ -9,33 +9,18 @@ element of the generalized second derivative uses the active-set indicator
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 from .fem import P1Geometry
-from .mesh import Mesh
 
 __all__ = [
-    "ElementTransform",
     "element_kinematics",
-    "element_transform",
     "pushed_gradients",
     "det_penalty",
     "det_penalty_gradient",
     "det_penalty_hessian",
-    "det_penalty_hessian_action",
 ]
-
-
-@dataclass(frozen=True)
-class ElementTransform:
-    """DF, det(DF) and (DF)^-1 of a single triangle."""
-
-    DF: np.ndarray
-    det: float
-    DFinv: np.ndarray
 
 
 def displacement_gradient(geo: P1Geometry, w: np.ndarray) -> np.ndarray:
@@ -63,13 +48,6 @@ def element_kinematics(geo: P1Geometry, w: np.ndarray):
     inv[:, 0, 1] = -DF[:, 0, 1] / safe
     inv[:, 1, 0] = -DF[:, 1, 0] / safe
     return DF, det, inv
-
-
-def element_transform(mesh: Mesh, w: np.ndarray, index: int) -> ElementTransform:
-    """Transformation data of one triangle."""
-    geo = P1Geometry.build(mesh, np.asarray([index]))
-    DF, det, inv = element_kinematics(geo, np.asarray(w, dtype=float))
-    return ElementTransform(DF[0], float(det[0]), inv[0])
 
 
 def pushed_gradients(geo: P1Geometry, DFinv: np.ndarray) -> np.ndarray:
@@ -141,11 +119,3 @@ def det_penalty_hessian(geo: P1Geometry, w: np.ndarray, eta_det: float, beta: fl
         (H.reshape(len(geo.tri), 36).ravel(), (rows, cols)),
         shape=(2 * n_vertices, 2 * n_vertices),
     ).tocsr()
-
-
-def det_penalty_hessian_action(geo: P1Geometry, w: np.ndarray, direction: np.ndarray,
-                               eta_det: float, beta: float) -> np.ndarray:
-    """Generalized-derivative action on a nodal direction field, (nv, 2)."""
-    n = len(w)
-    H = det_penalty_hessian(geo, w, eta_det, beta, n)
-    return (H @ np.asarray(direction, dtype=float).ravel()).reshape(n, 2)

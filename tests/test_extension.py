@@ -2,15 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from flowshape.extension import (
     ExtensionParams,
-    extension_linearization,
-    extension_residual,
     solve_extension,
     solve_laplace_beltrami,
 )
-from flowshape.lagrangian import Spaces
+from flowshape.lagrangian import Spaces, extension_terms
 
 
 def _loop_normals(spaces):
@@ -54,7 +53,9 @@ def test_extension_residual_zero_at_solution(circle_mesh, rng):
     params = ExtensionParams(eta_ext=2.0)
     b = 0.05 * rng.standard_normal((spaces.num_loop, 2))
     w = solve_extension(circle_mesh, b, params, spaces=spaces)
-    r = extension_residual(circle_mesh, w, b, params, spaces=spaces)
+    r, _ = extension_terms(spaces, w, params.eta_ext)
+    r[spaces.curve.loop] += spaces.curve.mass @ b
+    r = r.ravel()
     outer = circle_mesh.outer_boundary_vertices()
     free = np.ones(circle_mesh.num_vertices, bool)
     free[outer] = False
@@ -63,29 +64,23 @@ def test_extension_residual_zero_at_solution(circle_mesh, rng):
     assert np.abs(w[outer]).max() == 0.0
 
 
-def test_linearization_matches_finite_differences(circle_mesh, rng):
+def test_linear_extension_takes_one_factorization(circle_mesh, rng,
+                                                  monkeypatch):
+    """At eta_ext = 0 the first Newton step solves the linear problem, and
+    the simplified step of its line search confirms convergence."""
     spaces = Spaces.build(circle_mesh)
-    params = ExtensionParams(eta_ext=2.0)
-    nv = circle_mesh.num_vertices
-    m = spaces.num_loop
-    w = 0.02 * rng.standard_normal((nv, 2))
-    b = 0.05 * rng.standard_normal((m, 2))
-    lin = extension_linearization(circle_mesh, w, params, spaces=spaces)
-    h = 1e-5
-    dw = rng.standard_normal((nv, 2))
-    db = rng.standard_normal((m, 2))
-    fd_w = (extension_residual(circle_mesh, w + h * dw, b, params,
-                               spaces=spaces)
-            - extension_residual(circle_mesh, w - h * dw, b, params,
-                                 spaces=spaces)) / (2 * h)
-    fd_b = (extension_residual(circle_mesh, w, b + h * db, params,
-                               spaces=spaces)
-            - extension_residual(circle_mesh, w, b - h * db, params,
-                                 spaces=spaces)) / (2 * h)
-    got_w = lin["w"] @ dw.ravel()
-    got_b = lin["b"] @ db.ravel()
-    assert np.abs(got_w - fd_w).max() <= 1e-6 * max(1.0, np.abs(fd_w).max())
-    assert np.abs(got_b - fd_b).max() <= 1e-9 * max(1.0, np.abs(fd_b).max())
+    b = 0.05 * rng.standard_normal((spaces.num_loop, 2))
+    calls = []
+    splu = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    solve_extension(circle_mesh, b, ExtensionParams(eta_ext=0.0),
+                    spaces=spaces)
+    assert len(calls) == 1
 
 
 def test_nonlinearity_is_quadratic_in_data(circle_mesh, rng):
@@ -107,8 +102,7 @@ def test_extension_handles_holdall_domain(holdall_mesh, rng):
     spaces = Spaces.build(holdall_mesh)
     params = ExtensionParams(eta_ext=1.0)
     b = 0.05 * rng.standard_normal((spaces.num_loop, 2))
-    w = solve_extension(holdall_mesh, b, params, domain="holdall",
-                        spaces=spaces)
+    w = solve_extension(holdall_mesh, b, params, spaces=spaces)
     assert np.all(np.isfinite(w))
     assert np.abs(w[holdall_mesh.outer_boundary_vertices()]).max() == 0.0
 

@@ -3,14 +3,10 @@ import pytest
 import scipy.sparse as sp
 
 from flowshape.fem import (
-    CurveOperators,
     P1Geometry,
-    apply_dirichlet,
     assemble_boundary_curve,
-    mass_matrix,
-    p1_gradients,
+    eliminate_dirichlet,
     quadrature_triangle,
-    stiffness_matrix,
 )
 from flowshape.mesh import BoundaryTag, Mesh
 from flowshape.meshgen import tunnel_mesh, unit_square_mesh
@@ -49,17 +45,17 @@ def test_quadrature_unsupported():
 
 
 def test_p1_gradients_reference():
-    g = p1_gradients([(0, 0), (1, 0), (0, 1)])
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    segs = np.array([[0, 1], [1, 2], [2, 0]])
+    tags = np.array([BoundaryTag.WALL] * 3, dtype=object)
+    m = Mesh(verts, np.array([[0, 1, 2]]), segs, tags)
+    g = P1Geometry.build(m).grads[0]
     assert np.allclose(g, [[-1, -1], [1, 0], [0, 1]])
 
 
-def test_p1_gradients_partition(rng):
-    coords = rng.standard_normal((3, 2))
-    e1, e2 = coords[1] - coords[0], coords[2] - coords[0]
-    if e1[0] * e2[1] - e1[1] * e2[0] < 0:
-        coords = coords[::-1]
-    g = p1_gradients(coords)
-    assert np.abs(g.sum(axis=0)).max() < 1e-13
+def test_p1_gradients_partition(circle_mesh):
+    geo = P1Geometry.build(circle_mesh)
+    assert np.abs(geo.grads.sum(axis=1)).max() < 1e-12
 
 
 def test_p1_gradients_reconstruct_linear(circle_mesh, rng):
@@ -68,40 +64,6 @@ def test_p1_gradients_reconstruct_linear(circle_mesh, rng):
     geo = P1Geometry.build(circle_mesh)
     grad = np.einsum("tl,tld->td", vals[geo.tri], geo.grads)
     assert np.abs(grad - a).max() < 1e-10
-
-
-def test_mass_matrix_row_sums(circle_mesh):
-    Mm = mass_matrix(circle_mesh)
-    total = Mm.sum()
-    from flowshape.mesh import signed_areas
-
-    assert abs(total - signed_areas(circle_mesh.vertices, circle_mesh.triangles).sum()) < 1e-10
-
-
-def test_stiffness_two_triangle_square():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    tris = np.array([[0, 1, 2], [0, 2, 3]])
-    segs = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
-    tags = np.array([BoundaryTag.WALL] * 4, dtype=object)
-    m = Mesh(verts, tris, segs, tags)
-    K = stiffness_matrix(m).toarray()
-    expect = np.array(
-        [
-            [1.0, -0.5, 0.0, -0.5],
-            [-0.5, 1.0, -0.5, 0.0],
-            [0.0, -0.5, 1.0, -0.5],
-            [-0.5, 0.0, -0.5, 1.0],
-        ]
-    )
-    assert np.abs(K - expect).max() < 1e-13
-
-
-def test_stiffness_spsd_nullspace(circle_mesh):
-    K = stiffness_matrix(circle_mesh)
-    ones = np.ones(circle_mesh.num_vertices)
-    assert np.abs(K @ ones).max() < 1e-12
-    x = np.random.default_rng(0).standard_normal(circle_mesh.num_vertices)
-    assert x @ (K @ x) >= -1e-10
 
 
 # -- curve operators --------------------------------------------------------------
@@ -136,41 +98,44 @@ def test_curve_open_polyline_rejected(circle_mesh):
 # -- Dirichlet --------------------------------------------------------------------
 
 
+def _laplace(mesh):
+    """P1 stiffness matrix of the homogeneous Laplacian."""
+    geo = P1Geometry.build(mesh)
+    loc = geo.area[:, None, None] * np.einsum("tla,tma->tlm", geo.grads,
+                                              geo.grads)
+    rows = np.repeat(geo.tri, 3, axis=1).ravel()
+    cols = np.tile(geo.tri, (1, 3)).ravel()
+    n = mesh.num_vertices
+    return sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
 def test_dirichlet_all_dofs(circle_mesh):
-    K = stiffness_matrix(circle_mesh)
     n = circle_mesh.num_vertices
-    rhs = np.zeros(n)
-    A, b = apply_dirichlet(K, rhs, np.arange(n), 3.25)
-    x = sp.linalg.spsolve(A.tocsc(), b)
-    assert np.abs(x - 3.25).max() < 1e-12
+    A = eliminate_dirichlet(_laplace(circle_mesh), np.arange(n))
+    assert abs(A - sp.identity(n)).max() == 0.0
 
 
 def test_dirichlet_harmonic_reproduction(square_mesh):
-    K = stiffness_matrix(square_mesh)
-    n = square_mesh.num_vertices
+    """One Newton step with the eliminated matrix, from an iterate that holds
+    the boundary values, reproduces the harmonic function x."""
+    K = _laplace(square_mesh)
     bverts = np.unique(square_mesh.boundary_segments)
-    g = square_mesh.vertices[bverts, 0]
-    A, b = apply_dirichlet(K, np.zeros(n), bverts, g)
-    x = sp.linalg.spsolve(A.tocsc(), b)
-    assert np.abs(x - square_mesh.vertices[:, 0]).max() < 1e-12
+    u = np.zeros(square_mesh.num_vertices)
+    u[bverts] = square_mesh.vertices[bverts, 0]
+    r = K @ u
+    r[bverts] = 0.0
+    u += sp.linalg.spsolve(eliminate_dirichlet(K, bverts).tocsc(), -r)
+    assert np.abs(u - square_mesh.vertices[:, 0]).max() < 1e-12
 
 
 def test_dirichlet_empty_noop(circle_mesh):
-    K = stiffness_matrix(circle_mesh)
-    rhs = np.arange(circle_mesh.num_vertices, dtype=float)
-    A, b = apply_dirichlet(K, rhs, [], [])
-    assert np.abs((A - K).data).max() if (A - K).nnz else 0.0 == 0.0
-    assert np.array_equal(b, rhs)
-
-
-def test_dirichlet_conflict():
-    K = sp.identity(3, format="csr")
-    with pytest.raises(ValueError, match="conflicting"):
-        apply_dirichlet(K, np.zeros(3), [1, 1], [0.0, 1.0])
+    K = _laplace(circle_mesh)
+    A = eliminate_dirichlet(K, [])
+    assert abs(A - K).max() == 0.0
 
 
 def test_dirichlet_symmetry(square_mesh):
-    K = stiffness_matrix(square_mesh)
+    K = _laplace(square_mesh)
     bverts = np.unique(square_mesh.boundary_segments)
-    A, _ = apply_dirichlet(K, np.zeros(square_mesh.num_vertices), bverts, 0.0)
+    A = eliminate_dirichlet(K, bverts)
     assert abs((A - A.T).toarray()).max() < 1e-14

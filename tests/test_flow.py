@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from flowshape.fem import eliminate_dirichlet
 from flowshape.flow import (
     AdjointFlowState,
     FlowParams,
     FlowState,
+    SolverError,
     dissipation,
     inflow_profile,
     reduced_gradient,
@@ -126,6 +128,18 @@ def test_zero_inflow_gives_rest_state(circle_mesh):
                        state, params.nu) <= 1e-20
 
 
+def test_state_budget_exhausted_is_divergence(circle_mesh):
+    """One Newton step from rest does not reach the tolerance: the solve
+    raises a divergence error that carries the residual history."""
+    params = FlowParams(nu=0.01, newton_max_iter=1)
+    with pytest.raises(SolverError) as info:
+        solve_state(circle_mesh, np.zeros((circle_mesh.num_vertices, 2)),
+                    params)
+    assert info.value.kind == "divergence"
+    assert len(info.value.history) == 1
+    assert info.value.history[0] > params.newton_tol
+
+
 def _mms_fields():
     """Enclosed-cavity manufactured solution on the unit square."""
     import sympy as sy
@@ -229,12 +243,12 @@ def test_adjoint_satisfies_transposed_system(circle_mesh, rng):
     adj = solve_adjoint(circle_mesh, w, state, params)
     # directional identity: for a perturbation z vanishing on Dirichlet rows,
     # z' J^T lam = z' (-dJdis/du)
-    from flowshape.flow import _constrain, _flow_dirichlet, _state_jacobian
+    from flowshape.flow import _flow_dirichlet, _state_jacobian
 
     spaces = Spaces.build(circle_mesh)
     A = _state_jacobian(spaces, params, w, state.v, state.p)
     dofs, _ = _flow_dirichlet(circle_mesh, params, True, None, None)
-    At = _constrain(A.T.tocsr(), dofs)
+    At = eliminate_dirichlet(A.T, dofs)
     lam = np.concatenate([adj.lam_v.ravel(), adj.lam_p])
     h = 1e-7
     z = rng.standard_normal(3 * nv)

@@ -192,8 +192,8 @@ def test_hessian_transpose_pairs_with_fd_of_gradient(spaces, params):
     H = hessian_blocks(spaces, params, z)
     rng = np.random.default_rng(5)
     h = 1e-7
-    for (row, col) in [("w", "v"), ("w", "lam_p"), ("b", "lam_w"),
-                       ("c", "lam_b")]:
+    for (row, col) in [("w", "v"), ("w", "lam_p"), ("w", "lam_w"),
+                       ("b", "lam_w"), ("c", "lam_b")]:
         mat = H[(row, col)]
         d = rng.standard_normal(np.shape(z[row]))
         zp = dict(z)
