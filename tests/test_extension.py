@@ -64,6 +64,36 @@ def test_extension_residual_zero_at_solution(circle_mesh, rng):
     assert np.abs(w[outer]).max() == 0.0
 
 
+def test_linearization_matches_finite_differences(circle_mesh, rng):
+    """The Newton matrix of the extension (the transposed (w, lam_w) block)
+    and the boundary load M b are the derivatives of the extension residual
+    in w and in b."""
+    spaces = Spaces.build(circle_mesh)
+    params = ExtensionParams(eta_ext=2.0)
+    nv = circle_mesh.num_vertices
+    m = spaces.num_loop
+    w = 0.02 * rng.standard_normal((nv, 2))
+    b = 0.05 * rng.standard_normal((m, 2))
+
+    def residual(w, b):
+        r, _ = extension_terms(spaces, w, params.eta_ext)
+        r[spaces.curve.loop] += spaces.curve.mass @ b
+        return r.ravel()
+
+    jac_w = extension_terms(spaces, w, params.eta_ext)[1].T
+    h = 1e-5
+    dw = rng.standard_normal((nv, 2))
+    db = rng.standard_normal((m, 2))
+    fd_w = (residual(w + h * dw, b) - residual(w - h * dw, b)) / (2 * h)
+    fd_b = (residual(w, b + h * db) - residual(w, b - h * db)) / (2 * h)
+    got_w = jac_w @ dw.ravel()
+    got_b = np.zeros((nv, 2))
+    got_b[spaces.curve.loop] = spaces.curve.mass @ db
+    got_b = got_b.ravel()
+    assert np.abs(got_w - fd_w).max() <= 1e-6 * max(1.0, np.abs(fd_w).max())
+    assert np.abs(got_b - fd_b).max() <= 1e-9 * max(1.0, np.abs(fd_b).max())
+
+
 def test_linear_extension_takes_one_factorization(circle_mesh, rng,
                                                   monkeypatch):
     """At eta_ext = 0 the first Newton step solves the linear problem, and
