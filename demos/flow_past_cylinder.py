@@ -20,11 +20,11 @@ from flowshape.meshgen import tunnel_mesh
 def main():
     mesh = tunnel_mesh(h=0.35, n_obstacle=48, n_rings=3)
     spaces = Spaces.build(mesh)
-    print(f"mesh: {mesh.points.shape[0]} vertices, "
+    print(f"mesh: {mesh.vertices.shape[0]} vertices, "
           f"{mesh.triangles.shape[0]} triangles")
 
     params = FlowParams(nu=0.01)
-    w = np.zeros_like(mesh.points)
+    w = np.zeros_like(mesh.vertices)
     state = solve_state(mesh, w, params, spaces)
     print(f"Newton converged, |v|_max = {np.abs(state.v).max():.4f}")
 

@@ -26,7 +26,7 @@ def main():
     spaces = Spaces.build(mesh)
     params = KktParams(nu=0.01, eta_ext=3.0, eta_det=5e-2, beta=100.0)
 
-    w0 = np.zeros_like(mesh.points)
+    w0 = np.zeros_like(mesh.vertices)
     state0 = solve_state(mesh, w0, FlowParams(nu=params.nu), spaces)
     d0 = dissipation(mesh, w0, state0, params.nu)
     print(f"initial dissipation: {d0:.6f}")

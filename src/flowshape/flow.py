@@ -132,6 +132,11 @@ def _interior_pins(mesh: Mesh):
             else np.empty(0, int))
 
 
+# the Hessian blocks of the state Jacobian; they read only nu and mu, so the
+# flow parameters go to the engine as they are
+_FLOW_PAIRS = (("v", "lam_v"), ("v", "lam_p"), ("p", "lam_v"), ("p", "lam_p"))
+
+
 def _state_blocks(spaces: Spaces, params, w, v, p):
     z = zero_blocks(spaces)
     z["w"], z["v"], z["p"] = w, v, p
@@ -141,11 +146,11 @@ def _state_blocks(spaces: Spaces, params, w, v, p):
 class _EngineParams:
     """Pads flow parameters with inert shape-term coefficients.
 
-    The flow blocks never see the control cost, penalty or extension weight
-    when every shape multiplier is zero, so neutral values are safe.
+    The w gradient of :func:`reduced_gradient` reads the penalty and
+    extension weights; with every shape multiplier zero and beta = 0 they
+    contribute nothing, so neutral values are safe.
     """
 
-    alpha = 1.0
     beta = 0.0
     eta_det = 1.0
     eta_ext = 0.0
@@ -177,7 +182,7 @@ def state_residual(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     """
     spaces = spaces or Spaces.build(mesh)
     z = _state_blocks(spaces, params, w, state.v, state.p)
-    grad = gradient_blocks(spaces, _EngineParams(params), z)
+    grad = gradient_blocks(spaces, params, z, names=("lam_v", "lam_p"))
     rv = grad["lam_v"]
     if body_force is not None:
         rv = rv + _forcing(spaces, body_force)
@@ -186,7 +191,7 @@ def state_residual(mesh: Mesh, w: np.ndarray, state: FlowState, params,
 
 def _state_jacobian(spaces: Spaces, params, w, v, p) -> sparse.csr_matrix:
     z = _state_blocks(spaces, params, w, v, p)
-    H = hessian_blocks(spaces, _EngineParams(params), z)
+    H = hessian_blocks(spaces, params, z, pairs=_FLOW_PAIRS)
     top = sparse.hstack([H[("v", "lam_v")].T, H[("p", "lam_v")].T])
     bot = sparse.hstack([H[("v", "lam_p")].T, H[("p", "lam_p")].T])
     return sparse.vstack([top, bot]).tocsr()
@@ -280,12 +285,11 @@ def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     spaces = spaces or Spaces.build(mesh)
     nv = mesh.num_vertices
     z = _state_blocks(spaces, params, w, state.v, state.p)
-    eng = _EngineParams(params)
-    H = hessian_blocks(spaces, eng, z)
+    H = hessian_blocks(spaces, params, z, pairs=_FLOW_PAIRS)
     top = sparse.hstack([H[("v", "lam_v")], H[("v", "lam_p")]])
     bot = sparse.hstack([H[("p", "lam_v")], H[("p", "lam_p")]])
     A = sparse.vstack([top, bot]).tocsr()
-    grad = gradient_blocks(spaces, eng, z)
+    grad = gradient_blocks(spaces, params, z, names=("v", "p"))
     rhs = -np.concatenate([grad["v"].ravel(), grad["p"]])
     dofs, _ = _flow_dirichlet(mesh, params, True, dirichlet_override,
                               pin_pressure)
@@ -312,4 +316,5 @@ def reduced_gradient(mesh: Mesh, w: np.ndarray, state: FlowState,
     z = zero_blocks(spaces)
     z["w"], z["v"], z["p"] = w, state.v, state.p
     z["lam_v"], z["lam_p"] = adjoint.lam_v, adjoint.lam_p
-    return gradient_blocks(spaces, _EngineParams(params), z)["w"]
+    grad = gradient_blocks(spaces, _EngineParams(params), z, names=("w",))
+    return grad["w"]

@@ -222,22 +222,26 @@ def kkt_residual(mesh: Mesh, y: KktVector, params: KktParams,
 
 
 def kkt_matrix(mesh: Mesh, y: KktVector, params: KktParams,
-               spaces: Spaces | None = None,
-               active=None) -> sparse.csr_matrix:
+               spaces: Spaces | None = None, active=None,
+               pairs=None) -> sparse.csr_matrix:
     """Generalized derivative of the residual, with symmetric elimination of
     the Dirichlet rows and columns (unit diagonal on constrained dofs).
 
     ``active`` optionally fixes the determinant-penalty active set (a boolean
     mask over the extension elements) instead of {det(DF) < eta_det} at y.
+    ``pairs`` assembles only those Hessian block pairs (see
+    :func:`flowshape.lagrangian.hessian_blocks`) and their transposes; the
+    other blocks are left out.
     """
     spaces = spaces or Spaces.build(mesh)
     dm, dofs, _ = _dirichlet(spaces, params)
-    return eliminate_dirichlet(_assemble(spaces, params, y, dm, active), dofs)
+    return eliminate_dirichlet(_assemble(spaces, params, y, dm, active, pairs),
+                               dofs)
 
 
 def _assemble(spaces: Spaces, params: KktParams, y: KktVector,
-              dm: DofMap, active=None) -> sparse.csr_matrix:
-    H = hessian_blocks(spaces, params, y.as_dict(), active)
+              dm: DofMap, active=None, pairs=None) -> sparse.csr_matrix:
+    H = hessian_blocks(spaces, params, y.as_dict(), active, pairs)
     rows, cols, vals = [], [], []
     for (rb, cb), mat in H.items():
         coo = sparse.coo_matrix(mat)

@@ -19,17 +19,20 @@ class SolverError(RuntimeError):
     The kinds are ``"singular"`` (the linearization cannot be factorized),
     ``"stall"`` (no step with a damping above the floor is accepted) and
     ``"divergence"`` (the iteration budget runs out without convergence).
-    The message starts with the kind.
+    The message starts with the kind.  ``cycling`` is the number of elements
+    whose determinant-penalty active set cycled, for a stall of that cause,
+    and 0 for every other failure.
     """
 
     KINDS = ("singular", "stall", "divergence")
 
-    def __init__(self, message, history=None, kind="divergence"):
+    def __init__(self, message, history=None, kind="divergence", cycling=0):
         if kind not in self.KINDS:
             raise ValueError(f"unknown solver failure kind {kind!r}")
         super().__init__(f"{kind}: {message}")
         self.kind = kind
         self.history = list(history) if history is not None else []
+        self.cycling = int(cycling)
 
 
 # A damping below this floor counts as a stall: such a step leaves the
@@ -116,12 +119,13 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
                     f"{what} line search needs a damping below "
                     f"{_MIN_DAMPING:.1e} at residual {rnorm:.3e}{at_kink}",
                     history, kind="stall")
-            if np.any(kink & flipped):
+            cycling = int(np.sum(kink & flipped))
+            if cycling:
                 raise SolverError(
                     f"{what} active set cycles at residual {rnorm:.3e}: "
-                    f"{int(np.sum(kink & flipped))} element(s) at the "
+                    f"{cycling} element(s) at the "
                     "determinant-penalty kink cross eta_det back and forth",
-                    history, kind="stall")
+                    history, kind="stall", cycling=cycling)
             flipped, active = kink, crossed
         x = x + scale * step
         correction = (float(np.linalg.norm(simplified)) if scale == 1.0

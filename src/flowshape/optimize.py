@@ -23,7 +23,7 @@ from .flow import (FlowParams, FlowState, SolverError, dissipation,
                    solve_adjoint, solve_state)
 from .kkt import (DofMap, KktParams, KktVector, _factorize, kkt_matrix,
                   kkt_residual, penalty_active_set, solve_kkt)
-from .lagrangian import Spaces
+from .lagrangian import HESSIAN_PAIRS, Spaces
 from .mesh import Mesh, worst_quality
 from .newton import semismooth_newton
 from .transform import element_kinematics
@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 _SHAPE_BLOCKS = ("w", "b", "c", "lam_w", "lam_b", "lam_vol", "lam_bc")
+# the Hessian blocks inside the shape subsystem's rows and columns
+_SHAPE_PAIRS = tuple(pair for pair in HESSIAN_PAIRS
+                     if set(pair) <= set(_SHAPE_BLOCKS))
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,10 @@ def run_direct(mesh: Mesh, params: KktParams,
 
     On divergence at some level the driver recursively bisects the alpha gap
     (geometrically) and approaches the level through intermediate solves; the
-    partial log is attached to the raised error when that fails too.
+    partial log is attached to the raised error when that fails too.  A
+    solve whose determinant-penalty active set cycles (``err.cycling`` > 0)
+    is not bisected: a smaller alpha step does not move the kink it stalls
+    on, so the error is raised at once.
     """
     schedule = schedule or ContinuationSchedule()
     spaces = spaces or Spaces.build(mesh)
@@ -153,8 +159,8 @@ def run_direct(mesh: Mesh, params: KktParams,
         try:
             return solve_kkt(mesh, y, replace(params, alpha=a_next), spaces,
                              return_info=True)
-        except SolverError:
-            if depth == 0 or a_prev is None:
+        except SolverError as err:
+            if depth == 0 or a_prev is None or err.cycling:
                 raise
             mid = float(np.sqrt(a_prev * a_next))
             y_mid, _ = advance(y, a_prev, mid, depth - 1)
@@ -194,7 +200,8 @@ def _shape_subsolve(spaces: Spaces, params: KktParams, dm: DofMap,
         return kkt_residual(mesh, dm.unpack(full(x)), params, spaces)[sel]
 
     def factorize(x, active):
-        A = kkt_matrix(mesh, dm.unpack(full(x)), params, spaces, active)
+        A = kkt_matrix(mesh, dm.unpack(full(x)), params, spaces, active,
+                       _SHAPE_PAIRS)
         return _factorize(A[sel][:, sel])
 
     def penalty_active(x):

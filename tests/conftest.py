@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,23 @@ def square_mesh():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(module, name)`` wraps ``module.name`` for the test and returns
+    the list of the bound arguments of every call made through it."""
+
+    def install(module, name):
+        real = getattr(module, name)
+        sig = inspect.signature(real)
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(sig.bind(*args, **kwargs).arguments)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    return install

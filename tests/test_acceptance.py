@@ -25,6 +25,8 @@ from flowshape.optimize import (ContinuationSchedule, run_direct,
                                 run_iterative, quality_sweep)
 from flowshape.transform import displacement_gradient, element_kinematics
 
+pytestmark = pytest.mark.slow
+
 BENCH = dict(h=0.35, n_obstacle=48, n_rings=3)
 BENCH_PARAMS = dict(nu=0.01, beta=100.0, eta_det=5e-2, eta_ext=3.0)
 DEFAULT_SCHEDULE = ContinuationSchedule(1e-4, 0.1, 1e-10)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import flowshape.flow as flow_module
 from flowshape.fem import eliminate_dirichlet
 from flowshape.flow import (
     AdjointFlowState,
@@ -293,3 +294,23 @@ def test_dirichlet_rows_hold_exact_values(circle_mesh):
                         params)
     verts, vals = velocity_dirichlet(circle_mesh, params)
     assert np.array_equal(state.v[verts], vals)
+
+
+def test_flow_solves_request_only_the_flow_blocks(circle_mesh, spy):
+    """The state and adjoint solves must not fall back to full evaluation."""
+    flow_pairs = {("v", "lam_v"), ("v", "lam_p"), ("p", "lam_v"),
+                  ("p", "lam_p")}
+    params = FlowParams(nu=0.1)
+    spaces = Spaces.build(circle_mesh)
+    w = _smooth_w(circle_mesh)
+    hess = spy(flow_module, "hessian_blocks")
+    grad = spy(flow_module, "gradient_blocks")
+    state = solve_state(circle_mesh, w, params, spaces)
+    assert hess and grad
+    assert all(set(c["pairs"]) == flow_pairs for c in hess)
+    assert all(tuple(c["names"]) == ("lam_v", "lam_p") for c in grad)
+    hess.clear()
+    grad.clear()
+    solve_adjoint(circle_mesh, w, state, params, spaces)
+    assert len(hess) == 1 and set(hess[0]["pairs"]) == flow_pairs
+    assert len(grad) == 1 and tuple(grad[0]["names"]) == ("v", "p")

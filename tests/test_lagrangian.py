@@ -5,8 +5,9 @@ import pytest
 import scipy.sparse as sparse
 
 from flowshape.kkt import DofMap, KktParams
-from flowshape.lagrangian import (BLOCK_NAMES, Spaces, gradient_blocks,
-                                  hessian_blocks, total_value, zero_blocks)
+from flowshape.lagrangian import (BLOCK_NAMES, HESSIAN_PAIRS, Spaces,
+                                  gradient_blocks, hessian_blocks,
+                                  total_value, zero_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -221,3 +222,54 @@ def test_gradient_zero_blocks_at_origin(spaces):
     grad = gradient_blocks(spaces, quiet, zero_blocks(spaces))
     for name in ("w", "v", "p", "b", "c", "lam_w", "lam_v", "lam_p", "lam_b"):
         assert np.allclose(np.asarray(grad[name]), 0.0), name
+
+
+# -- block selection ----------------------------------------------------------------
+
+FLOW_PAIRS = [("v", "lam_v"), ("v", "lam_p"), ("p", "lam_v"), ("p", "lam_p")]
+SHAPE_BLOCKS = {"w", "b", "c", "lam_w", "lam_b", "lam_vol", "lam_bc"}
+SHAPE_PAIRS = [pair for pair in HESSIAN_PAIRS if set(pair) <= SHAPE_BLOCKS]
+
+
+@pytest.mark.parametrize("mesh_name", ["circle_mesh", "holdall_mesh"])
+def test_selected_hessian_blocks_equal_full_evaluation(request, mesh_name,
+                                                       params):
+    sp = Spaces.build(request.getfixturevalue(mesh_name))
+    z = random_point(sp, seed=11)
+    full = hessian_blocks(sp, params, z)
+    assert list(full) == list(HESSIAN_PAIRS)
+    assert len(SHAPE_PAIRS) == 8
+    for pairs in (FLOW_PAIRS, SHAPE_PAIRS, [("w", "lam_p")], None):
+        sel = hessian_blocks(sp, params, z, pairs=pairs)
+        expected = list(HESSIAN_PAIRS) if pairs is None else list(pairs)
+        assert list(sel) == expected
+        for key, mat in sel.items():
+            assert mat.shape == full[key].shape, key
+            assert (mat != full[key]).nnz == 0, key
+
+
+@pytest.mark.parametrize("mesh_name", ["circle_mesh", "holdall_mesh"])
+def test_selected_gradient_blocks_equal_full_evaluation(request, mesh_name,
+                                                        params):
+    sp = Spaces.build(request.getfixturevalue(mesh_name))
+    z = random_point(sp, seed=12)
+    full = gradient_blocks(sp, params, z)
+    assert list(full) == list(BLOCK_NAMES)
+    for names in (("lam_v", "lam_p"), ("v", "p"), ("w",),
+                  tuple(SHAPE_BLOCKS), None):
+        sel = gradient_blocks(sp, params, z, names=names)
+        expected = (list(BLOCK_NAMES) if names is None
+                    else [n for n in BLOCK_NAMES if n in names])
+        assert list(sel) == expected
+        for name, block in sel.items():
+            assert np.array_equal(block, full[name]), name
+
+
+def test_unknown_blocks_are_rejected(spaces, params):
+    z = random_point(spaces)
+    for pairs in ([("lam_v", "v")], [("w", "w"), ("w", "x")], [("v", "p")]):
+        with pytest.raises(ValueError):
+            hessian_blocks(spaces, params, z, pairs=pairs)
+    for names in (["x"], ["w", "lam_x"]):
+        with pytest.raises(ValueError):
+            gradient_blocks(spaces, params, z, names=names)

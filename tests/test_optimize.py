@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import flowshape.kkt as kkt_module
+import flowshape.optimize as optimize_module
 from flowshape.flow import SolverError
 from flowshape.kkt import KktParams
 from flowshape.lagrangian import Spaces
@@ -85,7 +87,7 @@ def test_run_iterative_reports_a_level_at_the_pass_cap(circle_mesh, spaces):
         run_iterative(circle_mesh, params, sched, eps=1e-12, inner_cap=2,
                       spaces=spaces)
     err = info.value
-    assert err.kind == "divergence"
+    assert err.kind == "divergence" and err.cycling == 0
     assert "alpha = 1.000e-01: 2 passes" in str(err)
     assert "last ratio of successive control changes" in str(err)
     assert [r.alpha for r in err.log.records] == [1e-1, 1e-1]
@@ -135,3 +137,58 @@ def test_det_sweep_csv_and_shapes(circle_mesh, spaces, tmp_path):
         assert pathlib.Path(shape_path).exists()
     # a threshold close to 1 must force the penalty to act
     assert lines[2].split(",")[1] == "true"
+
+
+def test_shape_subsolve_requests_only_shape_blocks(circle_mesh, spaces, spy):
+    """The shape subsystem must not fall back to the full Hessian."""
+    shape = {"w", "b", "c", "lam_w", "lam_b", "lam_vol", "lam_bc"}
+    calls = spy(kkt_module, "hessian_blocks")
+    params = KktParams(nu=0.05, eta_ext=1.0)
+    run_iterative(circle_mesh, params, ContinuationSchedule(1e-1, 0.5, 1e-1),
+                  eps=10.0, spaces=spaces)
+    assert calls
+    for call in calls:
+        assert call.get("pairs") is not None
+        assert all(set(pair) <= shape for pair in call["pairs"])
+
+
+def _fake_solve_kkt(stall_alpha, cycling, attempts):
+    """A solve_kkt that converges in place, except at ``stall_alpha``."""
+
+    def solve(mesh, y, params, spaces=None, return_info=False):
+        attempts.append(params.alpha)
+        if np.isclose(params.alpha, stall_alpha, rtol=1e-12):
+            raise SolverError("KKT active set cycles at residual 1.000e-05: "
+                              f"{cycling} element(s) at the "
+                              "determinant-penalty kink cross eta_det back "
+                              "and forth", kind="stall", cycling=cycling)
+        return y, [0.0]
+
+    return solve
+
+
+def test_run_direct_does_not_bisect_a_cycling_stall(circle_mesh, spaces,
+                                                     monkeypatch):
+    attempts = []
+    monkeypatch.setattr(optimize_module, "solve_kkt",
+                        _fake_solve_kkt(1e-3, 1, attempts))
+    with pytest.raises(SolverError) as info:
+        run_direct(circle_mesh, KktParams(nu=0.05),
+                   ContinuationSchedule(1e-2, 0.1, 1e-3), spaces)
+    assert info.value.kind == "stall" and info.value.cycling == 1
+    assert attempts == pytest.approx([1e-2, 1e-3], rel=1e-12)
+    assert [r.alpha for r in info.value.log.records] == [1e-2]
+
+
+def test_run_direct_bisects_a_stall_without_cycling(circle_mesh, spaces,
+                                                     monkeypatch):
+    attempts = []
+    monkeypatch.setattr(optimize_module, "solve_kkt",
+                        _fake_solve_kkt(1e-3, 0, attempts))
+    with pytest.raises(SolverError) as info:
+        run_direct(circle_mesh, KktParams(nu=0.05),
+                   ContinuationSchedule(1e-2, 0.1, 1e-3), spaces)
+    assert info.value.cycling == 0
+    at_level = [a for a in attempts if np.isclose(a, 1e-3, rtol=1e-12)]
+    between = [a for a in attempts if 1e-3 * (1 + 1e-9) < a < 1e-2]
+    assert len(at_level) > 1 and between
