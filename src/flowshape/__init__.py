@@ -15,8 +15,8 @@ from .flow import (AdjointFlowState, FlowParams, FlowState, SolverError,
                    dissipation, inflow_profile, reduced_gradient,
                    solve_adjoint, solve_state, state_residual)
 from .kkt import (DofMap, KktParams, KktVector, barycenter_residual,
-                  gradient_fd_slopes, kkt_matrix, kkt_residual,
-                  lagrangian_value, solve_kkt, volume_residual)
+                  gradient_fd_slopes, kkt_matrix, kkt_residual, solve_kkt,
+                  volume_residual)
 from .lagrangian import Spaces
 from .mesh import (BoundaryTag, Mesh, MeshError, boundary_normals,
                    deform_mesh, element_qualities, load_msh, obstacle_loop,

@@ -19,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .fem import eliminate_dirichlet, quadrature_triangle
-from .lagrangian import Spaces, gradient_blocks, hessian_blocks, zero_blocks
+from .lagrangian import Spaces, block_matrix, gradient_blocks, zero_blocks
 from .mesh import BoundaryTag, Mesh
 from .newton import SolverError, semismooth_newton
+from .transform import element_kinematics, pushed_gradients
 
 __all__ = [
     "SolverError", "FlowParams", "FlowState", "AdjointFlowState",
@@ -132,9 +132,10 @@ def _interior_pins(mesh: Mesh):
             else np.empty(0, int))
 
 
-# the Hessian blocks of the state Jacobian; they read only nu and mu, so the
-# flow parameters go to the engine as they are
-_FLOW_PAIRS = (("v", "lam_v"), ("v", "lam_p"), ("p", "lam_v"), ("p", "lam_p"))
+# block layouts of the state Jacobian and of its transpose, the adjoint
+# matrix; their Hessian blocks read only nu and mu, so the flow parameters
+# go to the engine as they are
+_STATE_ROWS, _STATE_COLS = ("lam_v", "lam_p"), ("v", "p")
 
 
 def _state_blocks(spaces: Spaces, params, w, v, p):
@@ -189,14 +190,6 @@ def state_residual(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     return np.concatenate([rv.ravel(), grad["lam_p"]])
 
 
-def _state_jacobian(spaces: Spaces, params, w, v, p) -> sparse.csr_matrix:
-    z = _state_blocks(spaces, params, w, v, p)
-    H = hessian_blocks(spaces, params, z, pairs=_FLOW_PAIRS)
-    top = sparse.hstack([H[("v", "lam_v")].T, H[("p", "lam_v")].T])
-    bot = sparse.hstack([H[("v", "lam_p")].T, H[("p", "lam_p")].T])
-    return sparse.vstack([top, bot]).tocsr()
-
-
 def _flow_dirichlet(mesh: Mesh, params, homogeneous, override, pin_pressure):
     nv = mesh.num_vertices
     verts, vals = velocity_dirichlet(mesh, params, homogeneous, override)
@@ -247,8 +240,9 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
         return r
 
     def factorize(uvec, active):
-        A = _state_jacobian(spaces, params, w, uvec[:2 * nv].reshape(nv, 2),
-                            uvec[2 * nv:])
+        z = _state_blocks(spaces, params, w, uvec[:2 * nv].reshape(nv, 2),
+                          uvec[2 * nv:])
+        A = block_matrix(spaces, params, z, _STATE_ROWS, _STATE_COLS)
         return spla.splu(eliminate_dirichlet(A, dofs).tocsc()).solve
 
     u, _ = semismooth_newton(residual, factorize, u, params.newton_tol,
@@ -257,7 +251,6 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
 
 
 def _element_dets(spaces: Spaces, w) -> np.ndarray:
-    from .transform import element_kinematics
     _, det, _ = element_kinematics(spaces.geo_fluid, np.asarray(w, float))
     return det
 
@@ -265,7 +258,6 @@ def _element_dets(spaces: Spaces, w) -> np.ndarray:
 def dissipation(mesh: Mesh, w: np.ndarray, state: FlowState, nu: float,
                 spaces: Spaces | None = None) -> float:
     """Pulled-back energy dissipation (nu/2) integral |Dv (DF)^-1|^2 det(DF)."""
-    from .transform import element_kinematics, pushed_gradients
     geo = (spaces or Spaces.build(mesh)).geo_fluid
     _, J, A = element_kinematics(geo, np.asarray(w, float))
     g = pushed_gradients(geo, A)
@@ -285,10 +277,7 @@ def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     spaces = spaces or Spaces.build(mesh)
     nv = mesh.num_vertices
     z = _state_blocks(spaces, params, w, state.v, state.p)
-    H = hessian_blocks(spaces, params, z, pairs=_FLOW_PAIRS)
-    top = sparse.hstack([H[("v", "lam_v")], H[("v", "lam_p")]])
-    bot = sparse.hstack([H[("p", "lam_v")], H[("p", "lam_p")]])
-    A = sparse.vstack([top, bot]).tocsr()
+    A = block_matrix(spaces, params, z, _STATE_COLS, _STATE_ROWS)
     grad = gradient_blocks(spaces, params, z, names=("v", "p"))
     rhs = -np.concatenate([grad["v"].ravel(), grad["p"]])
     dofs, _ = _flow_dirichlet(mesh, params, True, dirichlet_override,

@@ -15,7 +15,7 @@ residual norm is below ``newton_tol`` and the Newton correction is at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sparse
@@ -23,14 +23,16 @@ import scipy.sparse.linalg as spla
 
 from .fem import eliminate_dirichlet
 from .flow import velocity_dirichlet
-from .lagrangian import (BLOCK_NAMES, Spaces, block_sizes, gradient_blocks,
-                         hessian_blocks, total_value, zero_blocks)
+from .lagrangian import (BLOCK_NAMES, Spaces, block_matrix, block_offsets,
+                         block_sizes, gradient_blocks, total_value,
+                         zero_blocks)
 from .mesh import Mesh
 from .newton import semismooth_newton
+from .transform import element_kinematics
 
 __all__ = [
     "KktParams", "KktVector", "DofMap", "volume_residual",
-    "barycenter_residual", "lagrangian_value", "penalty_active_set",
+    "barycenter_residual", "penalty_active_set",
     "kkt_residual", "kkt_matrix", "gradient_fd_slopes", "solve_kkt",
 ]
 
@@ -91,24 +93,17 @@ class KktVector:
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in BLOCK_NAMES}
 
-    def copy(self) -> "KktVector":
-        return KktVector(**{
-            k: (float(v) if np.isscalar(v) or np.ndim(v) == 0 else np.array(v))
-            for k, v in self.as_dict().items()})
-
 
 class DofMap:
-    """Flat packing of the eleven blocks in their canonical order."""
+    """Flat packing of a block layout: the blocks ``names`` (default: all
+    eleven) in that order, at the offsets that
+    :func:`flowshape.lagrangian.block_matrix` gives the same layout."""
 
-    def __init__(self, spaces: Spaces):
+    def __init__(self, spaces: Spaces, names=BLOCK_NAMES):
         self.spaces = spaces
+        self.names = tuple(names)
         self.sizes = block_sizes(spaces)
-        self.offsets = {}
-        total = 0
-        for name in BLOCK_NAMES:
-            self.offsets[name] = total
-            total += self.sizes[name]
-        self.total = total
+        self.offsets, self.total = block_offsets(spaces, self.names)
 
     def block_slice(self, name: str) -> slice:
         off = self.offsets[name]
@@ -117,29 +112,28 @@ class DofMap:
     def pack(self, y) -> np.ndarray:
         data = y.as_dict() if isinstance(y, KktVector) else y
         out = np.zeros(self.total)
-        for name in BLOCK_NAMES:
+        for name in self.names:
             out[self.block_slice(name)] = np.ravel(data[name])
         return out
 
-    def unpack(self, vec: np.ndarray) -> KktVector:
-        m = self.spaces.mesh
-        nv, nloop = m.num_vertices, self.spaces.num_loop
-        shapes = {"w": (nv, 2), "v": (nv, 2), "p": (nv,), "b": (nloop, 2),
-                  "c": (nloop,), "lam_w": (nv, 2), "lam_v": (nv, 2),
-                  "lam_p": (nv,), "lam_b": (nloop, 2), "lam_bc": (2,)}
+    def unpack(self, vec: np.ndarray, frozen: KktVector | None = None
+               ) -> KktVector:
+        """The blocks of the layout read from ``vec``; a layout of fewer
+        than eleven blocks takes the others from ``frozen``."""
+        zero = zero_blocks(self.spaces)
         blocks = {}
-        for name in BLOCK_NAMES:
+        for name in self.names:
             seg = vec[self.block_slice(name)]
             blocks[name] = (float(seg[0]) if name == "lam_vol"
-                            else seg.reshape(shapes[name]).copy())
-        return KktVector(**blocks)
+                            else seg.reshape(zero[name].shape).copy())
+        return (KktVector(**blocks) if frozen is None
+                else replace(frozen, **blocks))
 
 
 def volume_residual(mesh: Mesh, w: np.ndarray,
                     spaces: Spaces | None = None) -> float:
     """Volume of the deformed fluid domain minus the reference volume."""
     spaces = spaces or Spaces.build(mesh)
-    from .transform import element_kinematics
     _, J, _ = element_kinematics(spaces.geo_fluid, np.asarray(w, float))
     return float(np.sum(spaces.geo_fluid.area * (J - 1.0)))
 
@@ -148,7 +142,6 @@ def barycenter_residual(mesh: Mesh, w: np.ndarray,
                         spaces: Spaces | None = None) -> np.ndarray:
     """First moment of the deformed fluid domain minus the reference moment."""
     spaces = spaces or Spaces.build(mesh)
-    from .transform import element_kinematics
     geo = spaces.geo_fluid
     w = np.asarray(w, float)
     _, J, _ = element_kinematics(geo, w)
@@ -156,34 +149,29 @@ def barycenter_residual(mesh: Mesh, w: np.ndarray,
     return (geo.area * J) @ cdef - spaces.moment
 
 
-def lagrangian_value(mesh: Mesh, y: KktVector, params: KktParams,
-                     spaces: Spaces | None = None) -> float:
-    """Value of the full Lagrangian (objective, penalty, all pairings)."""
-    spaces = spaces or Spaces.build(mesh)
-    return float(total_value(spaces, params, y.as_dict()))
-
-
 def penalty_active_set(spaces: Spaces, w: np.ndarray,
                        eta_det: float) -> np.ndarray:
     """Determinant-penalty active set {det(DF) < eta_det} over the extension
     elements (ties inactive, as in the generalized derivative)."""
-    from .transform import element_kinematics
     _, J, _ = element_kinematics(spaces.geo_ext, w)
     return J < eta_det
 
 
-def _dirichlet(spaces: Spaces, params: KktParams):
-    """Constrained flat dofs and values of the coupled system.
+def _dirichlet(spaces: Spaces, params: KktParams, names=BLOCK_NAMES):
+    """Layout of ``names`` and its constrained flat dofs and values.
 
     The deformation and its adjoint vanish on the whole outer boundary, the
     velocity carries inflow/no-slip data with a homogeneous adjoint, and on a
     holdall mesh every flow field is pinned at obstacle-interior vertices.
+    Conditions on blocks outside the layout are left out.
     """
     mesh = spaces.mesh
-    dm = DofMap(spaces)
+    dm = DofMap(spaces, names)
     dofs, values = [], []
 
     def add(name, verts, vals):
+        if name not in dm.offsets:
+            return
         off = dm.offsets[name]
         if np.ndim(vals) == 2:
             dofs.append(off + np.repeat(2 * verts, 2) + np.tile([0, 1], len(verts)))
@@ -210,12 +198,18 @@ def _dirichlet(spaces: Spaces, params: KktParams):
 
 
 def kkt_residual(mesh: Mesh, y: KktVector, params: KktParams,
-                 spaces: Spaces | None = None) -> np.ndarray:
-    """Flat residual of the optimality system, with Dirichlet rows replaced
-    by the constraint mismatch ``y - y_D``."""
+                 spaces: Spaces | None = None,
+                 names=BLOCK_NAMES) -> np.ndarray:
+    """Flat residual of the optimality system on the block layout ``names``
+    (default: all eleven blocks), with Dirichlet rows replaced by the
+    constraint mismatch ``y - y_D``.
+
+    Only the gradient blocks of the layout are evaluated; the other blocks
+    of ``y`` enter as fixed data.
+    """
     spaces = spaces or Spaces.build(mesh)
-    dm, dofs, values = _dirichlet(spaces, params)
-    grad = gradient_blocks(spaces, params, y.as_dict())
+    dm, dofs, values = _dirichlet(spaces, params, names)
+    grad = gradient_blocks(spaces, params, y.as_dict(), names=dm.names)
     r = dm.pack(grad)
     r[dofs] = dm.pack(y)[dofs] - values
     return r
@@ -223,38 +217,22 @@ def kkt_residual(mesh: Mesh, y: KktVector, params: KktParams,
 
 def kkt_matrix(mesh: Mesh, y: KktVector, params: KktParams,
                spaces: Spaces | None = None, active=None,
-               pairs=None) -> sparse.csr_matrix:
-    """Generalized derivative of the residual, with symmetric elimination of
-    the Dirichlet rows and columns (unit diagonal on constrained dofs).
+               names=BLOCK_NAMES) -> sparse.csr_matrix:
+    """Generalized derivative of :func:`kkt_residual` on the layout ``names``,
+    with symmetric elimination of the Dirichlet rows and columns (unit
+    diagonal on constrained dofs).
 
-    ``active`` optionally fixes the determinant-penalty active set (a boolean
-    mask over the extension elements) instead of {det(DF) < eta_det} at y.
-    ``pairs`` assembles only those Hessian block pairs (see
-    :func:`flowshape.lagrangian.hessian_blocks`) and their transposes; the
-    other blocks are left out.
+    The matrix is assembled at the layout's size by
+    :func:`flowshape.lagrangian.block_matrix`, from the Hessian blocks whose
+    rows and columns both lie in the layout.  ``active`` optionally fixes
+    the determinant-penalty active set (a boolean mask over the extension
+    elements) instead of {det(DF) < eta_det} at y.
     """
     spaces = spaces or Spaces.build(mesh)
-    dm, dofs, _ = _dirichlet(spaces, params)
-    return eliminate_dirichlet(_assemble(spaces, params, y, dm, active, pairs),
-                               dofs)
-
-
-def _assemble(spaces: Spaces, params: KktParams, y: KktVector,
-              dm: DofMap, active=None, pairs=None) -> sparse.csr_matrix:
-    H = hessian_blocks(spaces, params, y.as_dict(), active, pairs)
-    rows, cols, vals = [], [], []
-    for (rb, cb), mat in H.items():
-        coo = sparse.coo_matrix(mat)
-        rows.append(coo.row + dm.offsets[rb])
-        cols.append(coo.col + dm.offsets[cb])
-        vals.append(coo.data)
-        if rb != cb:
-            rows.append(coo.col + dm.offsets[cb])
-            cols.append(coo.row + dm.offsets[rb])
-            vals.append(coo.data)
-    return sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dm.total, dm.total)).tocsr()
+    dm, dofs, _ = _dirichlet(spaces, params, names)
+    return eliminate_dirichlet(
+        block_matrix(spaces, params, y.as_dict(), dm.names, active=active),
+        dofs)
 
 
 def gradient_fd_slopes(mesh: Mesh, y: KktVector, params: KktParams,

@@ -16,7 +16,10 @@ pairs=...)`` takes (row, column) pairs from ``HESSIAN_PAIRS``, the seventeen
 nonzero pairs of the upper block triangle.  Each returns exactly the
 requested keys and builds only the per-element arrays those blocks read; the
 flow solves, for instance, never build the 5-index displacement tensors.
-Omitting the selection evaluates every block.
+Omitting the selection evaluates every block.  ``block_matrix`` places the
+pairs that a block layout (ordered row and column names) touches into one
+sparse matrix; the KKT matrix, the shape subsystem's matrix and the flow
+state and adjoint matrices are all built through it.
 
 Conventions: a displacement dof is a pair (vertex m, component c); for a unit
 perturbation of that dof the transformation derivatives are
@@ -45,8 +48,8 @@ from .transform import (element_kinematics, pushed_gradients,
                         det_penalty_gradient, det_penalty_hessian)
 
 __all__ = ["BLOCK_NAMES", "HESSIAN_PAIRS", "Spaces", "block_sizes",
-           "zero_blocks", "extension_terms", "total_value", "gradient_blocks",
-           "hessian_blocks"]
+           "block_offsets", "zero_blocks", "extension_terms", "total_value",
+           "gradient_blocks", "hessian_blocks", "block_matrix"]
 
 # integral of phi_l phi_m over a triangle is area * S12[l, m]
 _S12 = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -96,14 +99,6 @@ class Spaces:
         return 0 if self.curve is None else len(self.curve.loop)
 
 
-def block_sizes(spaces: Spaces) -> dict:
-    nv = spaces.mesh.num_vertices
-    m = spaces.num_loop
-    return {"w": 2 * nv, "v": 2 * nv, "p": nv, "b": 2 * m, "c": m,
-            "lam_w": 2 * nv, "lam_v": 2 * nv, "lam_p": nv, "lam_b": 2 * m,
-            "lam_vol": 1, "lam_bc": 2}
-
-
 def zero_blocks(spaces: Spaces, dtype=float) -> dict:
     nv = spaces.mesh.num_vertices
     m = spaces.num_loop
@@ -113,6 +108,18 @@ def zero_blocks(spaces: Spaces, dtype=float) -> dict:
             "lam_v": np.zeros((nv, 2), dtype), "lam_p": np.zeros(nv, dtype),
             "lam_b": np.zeros((m, 2), dtype), "lam_vol": np.zeros(1, dtype),
             "lam_bc": np.zeros(2, dtype)}
+
+
+def block_sizes(spaces: Spaces) -> dict:
+    return {name: block.size for name, block in zero_blocks(spaces).items()}
+
+
+def block_offsets(spaces: Spaces, names) -> tuple:
+    """Start of each block in a flat vector that holds the blocks ``names``
+    in that order, and the vector's length."""
+    sizes = block_sizes(spaces)
+    starts = np.cumsum([0] + [sizes[name] for name in names])
+    return dict(zip(names, starts[:-1].tolist())), int(starts[-1])
 
 
 # -- per-element working arrays ---------------------------------------------------
@@ -769,3 +776,30 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
             (np.repeat(Mcoo.data, 2), (b_rows.ravel(), lw_cols.ravel())),
             shape=(2 * m, sizes["lam_w"]))
     return {k: blocks[k].tocsr() for k in want}
+
+
+def block_matrix(spaces: Spaces, params, z: dict, rows, cols=None,
+                 active=None) -> sparse.csr_matrix:
+    """Second-derivative matrix of the Lagrangian on a block layout.
+
+    ``rows`` and ``cols`` (default: ``rows``) are ordered tuples of block
+    names, and block (r, c) of the result, at the offsets of
+    :func:`block_offsets`, is the second derivative with respect to r and
+    c.  Only the pairs of ``HESSIAN_PAIRS`` that the layout touches are
+    evaluated; an off-diagonal pair also fills its transposed position.
+    ``active`` is passed to :func:`hessian_blocks`.
+    """
+    cols = rows if cols is None else cols
+    roff, nr = block_offsets(spaces, rows)
+    coff, nc = block_offsets(spaces, cols)
+    pairs = tuple((a, b) for a, b in HESSIAN_PAIRS
+                  if (a in roff and b in coff) or (b in roff and a in coff))
+    H = hessian_blocks(spaces, params, z, active, pairs=pairs)
+    H.update({(b, a): mat.T for (a, b), mat in H.items() if a != b})
+    placed = [(roff[r], coff[c], mat.tocoo()) for (r, c), mat in H.items()
+              if r in roff and c in coff]
+    return sparse.coo_matrix(
+        (np.concatenate([m.data for _, _, m in placed]),
+         (np.concatenate([m.row + r for r, _, m in placed]),
+          np.concatenate([m.col + c for _, c, m in placed]))),
+        shape=(nr, nc)).tocsr()

@@ -32,7 +32,7 @@ def _box_points(h: float) -> np.ndarray:
            np.column_stack([xs, np.full_like(xs, y1)]),
            np.column_stack([np.full_like(ys[1:-1], x0), ys[1:-1]]),
            np.column_stack([np.full_like(ys[1:-1], x1), ys[1:-1]])]
-    return np.vstack(pts)
+    return np.concatenate(pts)
 
 
 def _interior_grid(h: float) -> np.ndarray:
@@ -84,7 +84,7 @@ def tunnel_mesh(
         keep = slice(None, None, 1 + k // 2)  # thin out distant rings
         pts.append(bnd[keep] + t[keep, None] * nrm[keep])
         ring_extent = t
-    outer = np.vstack(pts[1:]) if n_rings else np.empty((0, 2))
+    outer = np.concatenate(pts[1:]) if n_rings else np.empty((0, 2))
 
     grid = _interior_grid(h)
     # keep grid points away from the obstacle/ring region
@@ -97,17 +97,17 @@ def tunnel_mesh(
         for s in (0.3, 0.55, 0.8):
             step = max(1, int(round(1.0 / s)))
             inner.append(s * bnd[::step])
-        interior_obs = np.vstack(inner)
+        interior_obs = np.concatenate(inner)
         # drop interior points too close to the boundary polygon
         d_in = _ellipse_distance(interior_obs, a, b)
         interior_obs = interior_obs[d_in < -0.4 * float(np.median(local_h))]
     else:
         interior_obs = np.empty((0, 2))
 
-    fixed = np.vstack([bnd, _box_points(h)])
-    free = np.vstack([outer, grid, interior_obs])
-    free = _dedupe(np.vstack([fixed, free]), 0.35 * min(h, float(local_h.min())))[len(fixed):]
-    points = np.vstack([fixed, free])
+    fixed = np.concatenate([bnd, _box_points(h)])
+    free = np.concatenate([outer, grid, interior_obs])
+    free = _dedupe(np.concatenate([fixed, free]), 0.35 * min(h, float(local_h.min())))[len(fixed):]
+    points = np.concatenate([fixed, free])
     free_inside = np.zeros(len(points), dtype=bool)
     free_inside[len(points) - len(interior_obs):] = len(interior_obs) > 0
     points = _smooth(points, n_fixed=len(fixed), rounds=6,

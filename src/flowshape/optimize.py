@@ -21,12 +21,13 @@ import numpy as np
 
 from .flow import (FlowParams, FlowState, SolverError, dissipation,
                    solve_adjoint, solve_state)
-from .kkt import (DofMap, KktParams, KktVector, _factorize, kkt_matrix,
-                  kkt_residual, penalty_active_set, solve_kkt)
-from .lagrangian import HESSIAN_PAIRS, Spaces
+from .kkt import (DofMap, KktParams, KktVector, _factorize,
+                  barycenter_residual, kkt_matrix, kkt_residual,
+                  penalty_active_set, solve_kkt, volume_residual)
+from .lagrangian import Spaces
 from .mesh import Mesh, worst_quality
 from .newton import semismooth_newton
-from .transform import element_kinematics
+from .transform import det_penalty, element_kinematics
 
 __all__ = [
     "ContinuationSchedule", "RunRecord", "RunLog", "run_direct",
@@ -34,9 +35,6 @@ __all__ = [
 ]
 
 _SHAPE_BLOCKS = ("w", "b", "c", "lam_w", "lam_b", "lam_vol", "lam_bc")
-# the Hessian blocks inside the shape subsystem's rows and columns
-_SHAPE_PAIRS = tuple(pair for pair in HESSIAN_PAIRS
-                     if set(pair) <= set(_SHAPE_BLOCKS))
 
 
 @dataclass(frozen=True)
@@ -110,9 +108,6 @@ class RunLog:
 
 def _diagnostics(spaces: Spaces, params: KktParams, y: KktVector):
     """Dissipation, control cost, penalty and constraint residuals at y."""
-    from .kkt import barycenter_residual, volume_residual
-    from .transform import det_penalty
-
     mesh = spaces.mesh
     j = dissipation(mesh, y.w, FlowState(y.v, y.p), params.nu, spaces)
     if spaces.curve is not None and len(y.c):
@@ -179,39 +174,39 @@ def run_direct(mesh: Mesh, params: KktParams,
     return y, log
 
 
-def _shape_subsolve(spaces: Spaces, params: KktParams, dm: DofMap,
-                    u: np.ndarray, sel: np.ndarray) -> np.ndarray:
+def _shape_subsolve(spaces: Spaces, params: KktParams,
+                    y: KktVector) -> KktVector:
     """Semismooth Newton on the shape subsystem with frozen flow fields.
 
-    ``sel`` are the flat indices of the shape blocks; the remaining entries of
-    ``u`` are held fixed.  Returns the updated full vector.  Damping, the
-    determinant-penalty kink and the stop test are handled as in
+    The unknowns are the blocks of ``_SHAPE_BLOCKS``; the flow fields and
+    their adjoints are taken from ``y`` and held fixed.  Residual and matrix
+    are those of :func:`flowshape.kkt.kkt_residual` and
+    :func:`flowshape.kkt.kkt_matrix` on the shape layout: only the shape
+    gradient blocks are evaluated and the matrix is assembled at the
+    subsystem's size.  Returns ``y`` with the solved shape blocks.  Damping,
+    the determinant-penalty kink and the stop test are handled as in
     :func:`flowshape.kkt.solve_kkt`.
     """
     mesh = spaces.mesh
+    dm = DofMap(spaces, _SHAPE_BLOCKS)
     wslice = dm.block_slice("w")
 
-    def full(x):
-        out = u.copy()
-        out[sel] = x
-        return out
-
     def residual(x):
-        return kkt_residual(mesh, dm.unpack(full(x)), params, spaces)[sel]
+        return kkt_residual(mesh, dm.unpack(x, y), params, spaces,
+                            names=_SHAPE_BLOCKS)
 
     def factorize(x, active):
-        A = kkt_matrix(mesh, dm.unpack(full(x)), params, spaces, active,
-                       _SHAPE_PAIRS)
-        return _factorize(A[sel][:, sel])
+        return _factorize(kkt_matrix(mesh, dm.unpack(x, y), params, spaces,
+                                     active, names=_SHAPE_BLOCKS))
 
     def penalty_active(x):
-        return penalty_active_set(spaces, full(x)[wslice].reshape(-1, 2),
+        return penalty_active_set(spaces, x[wslice].reshape(-1, 2),
                                   params.eta_det)
 
-    x, _ = semismooth_newton(residual, factorize, u[sel], params.newton_tol,
-                             params.newton_max_iter, "shape subsystem",
-                             penalty_active)
-    return full(x)
+    x, _ = semismooth_newton(residual, factorize, dm.pack(y),
+                             params.newton_tol, params.newton_max_iter,
+                             "shape subsystem", penalty_active)
+    return dm.unpack(x, y)
 
 
 def run_iterative(mesh: Mesh, params: KktParams,
@@ -230,15 +225,11 @@ def run_iterative(mesh: Mesh, params: KktParams,
     """
     schedule = schedule or ContinuationSchedule(1.0, 0.5, 2e-7)
     spaces = spaces or Spaces.build(mesh)
-    dm = DofMap(spaces)
     log = RunLog()
     t0 = time.time()
     fp = FlowParams(nu=params.nu, mu=params.mu, delta=params.delta,
                     inflow=params.inflow)
     y = KktVector.zeros(spaces)
-    sel = np.concatenate([np.arange(dm.block_slice(n).start,
-                                    dm.block_slice(n).stop)
-                          for n in _SHAPE_BLOCKS])
     ell = 0
     state = None
     try:
@@ -251,8 +242,7 @@ def run_iterative(mesh: Mesh, params: KktParams,
                 y.v, y.p = state.v, state.p
                 y.lam_v, y.lam_p = adj.lam_v, adj.lam_p
                 c_old = y.c.copy()
-                u = _shape_subsolve(spaces, pk, dm, dm.pack(y), sel)
-                y = dm.unpack(u)
+                y = _shape_subsolve(spaces, pk, y)
                 ell += 1
                 log.append(_record(spaces, pk, y, k, ell, 1, t0))
                 denom = np.linalg.norm(y.c)

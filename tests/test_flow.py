@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flowshape.flow as flow_module
+import flowshape.lagrangian as lagrangian_module
 from flowshape.fem import eliminate_dirichlet
 from flowshape.flow import (
     AdjointFlowState,
@@ -18,7 +19,7 @@ from flowshape.flow import (
     state_residual,
     velocity_dirichlet,
 )
-from flowshape.lagrangian import Spaces
+from flowshape.lagrangian import Spaces, block_matrix, zero_blocks
 from flowshape.mesh import BoundaryTag, deform_mesh
 from flowshape.meshgen import unit_square_mesh
 
@@ -244,10 +245,12 @@ def test_adjoint_satisfies_transposed_system(circle_mesh, rng):
     adj = solve_adjoint(circle_mesh, w, state, params)
     # directional identity: for a perturbation z vanishing on Dirichlet rows,
     # z' J^T lam = z' (-dJdis/du)
-    from flowshape.flow import _flow_dirichlet, _state_jacobian
+    from flowshape.flow import _flow_dirichlet
 
     spaces = Spaces.build(circle_mesh)
-    A = _state_jacobian(spaces, params, w, state.v, state.p)
+    z = zero_blocks(spaces)
+    z["w"], z["v"], z["p"] = w, state.v, state.p
+    A = block_matrix(spaces, params, z, ("lam_v", "lam_p"), ("v", "p"))
     dofs, _ = _flow_dirichlet(circle_mesh, params, True, None, None)
     At = eliminate_dirichlet(A.T, dofs)
     lam = np.concatenate([adj.lam_v.ravel(), adj.lam_p])
@@ -303,7 +306,7 @@ def test_flow_solves_request_only_the_flow_blocks(circle_mesh, spy):
     params = FlowParams(nu=0.1)
     spaces = Spaces.build(circle_mesh)
     w = _smooth_w(circle_mesh)
-    hess = spy(flow_module, "hessian_blocks")
+    hess = spy(lagrangian_module, "hessian_blocks")
     grad = spy(flow_module, "gradient_blocks")
     state = solve_state(circle_mesh, w, params, spaces)
     assert hess and grad

@@ -14,12 +14,12 @@ from flowshape.kkt import (
     gradient_fd_slopes,
     kkt_matrix,
     kkt_residual,
-    lagrangian_value,
     penalty_active_set,
     solve_kkt,
     volume_residual,
 )
-from flowshape.lagrangian import Spaces, gradient_blocks, zero_blocks
+from flowshape.lagrangian import (Spaces, block_matrix, gradient_blocks,
+                                  total_value)
 from flowshape.transform import element_kinematics
 
 
@@ -116,6 +116,44 @@ def test_matrix_is_symmetric(circle_mesh, spaces, rng):
     assert asym <= 1e-12 * abs(A).max()
 
 
+def _same_csr(a, b):
+    a, b = a.tocsr(), b.tocsr()
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
+@pytest.mark.parametrize("mesh_name", ["circle_mesh", "holdall_mesh"])
+def test_block_layouts_restrict_the_full_system_exactly(request, mesh_name,
+                                                        rng):
+    """A layout's matrix and residual are the rows and columns of the full
+    system at that layout, bit for bit, and the state layout is the
+    transpose of the adjoint layout."""
+    from flowshape.optimize import _SHAPE_BLOCKS
+
+    mesh = request.getfixturevalue(mesh_name)
+    sp = Spaces.build(mesh)
+    params = KktParams(alpha=0.3, beta=7.0, eta_det=1.2, eta_ext=2.0)
+    y = _random_vector(sp, rng)
+    dm = DofMap(sp)
+    sel = np.concatenate([np.arange(dm.total)[dm.block_slice(name)]
+                          for name in _SHAPE_BLOCKS])
+    full = kkt_matrix(mesh, y, params, sp)
+    shape = kkt_matrix(mesh, y, params, sp, names=_SHAPE_BLOCKS)
+    assert _same_csr(shape, full[sel][:, sel])
+    assert np.array_equal(
+        kkt_residual(mesh, y, params, sp, names=_SHAPE_BLOCKS),
+        kkt_residual(mesh, y, params, sp)[sel])
+    z = y.as_dict()
+    state = block_matrix(sp, params, z, ("lam_v", "lam_p"), ("v", "p"))
+    adjoint = block_matrix(sp, params, z, ("v", "p"), ("lam_v", "lam_p"))
+    assert state.nnz > 0
+    assert _same_csr(state, adjoint.T)
+    # a block that no pair in the layout touches still takes its rows
+    m = sp.num_loop
+    assert block_matrix(sp, params, z, ("c", "lam_vol")).shape == (m + 1,) * 2
+
+
 def test_gradient_fd_slopes_all_blocks(circle_mesh, spaces, rng):
     params = KktParams(alpha=0.3, beta=7.0, eta_det=1.5, eta_ext=2.0)
     y = _random_vector(spaces, rng, w_scale=0.01, scale=0.5)
@@ -130,7 +168,7 @@ def test_gradient_fd_slopes_all_blocks(circle_mesh, spaces, rng):
 def test_lagrangian_value_finite(circle_mesh, spaces, rng):
     params = KktParams()
     y = _random_vector(spaces, rng)
-    val = lagrangian_value(circle_mesh, y, params, spaces)
+    val = total_value(spaces, params, y.as_dict())
     assert np.isfinite(val)
 
 
