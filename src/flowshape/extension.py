@@ -9,7 +9,8 @@ symmetrized-gradient principal part and the advection term eta_ext (Dw w)
 that lets cells trade volume under large deformations.  Setting eta_ext to
 zero recovers a plain linear-elastic-style extension.  The residual and its
 derivative come from the term engine
-(:func:`flowshape.lagrangian.extension_terms`); the nonlinear solve is the
+(:func:`flowshape.lagrangian.extension_residual` and
+:func:`flowshape.lagrangian.extension_block`); the nonlinear solve is the
 damped Newton method of :mod:`flowshape.newton`, which stops when the
 residual norm is below ``newton_tol`` and the Newton correction is at most
 ``sqrt(newton_tol) * (1 + |w|)``.
@@ -23,7 +24,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .fem import assemble_boundary_curve, eliminate_dirichlet
-from .lagrangian import Spaces, extension_terms
+from .lagrangian import Spaces, extension_block, extension_residual
 from .mesh import Mesh, boundary_normals
 from .newton import semismooth_newton
 
@@ -85,13 +86,13 @@ def solve_extension(mesh: Mesh, b: np.ndarray, params: ExtensionParams,
     w[fixed] = 0.0
 
     def residual(x):
-        r = (extension_terms(spaces, x.reshape(nv, 2), params.eta_ext)[0]
+        r = (extension_residual(spaces, x.reshape(nv, 2), params.eta_ext)
              + load).ravel()
         r[fixed] = 0.0
         return r
 
     def factorize(x, active):
-        H = extension_terms(spaces, x.reshape(nv, 2), params.eta_ext)[1]
+        H = extension_block(spaces, x.reshape(nv, 2), params.eta_ext)
         return spla.splu(eliminate_dirichlet(H.T, fixed).tocsc()).solve
 
     w, _ = semismooth_newton(residual, factorize, w, params.newton_tol,

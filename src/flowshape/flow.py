@@ -261,7 +261,7 @@ def dissipation(mesh: Mesh, w: np.ndarray, state: FlowState, nu: float,
     geo = (spaces or Spaces.build(mesh)).geo_fluid
     _, J, A = element_kinematics(geo, np.asarray(w, float))
     g = pushed_gradients(geo, A)
-    M = np.einsum("tla,tlb->tab", state.v[geo.tri], g)
+    M = np.swapaxes(state.v[geo.tri], 1, 2) @ g
     return 0.5 * nu * float(np.sum(
         geo.area * J * np.einsum("tab,tab->t", M, M)))
 

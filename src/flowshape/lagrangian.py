@@ -15,7 +15,7 @@ names=...)`` takes names from ``BLOCK_NAMES`` and ``hessian_blocks(...,
 pairs=...)`` takes (row, column) pairs from ``HESSIAN_PAIRS``, the seventeen
 nonzero pairs of the upper block triangle.  Each returns exactly the
 requested keys and builds only the per-element arrays those blocks read; the
-flow solves, for instance, never build the 5-index displacement tensors.
+flow solves, for instance, never build the displacement terms.
 Omitting the selection evaluates every block.  ``block_matrix`` places the
 pairs that a block layout (ordered row and column names) touches into one
 sparse matrix; the KKT matrix, the shape subsystem's matrix and the flow
@@ -45,10 +45,11 @@ import scipy.sparse as sparse
 from .fem import P1Geometry, CurveOperators, assemble_boundary_curve
 from .mesh import BoundaryTag, Mesh, boundary_normals
 from .transform import (element_kinematics, pushed_gradients,
-                        det_penalty_gradient, det_penalty_hessian)
+                        det_penalty_gradient, det_penalty_element_hessians)
 
 __all__ = ["BLOCK_NAMES", "HESSIAN_PAIRS", "Spaces", "block_sizes",
-           "block_offsets", "zero_blocks", "extension_terms", "total_value",
+           "block_offsets", "zero_blocks", "extension_residual",
+           "extension_block", "total_value",
            "gradient_blocks", "hessian_blocks", "block_matrix"]
 
 # integral of phi_l phi_m over a triangle is area * S12[l, m]
@@ -135,7 +136,7 @@ class _FluidFrame(SimpleNamespace):
 
     @cached_property
     def N(self):
-        return np.einsum("tla,tlb->tab", self.lvloc, self.g)
+        return np.swapaxes(self.lvloc, 1, 2) @ self.g
 
     @cached_property
     def trN(self):
@@ -143,19 +144,19 @@ class _FluidFrame(SimpleNamespace):
 
     @cached_property
     def gradp(self):
-        return np.einsum("tl,tla->ta", self.ploc, self.geo.grads)
+        return (self.ploc[:, None, :] @ self.geo.grads)[:, 0]
 
     @cached_property
     def gradlp(self):
-        return np.einsum("tl,tla->ta", self.lploc, self.geo.grads)
+        return (self.lploc[:, None, :] @ self.geo.grads)[:, 0]
 
     @cached_property
     def ghp(self):
-        return np.einsum("tab,tb->ta", self.A, self.gradp)  # (DF)^-1 grad p
+        return (self.A @ self.gradp[:, :, None])[:, :, 0]  # (DF)^-1 grad p
 
     @cached_property
     def ghlp(self):
-        return np.einsum("tab,tb->ta", self.A, self.gradlp)
+        return (self.A @ self.gradlp[:, :, None])[:, :, 0]
 
     @cached_property
     def MM(self):
@@ -167,118 +168,99 @@ class _FluidFrame(SimpleNamespace):
 
     @cached_property
     def K(self):
-        return np.einsum("tab,tac->tbc", self.M, self.M)
+        return np.swapaxes(self.M, 1, 2) @ self.M
 
     @cached_property
     def B(self):
-        return (np.einsum("tab,tac->tbc", self.M, self.N)
-                + np.einsum("tab,tac->tbc", self.N, self.M))
+        MtN = np.swapaxes(self.M, 1, 2) @ self.N
+        return MtN + np.swapaxes(MtN, 1, 2)
 
     @cached_property
     def Mv(self):
-        return np.einsum("tab,tlb->tla", self.M, self.vloc)
+        return self.vloc @ np.swapaxes(self.M, 1, 2)
 
     @cached_property
     def conv(self):
-        return self.area * np.einsum("lm,tla,tma->t", _S12, self.Mv,
-                                     self.lvloc)
+        return self.area * np.einsum("tla,tla->t", _S12 @ self.Mv, self.lvloc)
 
     @cached_property
     def P(self):
-        return self.area[:, None, None] * np.einsum(
-            "lm,tla,tmb->tab", _S12, self.vloc, self.lvloc)
+        return self.area[:, None, None] * (np.swapaxes(self.vloc, 1, 2)
+                                           @ (_S12 @ self.lvloc))
 
     @cached_property
     def R(self):
-        return np.einsum("tab,tbc->tac", self.P, self.M)
+        return self.P @ self.M
 
     @cached_property
     def gg(self):
-        return np.einsum("tma,tna->tmn", self.g, self.g)
-
-    @cached_property
-    def Kg(self):
-        return np.einsum("tbc,tmb->tmc", self.K, self.g)
-
-    @cached_property
-    def Bg(self):
-        return np.einsum("tbc,tmb->tmc", self.B, self.g)
-
-    @cached_property
-    def Rg(self):
-        return np.einsum("trc,tmr->tmc", self.R, self.g)
+        return self.g @ np.swapaxes(self.g, 1, 2)
 
     @cached_property
     def Mg(self):
-        return np.einsum("tab,tnb->tna", self.M, self.g)    # (M gt_n)[a]
+        return self.g @ np.swapaxes(self.M, 1, 2)    # (M gt_n)[a]
 
     @cached_property
     def Ng(self):
-        return np.einsum("tab,tnb->tna", self.N, self.g)
+        return self.g @ np.swapaxes(self.N, 1, 2)
 
     @cached_property
     def MTg(self):
-        return np.einsum("tac,tma->tmc", self.M, self.g)    # (M^T gt_m)[c]
+        return self.g @ self.M                       # (M^T gt_m)[c]
 
     @cached_property
     def NTg(self):
-        return np.einsum("tac,tma->tmc", self.N, self.g)
+        return self.g @ self.N
 
     @cached_property
     def sgp(self):
-        return np.einsum("tma,ta->tm", self.g, self.gradp)
+        return (self.g @ self.gradp[:, :, None])[:, :, 0]
 
     @cached_property
     def sglp(self):
-        return np.einsum("tma,ta->tm", self.g, self.gradlp)
+        return (self.g @ self.gradlp[:, :, None])[:, :, 0]
 
     @cached_property
     def agp(self):
         # (DF)^-1[:, c] . ghp
-        return np.einsum("trc,tr->tc", self.A, self.ghp)
+        return (self.ghp[:, None, :] @ self.A)[:, 0]
 
     @cached_property
     def aglp(self):
-        return np.einsum("trc,tr->tc", self.A, self.ghlp)
+        return (self.ghlp[:, None, :] @ self.A)[:, 0]
 
     @cached_property
     def T(self):
-        return np.einsum("tra,trb->tab", self.A, self.A)
+        return np.swapaxes(self.A, 1, 2) @ self.A
 
     @cached_property
     def AG(self):
-        return np.einsum("trs,tls->tlr", self.A, self.geo.grads)
+        return self.geo.grads @ np.swapaxes(self.A, 1, 2)
 
     @cached_property
     def TG(self):
-        return np.einsum("tcs,tns->tnc", self.T, self.geo.grads)
+        return self.geo.grads @ np.swapaxes(self.T, 1, 2)
 
     @cached_property
     def gG(self):
-        return np.einsum("tma,tna->tmn", self.g, self.geo.grads)
-
-    @cached_property
-    def antiJ(self):
-        return (np.einsum("tmc,tnd->tmcnd", self.g, self.g)
-                - np.einsum("tmd,tnc->tmcnd", self.g, self.g))
+        return self.g @ np.swapaxes(self.geo.grads, 1, 2)
 
     @cached_property
     def gP(self):
-        return np.einsum("tnr,tra->tna", self.g, self.P)
+        return self.g @ self.P
 
     @cached_property
     def Mtlam(self):
-        return np.einsum("tba,tkb->tka", self.M, self.lvloc)
+        return self.lvloc @ self.M
 
     @cached_property
     def Q1(self):
-        return self.area[:, None, None] * np.einsum("nk,tka->tna", _S12,
-                                                    self.Mtlam)
+        return self.area[:, None, None] * (_S12 @ self.Mtlam)
 
     @cached_property
     def Q5(self):
-        gv = np.einsum("tla,tma->tlm", self.vloc, self.g)
-        return self.area[:, None, None] * np.einsum("ln,tlm->tnm", _S12, gv)
+        gv = self.vloc @ np.swapaxes(self.g, 1, 2)
+        return self.area[:, None, None] * (_S12 @ gv)
 
 
 def _fluid_frame(spaces: Spaces, z: dict) -> _FluidFrame:
@@ -288,7 +270,7 @@ def _fluid_frame(spaces: Spaces, z: dict) -> _FluidFrame:
     g = pushed_gradients(geo, A)                       # (t, l, a)
     vloc, lvloc = z["v"][tri], z["lam_v"][tri]
     ploc, lploc = z["p"][tri], z["lam_p"][tri]
-    M = np.einsum("tla,tlb->tab", vloc, g)             # Dv (DF)^-1
+    M = np.swapaxes(vloc, 1, 2) @ g                    # Dv (DF)^-1
     return _FluidFrame(
         geo=geo, tri=tri, area=geo.area, h=geo.h, J=J, A=A, g=g,
         vloc=vloc, lvloc=lvloc, ploc=ploc, lploc=lploc, M=M,
@@ -303,11 +285,13 @@ def _ext_frame(spaces: Spaces, z: dict) -> SimpleNamespace:
     tri = geo.tri
     wloc = z["w"][tri]
     lwloc = z["lam_w"][tri]
-    Dw = np.einsum("tla,tlb->tab", wloc, geo.grads)
-    Dlw = np.einsum("tla,tlb->tab", lwloc, geo.grads)
+    Dw = np.swapaxes(wloc, 1, 2) @ geo.grads
+    Dlw = np.swapaxes(lwloc, 1, 2) @ geo.grads
     J = (1.0 + Dw[:, 0, 0]) * (1.0 + Dw[:, 1, 1]) - Dw[:, 0, 1] * Dw[:, 1, 0]
+    Lam = geo.area[:, None, None] * (_S12 @ lwloc)    # integral of phi_n lam_w
     return SimpleNamespace(geo=geo, tri=tri, area=geo.area, G=geo.grads,
-                           wloc=wloc, lwloc=lwloc, Dw=Dw, Dlw=Dlw, J=J)
+                           wloc=wloc, lwloc=lwloc, Dw=Dw, Dlw=Dlw, J=J,
+                           Lam=Lam)
 
 
 def _scalar(value) -> float:
@@ -343,45 +327,81 @@ def _scatter(loc, rows, cols, nr, nc) -> sparse.coo_matrix:
                              shape=(nr, nc))
 
 
+# Element matrices (t, 6, 6) between two vector P1 fields: row dof (m, c) is
+# component c at local vertex m, column dof (n, d) likewise.
+
+
+def _dof_outer(a, b):
+    """Entry a[m, c] b[n, d], for (t, 3, 2) arrays a and b."""
+    return np.einsum("tmc,tnd->tmcnd", a, b).reshape(-1, 6, 6)
+
+
+def _dof_swap(a, b):
+    """Entry a[m, d] b[n, c], for (t, 3, 2) arrays a and b."""
+    return np.einsum("tmd,tnc->tmcnd", a, b).reshape(-1, 6, 6)
+
+
+def _dof_kron(*pairs):
+    """Entry sum_k A_k[m, n] B_k[c, d] over pairs of a (t, 3, 3) A_k and a
+    (t, 2, 2) or shared (2, 2) B_k."""
+    t = len(pairs[0][0])
+    A = np.stack([a.reshape(t, 9) for a, _ in pairs], axis=2)
+    B = np.stack([np.broadcast_to(b, (t, 2, 2)).reshape(t, 4)
+                  for _, b in pairs], axis=1)
+    return ((A @ B).reshape(t, 3, 3, 2, 2).transpose(0, 1, 3, 2, 4)
+            .reshape(t, 6, 6))
+
+
 # -- extension operator -----------------------------------------------------------
 
 
-def extension_terms(spaces: Spaces, w: np.ndarray, eta_ext: float):
-    """Interior residual of the extension equation and its (w, lam_w) block.
+def _ext_displacement(geo: P1Geometry, w: np.ndarray):
+    """Dw per element and W[n] = integral of phi_n w, (t, 3, 2)."""
+    wloc = w[geo.tri]
+    return (np.swapaxes(wloc, 1, 2) @ geo.grads,
+            geo.area[:, None, None] * (_S12 @ wloc))
 
-    The residual is the interior part of the lam_w gradient, (nv, 2): minus
-    the symmetrized-gradient form and the advection eta_ext (Dw w), tested
-    with each hat function over the extension domain; the boundary load on
-    the obstacle loop is not included.  The block, with rows w and columns
-    lam_w, is the transposed derivative of that residual with respect to w,
-    as a sparse COO matrix.  The extension pairing is linear in lam_w, so
-    the block applied to lam_w is the pairing's w gradient.
+
+def extension_residual(spaces: Spaces, w: np.ndarray,
+                       eta_ext: float) -> np.ndarray:
+    """Interior residual of the extension equation, (nv, 2).
+
+    It is the interior part of the lam_w gradient: minus the
+    symmetrized-gradient form and the advection eta_ext (Dw w), tested with
+    each hat function over the extension domain.  The boundary load on the
+    obstacle loop is not included.
     """
     geo = spaces.geo_ext
-    tri, G, area = geo.tri, geo.grads, geo.area
-    wloc = w[tri]
-    Dw = np.einsum("tla,tlb->tab", wloc, G)
-    W = area[:, None, None] * (_S12 @ wloc)           # integral of phi_n w
-    loc = -area[:, None, None] * (G @ (Dw + np.swapaxes(Dw, 1, 2)))
-    loc -= eta_ext * (W @ np.swapaxes(Dw, 1, 2))
+    Dw, W = _ext_displacement(geo, w)
+    DwT = np.swapaxes(Dw, 1, 2)
+    loc = -geo.area[:, None, None] * (geo.grads @ (Dw + DwT))
+    loc -= eta_ext * (W @ DwT)
     residual = np.zeros((spaces.mesh.num_vertices, 2))
-    np.add.at(residual, tri, loc)
+    np.add.at(residual, geo.tri, loc)
+    return residual
 
-    # H[t, m, c, n, a]: row dof (vertex m, component c) of w, column dof
-    # (n, a) of lam_w; the terms with delta_ca share the factor K[m, n]
+
+def extension_block(spaces: Spaces, w: np.ndarray,
+                    eta_ext: float) -> sparse.coo_matrix:
+    """The (w, lam_w) block, rows w and columns lam_w, as a sparse COO matrix.
+
+    It is the transposed derivative of :func:`extension_residual` with
+    respect to w.  The extension pairing is linear in lam_w, so the block
+    applied to lam_w is the pairing's w gradient.
+    """
+    geo = spaces.geo_ext
+    G, area = geo.grads, geo.area
+    Dw, W = _ext_displacement(geo, w)
+    # entry (m, c), (n, a): -area G_m[a] G_n[c] - eta_ext Dw[a, c] area
+    # S12[m, n] - delta_ca K[m, n]
     K = (area[:, None, None] * (G @ np.swapaxes(G, 1, 2))
          + eta_ext * (G @ np.swapaxes(W, 1, 2)))
-    aS12 = area[:, None, None] * _S12
-    H = np.empty((len(tri), 3, 2, 3, 2))
-    for c in range(2):
-        for a in range(2):
-            H[:, :, c, :, a] = -(area[:, None, None] * G[:, :, a, None]
-                                 * G[:, None, :, c]
-                                 + eta_ext * Dw[:, a, c, None, None] * aS12)
-        H[:, :, c, :, c] -= K
-    dofs = _vdofs(tri)
+    H = -_dof_swap(area[:, None, None] * G, G) - _dof_kron(
+        (eta_ext * area[:, None, None] * _S12, np.swapaxes(Dw, 1, 2)),
+        (K, np.eye(2)))
+    dofs = _vdofs(geo.tri)
     n = 2 * spaces.mesh.num_vertices
-    return residual, _scatter(H.reshape(-1, 6, 6), dofs, dofs, n, n)
+    return _scatter(H, dofs, dofs, n, n)
 
 
 # -- value ------------------------------------------------------------------------
@@ -479,32 +499,25 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
     mh2 = mu * h * h * area
     Mc, Kc, loop = _obstacle_loop(spaces)
 
-    if "w" in want or "lam_w" in want:
-        ext, Hwlw = extension_terms(spaces, z["w"], params.eta_ext)
-
     if "w" in want:
-        # fluid terms
-        gw = aJ[:, None, None] * (
-            nu * (0.5 * f.MM[:, None, None] * g - f.Kg)
-            + nu * (f.Bg - f.MN[:, None, None] * g)
-            + f.pbar[:, None, None] * (f.trN[:, None, None] * g - f.NTg)
-            + f.lpbar[:, None, None] * (f.trM[:, None, None] * g - f.MTg))
-        gw += J[:, None, None] * f.Rg - (J * f.conv)[:, None, None] * g
-        gw -= mh2[:, None, None] * (np.einsum("tm,tc->tmc", f.sgp, f.aglp)
-                                    + np.einsum("tm,tc->tmc", f.sglp, f.agp))
-        lbcw = np.einsum("a,ta->t", z["lam_bc"], f.geo.centroid + f.wbar)
-        gw -= (area * J * lbcw)[:, None, None] * g
-        gw -= (area * J / 3.0)[:, None, None] * z["lam_bc"][None, None, :]
-        gw -= _scalar(z["lam_vol"]) * aJ[:, None, None] * g
-        np.add.at(out["w"], f.tri, gw)
-        # the extension pairing's w gradient and the penalty
-        out["w"] += (Hwlw @ z["lam_w"].ravel()).reshape(-1, 2)
+        # the fluid and constraint terms, then the extension pairing's w
+        # gradient on the extension domain, where the fluid cells sit at
+        # mesh.fluid_cells (all cells on a mesh without a holdall)
+        wt = _w_terms(f, params, z)
+        gw = wt.S[:, None, None] * g - g @ wt.Q - wt.V - wt.L[:, None, :]
+        e = _ext_frame(spaces, z)
+        ge = -e.area[:, None, None] * (e.G @ (e.Dlw
+                                              + np.swapaxes(e.Dlw, 1, 2)))
+        ge -= params.eta_ext * (e.G @ (np.swapaxes(e.wloc, 1, 2) @ e.Lam)
+                                + e.Lam @ e.Dw)
+        ge[spaces.mesh.fluid_cells] += gw
+        np.add.at(out["w"], e.tri, ge)
         out["w"] += det_penalty_gradient(spaces.geo_ext, z["w"],
                                          params.eta_det, params.beta)
 
     if "lam_w" in want:
         # extension equation and its boundary load
-        out["lam_w"] += ext
+        out["lam_w"] += extension_residual(spaces, z["w"], params.eta_ext)
         out["lam_w"][loop] += Mc @ z["b"]
 
     if "v" in want:
@@ -514,22 +527,21 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
         np.add.at(out["v"], f.tri, gv)
 
     if "p" in want:
-        gp = np.repeat((aJ * f.trN / 3.0)[:, None], 3, axis=1)
-        gp += mh2[:, None] * np.einsum("tnr,tr->tn", f.AG, f.ghlp)
+        gp = (aJ * f.trN / 3.0)[:, None] + mh2[:, None] * (
+            f.AG @ f.ghlp[:, :, None])[:, :, 0]
         np.add.at(out["p"], f.tri, gp)
 
     if "lam_v" in want:
         # the state momentum equation
         glv = -nu * aJ[:, None, None] * f.Mg
-        glv -= (J * area)[:, None, None] * np.einsum("ln,tla->tna", _S12,
-                                                     f.Mv)
+        glv -= (J * area)[:, None, None] * (_S12 @ f.Mv)
         glv += aJ[:, None, None] * f.pbar[:, None, None] * g
         np.add.at(out["lam_v"], f.tri, glv)
 
     if "lam_p" in want:
         # the state continuity equation with stabilization
-        glp = np.repeat((aJ * f.trM / 3.0)[:, None], 3, axis=1)
-        glp += mh2[:, None] * np.einsum("tnr,tr->tn", f.AG, f.ghp)
+        glp = (aJ * f.trM / 3.0)[:, None] + mh2[:, None] * (
+            f.AG @ f.ghp[:, :, None])[:, :, 0]
         np.add.at(out["lam_p"], f.tri, glp)
 
     # boundary blocks on the obstacle loop
@@ -554,18 +566,30 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
 # -- Hessian ----------------------------------------------------------------------
 
 
-def _wpat(g, antiJ, s, Y, X=None, gg=None):
-    """Recurring displacement-Hessian pattern of J-weighted invariants.
+def _w_terms(f: _FluidFrame, params, z: dict) -> SimpleNamespace:
+    """Per-element coefficients of the fluid and geometric-constraint terms
+    in w, shared by the w gradient and the (w, w) block.
 
-    Second derivative of J*s for scalars s whose dof-derivative is -(Y_m)[c],
-    optionally with the extra quadratic coupling X[c,d] (gt_m . gt_n).
+    Each such term is J s for an invariant s of (DF)^-1, whose derivative by
+    the dof (m, c) is J (s gt_m[c] - (gt_m Q_s)[c]).  Summed over the terms,
+    the w gradient is S gt_m[c] - (gt_m Q)[c] - V[m, c] - L[c] on each
+    element, where V is the stabilization's and L the barycenter's part.
+    X is the sum of the terms' quadratic couplings of (DF)^-1.
     """
-    out = antiJ * s[:, None, None, None, None]
-    out -= np.einsum("tmc,tnd->tmcnd", g, Y) + np.einsum("tnd,tmc->tmcnd", g, Y)
-    out += np.einsum("tnc,tmd->tmcnd", g, Y) + np.einsum("tmd,tnc->tmcnd", g, Y)
-    if X is not None:
-        out += np.einsum("tcd,tmn->tmcnd", X, gg)
-    return out
+    nu = params.nu
+    aJ = f.area * f.J
+    lbc = z["lam_bc"]
+    lbcw = (f.geo.centroid + f.wbar) @ lbc
+    S = aJ * (0.5 * nu * f.MM - nu * f.MN + f.pbar * f.trN + f.lpbar * f.trM
+              - lbcw - _scalar(z["lam_vol"])) - f.J * f.conv
+    X = (nu * aJ)[:, None, None] * (f.K - f.B)
+    Q = X + aJ[:, None, None] * (f.pbar[:, None, None] * f.N
+                                 + f.lpbar[:, None, None] * f.M)
+    Q -= f.J[:, None, None] * f.R
+    mh2 = params.mu * f.h * f.h * f.area
+    V = mh2[:, None, None] * (f.sgp[:, :, None] * f.aglp[:, None, :]
+                              + f.sglp[:, :, None] * f.agp[:, None, :])
+    return SimpleNamespace(S=S, Q=Q, X=X, V=V, L=(aJ / 3.0)[:, None] * lbc)
 
 
 def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
@@ -581,19 +605,19 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
 
     ``pairs`` selects blocks from ``HESSIAN_PAIRS`` (None: all seventeen);
     the result holds exactly those keys, in that order, and only the
-    per-element arrays they read are built: the 5-index displacement
-    tensors, the extension frame and the penalty Hessian only for ("w", "w").
-    An unknown pair, a reversed one included, raises ``ValueError``.
+    per-element arrays they read are built: the extension frame and the
+    penalty Hessian only for ("w", "w").  An unknown pair, a reversed one
+    included, raises ``ValueError``.
     """
     want = _select(pairs, HESSIAN_PAIRS, "Hessian block pair")
     f = _fluid_frame(spaces, z)
     nu, mu = params.nu, params.mu
-    nvert = spaces.mesh.num_vertices
     sizes = block_sizes(spaces)
     area, J, g, h = f.area, f.J, f.g, f.h
     aJ = area * J
     mh2 = mu * h * h * area
     eye = np.eye(2)
+    tJ = J[:, None, None]
 
     blocks = {}
     fdofs = _vdofs(f.tri)
@@ -601,109 +625,77 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
 
     # -- (w, w): every J-carrying term plus stabilization, advection, penalty
     if ("w", "w") in want:
+        # With Y = gt Q, the second derivative of the terms of _w_terms is
+        #   S (gt_m[c] gt_n[d] - gt_m[d] gt_n[c]) + X[c, d] (gt_m . gt_n)
+        #   - gt_m[c] (Y + L)[n, d] + gt_m[d] (Y + V)[n, c]
+        #   + mh2 (gt_m . grad p) (gt_n . grad lam_p) T[c, d]
+        # plus the transpose of the last two lines.  K holds half of it.
+        wt = _w_terms(f, params, z)
+        Y = g @ wt.Q
+        half_Sg = 0.5 * wt.S[:, None, None] * g
+        K = _dof_outer(g, half_Sg - Y - wt.L[:, None, :])
+        K += _dof_swap(g, Y + wt.V - half_Sg)
+        K += _dof_kron((0.5 * f.gg, wt.X),
+                       (mh2[:, None, None] * f.sgp[:, :, None]
+                        * f.sglp[:, None, :], f.T))
+        # half of the extension pairing's advection and of the penalty, on
+        # the extension domain, whose cells include the fluid cells at
+        # mesh.fluid_cells; the assembled half plus its transpose is exactly
+        # symmetric, whatever order the sparse sum takes
         e = _ext_frame(spaces, z)
+        Ke = _dof_swap(e.G, -params.eta_ext * e.Lam)
+        Ke += 0.5 * det_penalty_element_hessians(
+            spaces.geo_ext, z["w"], params.eta_det, params.beta, active)
+        Ke[spaces.mesh.fluid_cells] += K
         edofs = _vdofs(e.tri)
-        antiJ, gg = f.antiJ, f.gg
-        Hww = 0.5 * nu * _wpat(g, antiJ, f.MM, 2.0 * f.Kg, 2.0 * f.K, gg)
-        Hww -= nu * _wpat(g, antiJ, f.MN, f.Bg, f.B, gg)
-        Hww += f.pbar[:, None, None, None, None] * _wpat(g, antiJ, f.trN,
-                                                         f.NTg)
-        Hww += f.lpbar[:, None, None, None, None] * _wpat(g, antiJ, f.trM,
-                                                          f.MTg)
-        Hww *= aJ[:, None, None, None, None]
-        Hww -= J[:, None, None, None, None] * _wpat(g, antiJ, f.conv, f.Rg)
-        lbcw = np.einsum("a,ta->t", z["lam_bc"], f.geo.centroid + f.wbar)
-        shape5 = Hww.shape
-        Hww -= (area * J * lbcw)[:, None, None, None, None] * antiJ
-        Hww -= (area * J / 3.0)[:, None, None, None, None] * (
-            np.broadcast_to(np.einsum("tmc,d->tmcd", g, z["lam_bc"])
-                            [:, :, :, None, :], shape5)
-            + np.broadcast_to(np.einsum("tnd,c->tcnd", g, z["lam_bc"])
-                              [:, None, :, :, :], shape5))
-        Hww -= _scalar(z["lam_vol"]) * aJ[:, None, None, None, None] * antiJ
-        sgp, sglp, agp, aglp, T = f.sgp, f.sglp, f.agp, f.aglp, f.T
-        Hww += mh2[:, None, None, None, None] * (
-            np.einsum("tmd,tn,tc->tmcnd", g, sgp, aglp)
-            + np.einsum("tnc,tm,td->tmcnd", g, sgp, aglp)
-            + np.einsum("tm,tn,tcd->tmcnd", sgp, sglp, T)
-            + np.einsum("tm,tn,tcd->tmcnd", sglp, sgp, T)
-            + np.einsum("tmd,tn,tc->tmcnd", g, sglp, agp)
-            + np.einsum("tnc,tm,td->tmcnd", g, sglp, agp))
-        ww = _scatter(Hww.reshape(-1, 6, 6), fdofs, fdofs, sizes["w"],
-                      sizes["w"])
-
-        Lam = e.area[:, None, None] * np.einsum("mn,tnb->tmb", _S12, e.lwloc)
-        Hwwe = -params.eta_ext * (np.einsum("tmd,tnc->tmcnd", e.G, Lam)
-                                  + np.einsum("tnc,tmd->tmcnd", e.G, Lam))
-        ww = ww + _scatter(Hwwe.reshape(-1, 6, 6), edofs, edofs,
-                           sizes["w"], sizes["w"])
-        blocks[("w", "w")] = ww.tocsr() + det_penalty_hessian(
-            spaces.geo_ext, z["w"], params.eta_det, params.beta, nvert,
-            active)
+        half = _scatter(Ke, edofs, edofs, sizes["w"], sizes["w"]).tocsr()
+        blocks[("w", "w")] = half + half.T
 
     # -- (w, v)
     if ("w", "v") in want:
-        Mg, Ng, gg = f.Mg, f.Ng, f.gg
-        Hwv = nu * (np.einsum("tmc,tna->tmcna", g, Mg)
-                    - np.einsum("tac,tmn->tmcna", f.M, gg)
-                    - np.einsum("tnc,tma->tmcna", g, Mg))
-        Hwv -= nu * (np.einsum("tmc,tna->tmcna", g, Ng)
-                     - np.einsum("tac,tmn->tmcna", f.N, gg)
-                     - np.einsum("tnc,tma->tmcna", g, Ng))
-        Hwv += f.lpbar[:, None, None, None, None] * (
-            np.einsum("tmc,tna->tmcna", g, g)
-            - np.einsum("tnc,tma->tmcna", g, g))
-        Hwv *= aJ[:, None, None, None, None]
-        gP, Q1 = f.gP, f.Q1
-        Hwv += J[:, None, None, None, None] * (
-            np.einsum("tnc,tma->tmcna", g, gP)
-            - np.einsum("tmc,tna->tmcna", g, gP)
-            + np.einsum("tma,tnc->tmcna", g, Q1)
-            - np.einsum("tmc,tna->tmcna", g, Q1))
-        blocks[("w", "v")] = _scatter(Hwv.reshape(-1, 6, 6), fdofs, fdofs,
-                                      sizes["w"], sizes["v"])
+        Da = aJ[:, None, None] * (nu * (f.Mg - f.Ng)
+                                  + f.lpbar[:, None, None] * g)
+        Hwv = _dof_outer(g, Da - tJ * (f.gP + f.Q1))
+        Hwv -= _dof_swap(Da - tJ * f.gP, g)
+        Hwv += _dof_swap(tJ * g, f.Q1)
+        Hwv -= _dof_kron((f.gg, (nu * aJ)[:, None, None]
+                          * np.swapaxes(f.M - f.N, 1, 2)))
+        blocks[("w", "v")] = _scatter(Hwv, fdofs, fdofs, sizes["w"],
+                                      sizes["v"])
 
     # -- (w, lam_v)
     if ("w", "lam_v") in want:
-        Mg, gg, Q5 = f.Mg, f.gg, f.Q5
-        Hwl = -nu * aJ[:, None, None, None, None] * (
-            np.einsum("tmc,tna->tmcna", g, Mg)
-            - np.einsum("tac,tmn->tmcna", f.M, gg)
-            - np.einsum("tnc,tma->tmcna", g, Mg))
-        Q3 = area[:, None, None] * np.einsum("ln,tla->tna", _S12, f.Mv)
-        Hwl += J[:, None, None, None, None] * (
-            np.einsum("tac,tnm->tmcna", f.M, Q5)
-            - np.einsum("tmc,tna->tmcna", g, Q3))
-        Hwl += (aJ * f.pbar)[:, None, None, None, None] * (
-            np.einsum("tmc,tna->tmcna", g, g)
-            - np.einsum("tnc,tma->tmcna", g, g))
-        blocks[("w", "lam_v")] = _scatter(Hwl.reshape(-1, 6, 6), fdofs,
-                                          fdofs, sizes["w"], sizes["lam_v"])
+        Fa = aJ[:, None, None] * (f.pbar[:, None, None] * g - nu * f.Mg)
+        Q3 = area[:, None, None] * (_S12 @ f.Mv)
+        Hwl = _dof_outer(g, Fa - tJ * Q3) - _dof_swap(Fa, g)
+        Hwl += _dof_kron(((nu * aJ)[:, None, None] * f.gg
+                          + tJ * np.swapaxes(f.Q5, 1, 2),
+                          np.swapaxes(f.M, 1, 2)))
+        blocks[("w", "lam_v")] = _scatter(Hwl, fdofs, fdofs, sizes["w"],
+                                          sizes["lam_v"])
 
     # -- (w, p) and (w, lam_p)
     if ("w", "p") in want:
-        Hwp = np.repeat(((aJ[:, None, None] / 3.0)
-                         * (f.trN[:, None, None] * g - f.NTg))[:, :, :, None],
-                        3, axis=3)
-        Hwp -= mh2[:, None, None, None] * (
-            np.einsum("tmn,tc->tmcn", f.gG, f.aglp)
-            + np.einsum("tm,tnc->tmcn", f.sglp, f.TG))
+        Hwp = ((aJ[:, None, None] / 3.0)
+               * (f.trN[:, None, None] * g - f.NTg))[:, :, :, None]
+        Hwp = Hwp - mh2[:, None, None, None] * (
+            f.gG[:, :, None, :] * f.aglp[:, None, :, None]
+            + f.sglp[:, :, None, None] * np.swapaxes(f.TG, 1, 2)[:, None])
         blocks[("w", "p")] = _scatter(Hwp.reshape(-1, 6, 3), fdofs, ftri,
                                       sizes["w"], sizes["p"])
     if ("w", "lam_p") in want:
-        Hwlp = np.repeat(((aJ[:, None, None] / 3.0)
-                          * (f.trM[:, None, None] * g - f.MTg))[:, :, :, None],
-                         3, axis=3)
-        Hwlp -= mh2[:, None, None, None] * (
-            np.einsum("tmn,tc->tmcn", f.gG, f.agp)
-            + np.einsum("tm,tnc->tmcn", f.sgp, f.TG))
+        Hwlp = ((aJ[:, None, None] / 3.0)
+                * (f.trM[:, None, None] * g - f.MTg))[:, :, :, None]
+        Hwlp = Hwlp - mh2[:, None, None, None] * (
+            f.gG[:, :, None, :] * f.agp[:, None, :, None]
+            + f.sgp[:, :, None, None] * np.swapaxes(f.TG, 1, 2)[:, None])
         blocks[("w", "lam_p")] = _scatter(Hwlp.reshape(-1, 6, 3), fdofs,
                                           ftri, sizes["w"], sizes["lam_p"])
 
     # -- (w, lam_w): the extension linearization
     if ("w", "lam_w") in want:
-        blocks[("w", "lam_w")] = extension_terms(spaces, z["w"],
-                                                 params.eta_ext)[1]
+        blocks[("w", "lam_w")] = extension_block(spaces, z["w"],
+                                                 params.eta_ext)
 
     # -- (w, lam_vol) and (w, lam_bc)
     if ("w", "lam_vol") in want:
@@ -722,23 +714,18 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
 
     # -- (v, v), (v, lam_v), (v, lam_p), (p, lam_v), (p, lam_p)
     if ("v", "v") in want:
-        Lamv = area[:, None, None] * np.einsum("mk,tka->tma", _S12, f.lvloc)
-        Hvv = nu * aJ[:, None, None, None, None] * np.einsum(
-            "tmn,ca->tmcna", f.gg, eye)
-        Hvv -= J[:, None, None, None, None] * (
-            np.einsum("tma,tnc->tmcna", g, Lamv)
-            + np.einsum("tnc,tma->tmcna", g, Lamv))
-        blocks[("v", "v")] = _scatter(Hvv.reshape(-1, 6, 6), fdofs, fdofs,
-                                      sizes["v"], sizes["v"])
+        Lamv = area[:, None, None] * (_S12 @ f.lvloc)
+        Hvv = _dof_kron(((nu * aJ)[:, None, None] * f.gg, eye))
+        Hvv -= _dof_swap(tJ * g, Lamv) + _dof_swap(Lamv, tJ * g)
+        blocks[("v", "v")] = _scatter(Hvv, fdofs, fdofs, sizes["v"],
+                                      sizes["v"])
     if ("v", "lam_v") in want:
-        Hvlv = -nu * aJ[:, None, None, None, None] * np.einsum(
-            "tmn,ca->tmcna", f.gg, eye)
-        Hvlv -= J[:, None, None, None, None] * (
-            np.einsum("tnm,ca->tmcna", f.Q5, eye)
-            + np.einsum("tmn,tac->tmcna", area[:, None, None] * _S12[None],
-                        f.M))
-        blocks[("v", "lam_v")] = _scatter(Hvlv.reshape(-1, 6, 6), fdofs,
-                                          fdofs, sizes["v"], sizes["lam_v"])
+        Hvlv = -_dof_kron(((nu * aJ)[:, None, None] * f.gg
+                           + tJ * np.swapaxes(f.Q5, 1, 2), eye),
+                          ((J * area)[:, None, None] * _S12,
+                           np.swapaxes(f.M, 1, 2)))
+        blocks[("v", "lam_v")] = _scatter(Hvlv, fdofs, fdofs, sizes["v"],
+                                          sizes["lam_v"])
     if ("v", "lam_p") in want:
         Hvlp = np.repeat(((aJ[:, None, None] / 3.0) * g)[:, :, :, None], 3,
                          axis=3)
@@ -750,7 +737,7 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
         blocks[("p", "lam_v")] = _scatter(Hplv.reshape(-1, 3, 6), ftri,
                                           fdofs, sizes["p"], sizes["lam_v"])
     if ("p", "lam_p") in want:
-        Hplp = mh2[:, None, None] * np.einsum("tmr,tnr->tmn", f.AG, f.AG)
+        Hplp = mh2[:, None, None] * (f.AG @ np.swapaxes(f.AG, 1, 2))
         blocks[("p", "lam_p")] = _scatter(Hplp, ftri, ftri,
                                           sizes["p"], sizes["lam_p"])
 

@@ -344,18 +344,6 @@ def write_vtk(mesh: Mesh, fields: dict[str, np.ndarray] | None, path) -> None:
                         fh.write(f"{vx:.16e} {vy:.16e} 0.0\n")
 
 
-def read_vtk_points(path) -> np.ndarray:
-    """Read back the POINTS block of a legacy VTK file (round-trip checks)."""
-    with open(path) as fh:
-        lines = fh.readlines()
-    for i, ln in enumerate(lines):
-        if ln.startswith("POINTS"):
-            n = int(ln.split()[1])
-            pts = np.array([[float(x) for x in lines[i + 1 + k].split()] for k in range(n)])
-            return pts[:, :2]
-    raise ValueError("no POINTS block found")
-
-
 # -- obstacle boundary geometry ---------------------------------------------------
 
 
@@ -489,16 +477,3 @@ def deform_mesh(mesh: Mesh, displacement: np.ndarray) -> Mesh:
         raise MeshError(f"deformation inverts triangle {bad[0]}")
     return Mesh(new_verts, mesh.triangles, mesh.boundary_segments,
                 mesh.segment_tags, mesh.obstacle_cells)
-
-
-def polygon_area_moment(points: np.ndarray) -> tuple[float, np.ndarray]:
-    """Area and first moment of a closed polygon given by ordered vertices."""
-    x, y = points[:, 0], points[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    area = 0.5 * cross.sum()
-    mx = np.sum((x + xn) * cross) / 6.0
-    my = np.sum((y + yn) * cross) / 6.0
-    if area < 0:
-        area, mx, my = -area, -mx, -my
-    return float(area), np.array([mx, my])

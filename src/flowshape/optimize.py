@@ -134,8 +134,10 @@ def run_direct(mesh: Mesh, params: KktParams,
 
     On divergence at some level the driver recursively bisects the alpha gap
     (geometrically) and approaches the level through intermediate solves; the
-    partial log is attached to the raised error when that fails too.  A
-    solve whose determinant-penalty active set cycles (``err.cycling`` > 0)
+    partial log is attached to the raised error when that fails too.  The
+    bisection is at most five levels deep, so one alpha level costs at most
+    63 ``solve_kkt`` attempts (1 + 2 + 4 + ... + 32); it has no time budget.
+    A solve whose determinant-penalty active set cycles (``err.cycling`` > 0)
     is not bisected: a smaller alpha step does not move the kink it stalls
     on, so the error is raised at once.
     """

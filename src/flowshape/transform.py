@@ -10,7 +10,6 @@ element of the generalized second derivative uses the active-set indicator
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem import P1Geometry
 
@@ -19,14 +18,13 @@ __all__ = [
     "pushed_gradients",
     "det_penalty",
     "det_penalty_gradient",
-    "det_penalty_hessian",
+    "det_penalty_element_hessians",
 ]
 
 
 def displacement_gradient(geo: P1Geometry, w: np.ndarray) -> np.ndarray:
     """Constant per-element Jacobian Dw, shape (nt, 2, 2); Dw_ab = d w_a / d x_b."""
-    wloc = w[geo.tri]  # (nt, 3, 2)
-    return np.einsum("tla,tlb->tab", wloc, geo.grads)
+    return np.swapaxes(w[geo.tri], 1, 2) @ geo.grads
 
 
 def element_kinematics(geo: P1Geometry, w: np.ndarray):
@@ -55,7 +53,7 @@ def pushed_gradients(geo: P1Geometry, DFinv: np.ndarray) -> np.ndarray:
 
     These satisfy (Dv DFinv)_ab = sum_l v_l[a] gt_l[b] for nodal fields v.
     """
-    return np.einsum("tlr,tra->tla", geo.grads, DFinv)
+    return geo.grads @ DFinv
 
 
 # -- determinant penalty ----------------------------------------------------------
@@ -87,9 +85,10 @@ def det_penalty_gradient(geo: P1Geometry, w: np.ndarray, eta_det: float,
     return out
 
 
-def det_penalty_hessian(geo: P1Geometry, w: np.ndarray, eta_det: float, beta: float,
-                        n_vertices: int, active=None) -> sp.csr_matrix:
-    """Element of the generalized second derivative as a sparse (2nv, 2nv) matrix.
+def det_penalty_element_hessians(geo: P1Geometry, w: np.ndarray, eta_det: float,
+                                 beta: float, active=None) -> np.ndarray:
+    """Element matrices (nt, 6, 6) of the penalty's generalized second
+    derivative; row and column dof (l, a) is component a at local vertex l.
 
     Per element, with gt the pushed gradients, J the determinant and chi the
     active indicator:
@@ -100,22 +99,15 @@ def det_penalty_hessian(geo: P1Geometry, w: np.ndarray, eta_det: float, beta: fl
     chi defaults to {J < eta_det}; an explicit boolean ``active`` selects
     another element of the generalized derivative.  Where an element's J
     sits on eta_det, the one that matches the one-sided derivative along a
-    step is chi taken at a point just along that step.
+    step is chi taken at a point just along that step.  Each matrix is
+    exactly symmetric.
     """
     det, inv, plus, chi = _penalty_parts(geo, w, eta_det)
     active = chi if active is None else np.asarray(active, dtype=bool)
     gt = pushed_gradients(geo, inv)
     outer = np.einsum("tla,tmc->tlamc", gt, gt)
-    swapped = np.einsum("tlc,tma->tlamc", gt, gt)
     coeff1 = beta * geo.area * active * det * det
     coeff2 = beta * geo.area * plus * det
-    H = coeff1[:, None, None, None, None] * outer - coeff2[:, None, None, None, None] * (
-        outer - swapped
-    )
-    dof = 2 * geo.tri[:, :, None] + np.arange(2)[None, None, :]  # (nt, 3, 2)
-    rows = np.repeat(dof.reshape(len(geo.tri), 6), 6, axis=1).ravel()
-    cols = np.tile(dof.reshape(len(geo.tri), 6), (1, 6)).ravel()
-    return sp.coo_matrix(
-        (H.reshape(len(geo.tri), 36).ravel(), (rows, cols)),
-        shape=(2 * n_vertices, 2 * n_vertices),
-    ).tocsr()
+    H = ((coeff1 - coeff2)[:, None, None, None, None] * outer
+         + coeff2[:, None, None, None, None] * outer.transpose(0, 1, 4, 3, 2))
+    return H.reshape(-1, 6, 6)

@@ -9,7 +9,7 @@ from flowshape.extension import (
     solve_extension,
     solve_laplace_beltrami,
 )
-from flowshape.lagrangian import Spaces, extension_terms
+from flowshape.lagrangian import Spaces, extension_block, extension_residual
 
 
 def _loop_normals(spaces):
@@ -53,7 +53,7 @@ def test_extension_residual_zero_at_solution(circle_mesh, rng):
     params = ExtensionParams(eta_ext=2.0)
     b = 0.05 * rng.standard_normal((spaces.num_loop, 2))
     w = solve_extension(circle_mesh, b, params, spaces=spaces)
-    r, _ = extension_terms(spaces, w, params.eta_ext)
+    r = extension_residual(spaces, w, params.eta_ext)
     r[spaces.curve.loop] += spaces.curve.mass @ b
     r = r.ravel()
     outer = circle_mesh.outer_boundary_vertices()
@@ -76,11 +76,11 @@ def test_linearization_matches_finite_differences(circle_mesh, rng):
     b = 0.05 * rng.standard_normal((m, 2))
 
     def residual(w, b):
-        r, _ = extension_terms(spaces, w, params.eta_ext)
+        r = extension_residual(spaces, w, params.eta_ext)
         r[spaces.curve.loop] += spaces.curve.mass @ b
         return r.ravel()
 
-    jac_w = extension_terms(spaces, w, params.eta_ext)[1].T
+    jac_w = extension_block(spaces, w, params.eta_ext).T
     h = 1e-5
     dw = rng.standard_normal((nv, 2))
     db = rng.standard_normal((m, 2))

@@ -15,6 +15,13 @@ def spaces(circle_mesh):
     return Spaces.build(circle_mesh)
 
 
+@pytest.fixture(scope="module", params=["circle_mesh", "holdall_mesh"])
+def mesh_spaces(request):
+    """Spaces on a mesh without and with a holdall; on the holdall the
+    extension domain (geo_ext) is larger than the flow domain (geo_fluid)."""
+    return Spaces.build(request.getfixturevalue(request.param))
+
+
 @pytest.fixture(scope="module")
 def params():
     return KktParams(nu=0.05, alpha=0.3, beta=7.0, eta_det=1.2, eta_ext=2.0)
@@ -131,10 +138,10 @@ def _naive_value(spaces, params, z):
     return total
 
 
-def test_value_matches_naive_oracle(spaces, params):
-    z = random_point(spaces)
-    fast = total_value(spaces, params, z)
-    slow = _naive_value(spaces, params, z)
+def test_value_matches_naive_oracle(mesh_spaces, params):
+    z = random_point(mesh_spaces)
+    fast = total_value(mesh_spaces, params, z)
+    slow = _naive_value(mesh_spaces, params, z)
     assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))
 
 
@@ -144,16 +151,16 @@ def test_value_zero_at_origin(spaces):
     assert total_value(spaces, quiet, zero_blocks(spaces)) == 0.0
 
 
-def test_value_dtype_follows_input(spaces, params):
-    z = random_point(spaces)
+def test_value_dtype_follows_input(mesh_spaces, params):
+    z = random_point(mesh_spaces)
     zl = {k: np.asarray(v, dtype=np.longdouble) for k, v in z.items()}
-    val = total_value(spaces, params, zl)
+    val = total_value(mesh_spaces, params, zl)
     assert np.asarray(val).dtype == np.longdouble
 
 
-def test_gradient_matches_fd_of_value(spaces, params):
-    z = random_point(spaces)
-    grad = gradient_blocks(spaces, params, z)
+def test_gradient_matches_fd_of_value(mesh_spaces, params):
+    z = random_point(mesh_spaces)
+    grad = gradient_blocks(mesh_spaces, params, z)
     zl = {k: np.asarray(v, dtype=np.longdouble) for k, v in z.items()}
     rng = np.random.default_rng(8)
     h = 1e-7
@@ -161,26 +168,26 @@ def test_gradient_matches_fd_of_value(spaces, params):
         d = rng.standard_normal(np.shape(z[name]))
         zp = dict(zl)
         zp[name] = zl[name] + h * d
-        vp = total_value(spaces, params, zp)
+        vp = total_value(mesh_spaces, params, zp)
         zp[name] = zl[name] - h * d
-        vm = total_value(spaces, params, zp)
+        vm = total_value(mesh_spaces, params, zp)
         fd = float((vp - vm) / (2 * np.longdouble(h)))
         exact = float(np.sum(np.asarray(grad[name]).reshape(-1) * d.reshape(-1)))
         assert fd == pytest.approx(exact, rel=1e-7, abs=1e-9), name
 
 
-def test_hessian_matches_fd_of_gradient(spaces, params):
-    z = random_point(spaces)
-    H = hessian_blocks(spaces, params, z)
+def test_hessian_matches_fd_of_gradient(mesh_spaces, params):
+    z = random_point(mesh_spaces)
+    H = hessian_blocks(mesh_spaces, params, z)
     rng = np.random.default_rng(4)
     h = 1e-7
     for (row, col), mat in H.items():
         d = rng.standard_normal(np.shape(z[col]))
         zp = dict(z)
         zp[col] = z[col] + h * d
-        gp = gradient_blocks(spaces, params, zp)[row]
+        gp = gradient_blocks(mesh_spaces, params, zp)[row]
         zp[col] = z[col] - h * d
-        gm = gradient_blocks(spaces, params, zp)[row]
+        gm = gradient_blocks(mesh_spaces, params, zp)[row]
         fd = (np.asarray(gp) - np.asarray(gm)).reshape(-1) / (2 * h)
         an = mat @ d.reshape(-1)
         scale = max(1.0, np.abs(an).max())
@@ -208,9 +215,9 @@ def test_hessian_transpose_pairs_with_fd_of_gradient(spaces, params):
         assert np.abs(fd - an).max() <= 2e-5 * scale, (row, col)
 
 
-def test_diagonal_hessian_blocks_symmetric(spaces, params):
-    z = random_point(spaces)
-    H = hessian_blocks(spaces, params, z)
+def test_diagonal_hessian_blocks_symmetric(mesh_spaces, params):
+    z = random_point(mesh_spaces)
+    H = hessian_blocks(mesh_spaces, params, z)
     for key in [("w", "w"), ("v", "v"), ("c", "c")]:
         mat = H[key]
         assert abs(mat - mat.T).max() <= 1e-11, key

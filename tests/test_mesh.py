@@ -12,14 +12,37 @@ from flowshape.mesh import (
     deform_mesh,
     load_msh,
     obstacle_loop,
-    polygon_area_moment,
-    read_vtk_points,
     triangle_quality,
     worst_quality,
     write_msh,
     write_vtk,
 )
 from flowshape.meshgen import tunnel_mesh
+
+
+def read_vtk_points(path) -> np.ndarray:
+    """Read back the POINTS block of a legacy VTK file."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    for i, ln in enumerate(lines):
+        if ln.startswith("POINTS"):
+            n = int(ln.split()[1])
+            pts = np.array([[float(x) for x in lines[i + 1 + k].split()] for k in range(n)])
+            return pts[:, :2]
+    raise ValueError("no POINTS block found")
+
+
+def polygon_area_moment(points: np.ndarray) -> tuple[float, np.ndarray]:
+    """Area and first moment of a closed polygon given by ordered vertices."""
+    x, y = points[:, 0], points[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    area = 0.5 * cross.sum()
+    mx = np.sum((x + xn) * cross) / 6.0
+    my = np.sum((y + yn) * cross) / 6.0
+    if area < 0:
+        area, mx, my = -area, -mx, -my
+    return float(area), np.array([mx, my])
 
 
 def _single_triangle_msh(path, flip=False):
