@@ -157,8 +157,25 @@ def eliminate_dirichlet(matrix: sp.spmatrix, dofs) -> sp.csr_matrix:
     keeps a unit diagonal and decouples.  A Newton step with the eliminated
     matrix and a residual that vanishes on ``dofs`` leaves the Dirichlet
     values of the iterate unchanged.
+
+    The elimination acts on the stored entries: those in a constrained row
+    or column are dropped and every other one keeps its value, an explicit
+    zero included.  So the pattern of the result depends only on the pattern
+    of ``matrix``, not on entries that happen to round to zero.
     """
-    mask = np.ones(matrix.shape[0])
-    mask[np.asarray(dofs, dtype=int)] = 0.0
-    D = sp.diags(mask)
-    return (D @ matrix @ D + sp.diags(1.0 - mask)).tocsr()
+    A = sp.csr_matrix(matrix)
+    free = np.ones(A.shape[0], dtype=bool)
+    free[np.asarray(dofs, dtype=int)] = False
+    fixed = np.flatnonzero(~free)
+    keep = np.repeat(free, np.diff(A.indptr)) & free[A.indices]
+    # a constrained row keeps nothing but its unit diagonal
+    kept_before = np.concatenate([[0], np.cumsum(keep)])[A.indptr]
+    indptr = np.concatenate([[0], np.cumsum(np.diff(kept_before) + ~free)])
+    unit = np.zeros(indptr[-1], dtype=bool)
+    unit[indptr[fixed]] = True
+    data = np.ones(indptr[-1])
+    data[~unit] = A.data[keep]
+    indices = np.empty(indptr[-1], dtype=A.indices.dtype)
+    indices[unit] = fixed
+    indices[~unit] = A.indices[keep]
+    return sp.csr_matrix((data, indices, indptr), shape=A.shape)

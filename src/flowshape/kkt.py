@@ -11,6 +11,15 @@ solves the system with the damped semismooth Newton method of
 smooth, with an active-set generalized derivative).  A solve stops when the
 residual norm is below ``newton_tol`` and the Newton correction is at most
 ``sqrt(newton_tol) * (1 + |u|)``.
+
+Only the control is free: ``w``, ``b`` and ``(v, p)`` are states, each fixed
+by its own equation (extension, Laplace-Beltrami, flow).  A Newton step is
+therefore solved by null-space block elimination (Hinze, Pinnau, Ulbrich &
+Ulbrich, *Optimization with PDE Constraints*, 2009, ch. 2): one sparse LU of
+the state Jacobian, which is about half the size of the layout and carries
+no alpha, and one dense LU of the reduced system in the control and the
+geometric multipliers.  The shape subsystem of the iterative driver, a
+layout of seven blocks, is solved the same way.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg as linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
@@ -285,25 +295,90 @@ def gradient_fd_slopes(mesh: Mesh, y: KktVector, params: KktParams,
     return slopes
 
 
-def _factorize(A):
-    """Solver for ``A x = b`` from an equilibrated LU factorization.
+_STATES = ("w", "v", "p", "b")
+_ADJOINTS = ("lam_w", "lam_v", "lam_p", "lam_b")
+_MULTIPLIERS = ("lam_vol", "lam_bc")
 
-    Symmetric diagonal equilibration: the control stationarity rows carry a
-    factor alpha, so for small alpha the raw matrix spans many orders of
-    magnitude and the factorization loses digits.  One pass of iterative
-    refinement recovers the rest.
+
+class _StateElimination:
+    """Newton steps on a block layout by null-space block elimination.
+
+    Each primal block but the control ``c`` is a state fixed by its own
+    state equation, so the Jacobian A_y of the state equations (the adjoint
+    rows) with respect to the states (the state columns) is square and
+    nonsingular, and carries no alpha.  With Z = -A_y^-1 A_c, the
+    constraint-preserving steps are (Z dc, dc); projecting the primal rows
+    onto them leaves a dense saddle-point system in the control and the
+    geometric multipliers, with the reduced Hessian Z^T H Z + alpha M and
+    the reduced geometric constraints G Z.  A solve is then a forward solve
+    with A_y, a dense reduced solve and an adjoint solve with A_y^T (the
+    layout matrix is symmetric), and one pass of iterative refinement
+    against the full matrix.  This relies on no second derivative joining
+    two multipliers (see ``HESSIAN_PAIRS``): the adjoint and geometric rows
+    have no entries in multiplier columns.
+
+    The index sets hold the free dofs (Dirichlet dofs are decoupled by unit
+    diagonals and solved directly) of the states, their adjoints, the
+    control and the geometric multipliers.  They depend only on the layout;
+    one that has no control, or whose states and adjoints differ in number,
+    raises ``RuntimeError``.
     """
-    A = A.tocsc()
-    rowmax = np.abs(A).max(axis=1).toarray().ravel()
-    d = 1.0 / np.sqrt(np.where(rowmax > 0.0, rowmax, 1.0))
-    lu = spla.splu((sparse.diags(d) @ A @ sparse.diags(d)).tocsc())
 
-    def linsolve(rhs):
-        x = d * lu.solve(d * rhs)
-        x += d * lu.solve(d * (rhs - A @ x))
-        return x
+    def __init__(self, dm: DofMap, dofs):
+        free = np.ones(dm.total, dtype=bool)
+        free[dofs] = False
+        owner = np.repeat(np.array(dm.names), [dm.sizes[n] for n in dm.names])
 
-    return linsolve
+        def select(names):
+            return np.flatnonzero(free & np.isin(owner, names))
+
+        self.fixed = np.flatnonzero(~free)
+        self.states, self.adjoints = select(_STATES), select(_ADJOINTS)
+        self.control, self.multipliers = select(("c",)), select(_MULTIPLIERS)
+        if not self.control.size:
+            raise RuntimeError("block elimination needs a layout with the "
+                               "control c")
+        if self.states.size != self.adjoints.size:
+            raise RuntimeError(
+                f"{self.states.size} free state dofs but "
+                f"{self.adjoints.size} free adjoint dofs")
+
+    def factorize(self, A):
+        """Solver for ``A x = b``: one sparse LU of A_y and one dense LU of
+        the reduced system.  A singular factor raises ``RuntimeError``."""
+        Y, L, C, M = self.states, self.adjoints, self.control, self.multipliers
+        rows = A[L]
+        lu = spla.splu(rows[:, Y].tocsc())
+        k = C.size
+        basis = np.zeros((A.shape[0], k))
+        basis[Y] = -lu.solve(rows[:, C].toarray())
+        basis[C, np.arange(k)] = 1.0
+        image = A @ basis
+        reduced = np.zeros((k + M.size, k + M.size))
+        reduced[:k, :k] = basis.T @ image
+        reduced[k:, :k] = image[M]
+        reduced[:k, k:] = image[M].T
+        factor = linalg.lu_factor(reduced, check_finite=False)
+        if not np.all(np.diag(factor[0])):
+            raise RuntimeError("reduced KKT matrix is exactly singular")
+
+        def solve_once(rhs):
+            x = np.zeros_like(rhs)
+            x[self.fixed] = rhs[self.fixed]
+            x[Y] = lu.solve(rhs[L])
+            r = rhs - A @ x
+            sol = linalg.lu_solve(factor, np.concatenate([basis.T @ r, r[M]]),
+                                  check_finite=False)
+            x += basis @ sol[:k]
+            x[M] = sol[k:]
+            x[L] = lu.solve((rhs - A @ x)[Y], trans="T")
+            return x
+
+        def linsolve(rhs):
+            x = solve_once(rhs)
+            return x + solve_once(rhs - A @ x)
+
+        return linsolve
 
 
 def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
@@ -311,8 +386,11 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
               return_info: bool = False):
     """Damped semismooth Newton solve of the coupled optimality system.
 
-    Starts from ``y0`` projected onto the Dirichlet data and factorizes the
-    generalized derivative with a sparse direct solver.  See
+    Starts from ``y0`` projected onto the Dirichlet data.  Each Newton
+    matrix, the generalized derivative at the iterate, is factorized by
+    block elimination: one sparse LU of the state Jacobian and one dense LU
+    of the reduced system in the control and the geometric multipliers (a
+    singular factor is a ``singular`` failure).  See
     :func:`flowshape.newton.semismooth_newton` for globalization and the stop
     test.  Raises a classified :class:`SolverError` on a singular matrix, a
     stall or divergence.
@@ -326,9 +404,11 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
     def residual(uvec):
         return kkt_residual(mesh, dm.unpack(uvec), params, spaces)
 
+    elimination = _StateElimination(dm, dofs)
+
     def factorize(uvec, active):
-        return _factorize(kkt_matrix(mesh, dm.unpack(uvec), params, spaces,
-                                     active))
+        return elimination.factorize(
+            kkt_matrix(mesh, dm.unpack(uvec), params, spaces, active))
 
     def penalty_active(uvec):
         return penalty_active_set(spaces, uvec[wslice].reshape(-1, 2),

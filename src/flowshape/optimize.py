@@ -21,7 +21,7 @@ import numpy as np
 
 from .flow import (FlowParams, FlowState, SolverError, dissipation,
                    solve_adjoint, solve_state)
-from .kkt import (DofMap, KktParams, KktVector, _factorize,
+from .kkt import (KktParams, KktVector, _dirichlet, _StateElimination,
                   barycenter_residual, kkt_matrix, kkt_residual,
                   penalty_active_set, solve_kkt, volume_residual)
 from .lagrangian import Spaces
@@ -186,11 +186,13 @@ def _shape_subsolve(spaces: Spaces, params: KktParams,
     :func:`flowshape.kkt.kkt_matrix` on the shape layout: only the shape
     gradient blocks are evaluated and the matrix is assembled at the
     subsystem's size.  Returns ``y`` with the solved shape blocks.  Damping,
-    the determinant-penalty kink and the stop test are handled as in
+    the determinant-penalty kink, the stop test and the block elimination
+    of the Newton matrix (states ``w`` and ``b``) are those of
     :func:`flowshape.kkt.solve_kkt`.
     """
     mesh = spaces.mesh
-    dm = DofMap(spaces, _SHAPE_BLOCKS)
+    dm, dofs, _ = _dirichlet(spaces, params, _SHAPE_BLOCKS)
+    elimination = _StateElimination(dm, dofs)
     wslice = dm.block_slice("w")
 
     def residual(x):
@@ -198,8 +200,9 @@ def _shape_subsolve(spaces: Spaces, params: KktParams,
                             names=_SHAPE_BLOCKS)
 
     def factorize(x, active):
-        return _factorize(kkt_matrix(mesh, dm.unpack(x, y), params, spaces,
-                                     active, names=_SHAPE_BLOCKS))
+        return elimination.factorize(kkt_matrix(
+            mesh, dm.unpack(x, y), params, spaces, active,
+            names=_SHAPE_BLOCKS))
 
     def penalty_active(x):
         return penalty_active_set(spaces, x[wslice].reshape(-1, 2),

@@ -34,7 +34,10 @@ def rng():
 @pytest.fixture
 def spy(monkeypatch):
     """``spy(module, name)`` wraps ``module.name`` for the test and returns
-    the list of the bound arguments of every call made through it."""
+    the list of the bound arguments of every call made through it.
+    ``spy.order`` lists the calls of every spy of the test as they were
+    made, as ``(name, arguments)`` pairs."""
+    order = []
 
     def install(module, name):
         real = getattr(module, name)
@@ -42,10 +45,13 @@ def spy(monkeypatch):
         calls = []
 
         def wrapper(*args, **kwargs):
-            calls.append(sig.bind(*args, **kwargs).arguments)
+            arguments = sig.bind(*args, **kwargs).arguments
+            calls.append(arguments)
+            order.append((name, arguments))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
         return calls
 
+    install.order = order
     return install

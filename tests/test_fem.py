@@ -139,3 +139,22 @@ def test_dirichlet_symmetry(square_mesh):
     bverts = np.unique(square_mesh.boundary_segments)
     A = eliminate_dirichlet(K, bverts)
     assert abs((A - A.T).toarray()).max() < 1e-14
+
+
+def test_dirichlet_keeps_stored_zeros():
+    """The elimination acts on the stored entries: an explicit zero stays
+    stored, and every value is that of D A D + (I - D)."""
+    A = sp.csr_matrix(np.array([[4.0, 1.0, 0.0, 2.0],
+                                [1.0, 5.0, 3.0, 0.0],
+                                [0.0, 3.0, 6.0, 1.0],
+                                [2.0, 0.0, 1.0, 7.0]]))
+    A[0, 1] = 0.0  # an explicit zero: its place stays in the pattern
+    A[1, 0] = 0.0
+    assert A.nnz == 12
+    dofs = [2]
+    D = np.diag([1.0, 1.0, 0.0, 1.0])
+    want = D @ A.toarray() @ D + np.eye(4) - D
+    got = eliminate_dirichlet(A, dofs)
+    assert got.nnz == 12 - 4  # row and column 2 keep only the unit diagonal
+    assert np.array_equal(got.toarray(), want)
+    assert got[0, 1] == 0.0 and 1 in got.indices[got.indptr[0]:got.indptr[1]]
