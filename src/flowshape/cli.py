@@ -4,7 +4,9 @@ Subcommands: ``check-mesh``, ``solve-flow``, ``optimize``, ``quality-sweep``,
 ``det-sweep``, ``grad-check``, ``deform``.  Every subcommand reads an optional
 ``key = value`` config file (see :mod:`flowshape.config`) and writes its
 artifacts under the output directory.  Exit codes distinguish failure modes:
-1 configuration, 2 mesh, 3 solver divergence, 4 verification failure.
+1 configuration, 2 mesh, 3 solver divergence, 4 verification failure.  A mesh
+without an obstacle carries no control, so ``optimize``, ``quality-sweep``,
+``det-sweep`` and ``deform`` reject it as a mesh error.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .mesh import (Mesh, MeshError, load_msh, signed_areas, worst_quality,
 from .meshgen import tunnel_mesh
 from .optimize import (ContinuationSchedule, det_sweep, quality_sweep,
                        run_direct, run_iterative)
+from .transform import displacement_gradient, element_kinematics
 
 __all__ = ["main"]
 
@@ -51,6 +54,15 @@ def _load_mesh(cfg: RunConfig) -> Mesh:
     return tunnel_mesh(h=cfg.mesh_h, n_obstacle=cfg.mesh_n_obstacle,
                        holdall=(cfg.mode == "holdall"),
                        n_rings=cfg.mesh_n_rings)
+
+
+def _control_spaces(mesh: Mesh) -> Spaces:
+    """Spaces of a mesh that carries a control: one with an obstacle."""
+    spaces = Spaces.build(mesh)
+    if spaces.curve is None:
+        raise MeshError("the mesh has no obstacle boundary, so there is no "
+                        "boundary control")
+    return spaces
 
 
 def _kkt_params(cfg: RunConfig) -> KktParams:
@@ -109,7 +121,7 @@ def _run(cfg: RunConfig, mesh: Mesh, spaces: Spaces, params: KktParams):
 
 def cmd_optimize(cfg: RunConfig) -> int:
     mesh = _load_mesh(cfg)
-    spaces = Spaces.build(mesh)
+    spaces = _control_spaces(mesh)
     y, log = _run(cfg, mesh, spaces, _kkt_params(cfg))
     out = _outdir(cfg)
     log.write(out / "run.log")
@@ -139,7 +151,7 @@ def _parse_float_list(text: str, flag: str):
 
 def cmd_quality_sweep(cfg: RunConfig, eta_ext_list) -> int:
     mesh = _load_mesh(cfg)
-    spaces = Spaces.build(mesh)
+    spaces = _control_spaces(mesh)
     values = eta_ext_list or [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
     out = _outdir(cfg)
     rows = quality_sweep(mesh, _kkt_params(cfg), values, _schedule(cfg),
@@ -152,7 +164,7 @@ def cmd_quality_sweep(cfg: RunConfig, eta_ext_list) -> int:
 
 def cmd_det_sweep(cfg: RunConfig, eta_det_list) -> int:
     mesh = _load_mesh(cfg)
-    spaces = Spaces.build(mesh)
+    spaces = _control_spaces(mesh)
     values = eta_det_list or [0.5, 0.25, 0.2, 0.1]
     out = _outdir(cfg)
     rows = det_sweep(mesh, _kkt_params(cfg), values, _schedule(cfg),
@@ -173,8 +185,6 @@ def cmd_grad_check(cfg: RunConfig) -> int:
     # keep every element determinant well clear of zero, where near-singular
     # elements wreck the decay order: scaling the probe deformation to
     # max |Dw|_2 = 1/2 over the elements gives det(I + Dw) >= 1/4
-    from .transform import displacement_gradient, element_kinematics
-
     wslice = dm.block_slice("w")
     dw = displacement_gradient(spaces.geo_ext, u[wslice].reshape(-1, 2))
     u[wslice] *= 0.5 / np.linalg.norm(dw, ord=2, axis=(1, 2)).max()
@@ -200,7 +210,7 @@ def cmd_grad_check(cfg: RunConfig) -> int:
 def cmd_deform(cfg: RunConfig) -> int:
     """Apply the extension operator to the unit control and export the mesh."""
     mesh = _load_mesh(cfg)
-    spaces = Spaces.build(mesh)
+    spaces = _control_spaces(mesh)
     c = np.ones(spaces.num_loop)
     b = solve_laplace_beltrami(mesh, c, spaces)
     w = solve_extension(mesh, b, ExtensionParams(eta_ext=cfg.eta_ext),

@@ -24,7 +24,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .fem import assemble_boundary_curve, eliminate_dirichlet
-from .lagrangian import Spaces, extension_block, extension_residual
+from .lagrangian import (Spaces, dirichlet_dofs, extension_block,
+                         extension_residual)
 from .mesh import Mesh, boundary_normals
 from .newton import semismooth_newton
 
@@ -77,8 +78,7 @@ def solve_extension(mesh: Mesh, b: np.ndarray, params: ExtensionParams,
     """
     spaces = spaces or Spaces.build(mesh)
     nv = mesh.num_vertices
-    fixed = (2 * mesh.outer_boundary_vertices()[:, None]
-             + np.arange(2)).ravel()
+    fixed, _ = dirichlet_dofs(spaces, ("w",))
     load = np.zeros((nv, 2))
     load[spaces.curve.loop] = spaces.curve.mass @ np.asarray(b, dtype=float)
     w = (np.zeros(2 * nv) if initial is None

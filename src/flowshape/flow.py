@@ -11,7 +11,10 @@ P1-P1 velocity/pressure is stabilized by the element-wise pressure term with
 coefficient mu and the longest reference edge as length scale.  The state
 is solved by the damped Newton method of :mod:`flowshape.newton`; it stops
 when the residual norm is below ``newton_tol`` and the Newton correction is
-at most ``sqrt(newton_tol) * (1 + |u|)``.
+at most ``sqrt(newton_tol) * (1 + |u|)``.  The boundary conditions of both
+solves are the Dirichlet table :func:`flowshape.lagrangian.dirichlet_dofs`
+of the layouts ``(v, p)`` and ``(lam_v, lam_p)``, with the velocity data of
+:func:`velocity_dirichlet`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .fem import eliminate_dirichlet, quadrature_triangle
-from .lagrangian import Spaces, block_matrix, gradient_blocks, zero_blocks
+from .lagrangian import (KktParams, Spaces, block_matrix, dirichlet_dofs,
+                         gradient_blocks, zero_blocks)
 from .mesh import BoundaryTag, Mesh
 from .newton import SolverError, semismooth_newton
 from .transform import element_kinematics, pushed_gradients
@@ -96,45 +100,37 @@ def _tag_vertices(mesh: Mesh, *tags) -> np.ndarray:
     return np.unique(np.concatenate(segs)) if segs else np.empty(0, dtype=int)
 
 
-def velocity_dirichlet(mesh: Mesh, params, homogeneous: bool = False,
-                       override=None):
+def velocity_dirichlet(mesh: Mesh, params, override=None):
     """Constrained velocity vertices and their values.
 
     Inflow vertices carry the profile, wall and obstacle vertices carry zero;
     a vertex on both (tunnel corner) is treated as wall.  ``override`` replaces
     the rule by a callable x -> velocity applied on the whole outer boundary
-    and the obstacle (used by manufactured-solution runs).  ``homogeneous``
-    gives the same vertex set with zero values (adjoint test space).
+    and the obstacle (used by manufactured-solution runs).  The adjoint
+    velocity vanishes on the same vertices
+    (:func:`flowshape.lagrangian.dirichlet_dofs`).
     """
     if override is not None:
         verts = np.unique(np.concatenate(
             [mesh.outer_boundary_vertices(),
              _tag_vertices(mesh, BoundaryTag.OBSTACLE)]))
-        vals = np.zeros((len(verts), 2)) if homogeneous else np.asarray(
-            [override(x) for x in mesh.vertices[verts]], dtype=float)
-        return verts, vals
+        return verts, np.asarray([override(x) for x in mesh.vertices[verts]],
+                                 dtype=float)
     v_in = _tag_vertices(mesh, BoundaryTag.INFLOW)
     v_zero = _tag_vertices(mesh, BoundaryTag.WALL, BoundaryTag.OBSTACLE)
     verts = np.concatenate([v_in, v_zero])
     vals = np.zeros((len(verts), 2))
-    if not homogeneous:
-        kind = getattr(params, "inflow", "paper-cosine")
-        vals[:len(v_in)] = inflow_profile(mesh.vertices[v_in], params.delta,
-                                          kind)
-        vals[np.isin(verts, v_zero)] = 0.0  # wall wins at shared corners
+    kind = getattr(params, "inflow", "paper-cosine")
+    vals[:len(v_in)] = inflow_profile(mesh.vertices[v_in], params.delta, kind)
+    vals[np.isin(verts, v_zero)] = 0.0  # wall wins at shared corners
     keep = np.concatenate([~np.isin(v_in, v_zero), np.ones(len(v_zero), bool)])
     return verts[keep], vals[keep]
 
 
-def _interior_pins(mesh: Mesh):
-    """Obstacle-interior vertices of a holdall mesh (flow fields vanish there)."""
-    return (mesh.obstacle_interior_vertices() if mesh.is_holdall
-            else np.empty(0, int))
-
-
-# block layouts of the state Jacobian and of its transpose, the adjoint
-# matrix; their Hessian blocks read only nu and mu, so the flow parameters
-# go to the engine as they are
+# block layouts of the adjoint and the state unknowns, the rows and columns
+# of the state Jacobian (the adjoint matrix is its transpose); their Hessian
+# blocks read only nu and mu, so the flow parameters go to the engine as
+# they are
 _STATE_ROWS, _STATE_COLS = ("lam_v", "lam_p"), ("v", "p")
 
 
@@ -142,23 +138,6 @@ def _state_blocks(spaces: Spaces, params, w, v, p):
     z = zero_blocks(spaces)
     z["w"], z["v"], z["p"] = w, v, p
     return z
-
-
-class _EngineParams:
-    """Pads flow parameters with inert shape-term coefficients.
-
-    The w gradient of :func:`reduced_gradient` reads the penalty and
-    extension weights; with every shape multiplier zero and beta = 0 they
-    contribute nothing, so neutral values are safe.
-    """
-
-    beta = 0.0
-    eta_det = 1.0
-    eta_ext = 0.0
-
-    def __init__(self, params):
-        self.nu = params.nu
-        self.mu = params.mu
 
 
 def _forcing(spaces: Spaces, body_force) -> np.ndarray:
@@ -190,24 +169,6 @@ def state_residual(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     return np.concatenate([rv.ravel(), grad["lam_p"]])
 
 
-def _flow_dirichlet(mesh: Mesh, params, homogeneous, override, pin_pressure):
-    nv = mesh.num_vertices
-    verts, vals = velocity_dirichlet(mesh, params, homogeneous, override)
-    dofs = [np.repeat(2 * verts, 2) + np.tile([0, 1], len(verts))]
-    values = [vals.ravel()]
-    pins = _interior_pins(mesh)
-    if len(pins):
-        dofs.append(np.repeat(2 * pins, 2) + np.tile([0, 1], len(pins)))
-        values.append(np.zeros(2 * len(pins)))
-        dofs.append(2 * nv + pins)
-        values.append(np.zeros(len(pins)))
-    if pin_pressure is not None:
-        vertex, value = pin_pressure
-        dofs.append(np.asarray([2 * nv + vertex]))
-        values.append(np.asarray([0.0 if homogeneous else value]))
-    return np.concatenate(dofs), np.concatenate(values)
-
-
 def solve_state(mesh: Mesh, w: np.ndarray, params,
                 spaces: Spaces | None = None, body_force=None,
                 dirichlet_override=None, pin_pressure=None,
@@ -225,8 +186,9 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
         import warnings
         warnings.warn("non-positive det(DF); state solve attempted anyway")
     nv = mesh.num_vertices
-    dofs, values = _flow_dirichlet(mesh, params, False, dirichlet_override,
-                                   pin_pressure)
+    dofs, values = dirichlet_dofs(
+        spaces, _STATE_COLS,
+        velocity_dirichlet(mesh, params, dirichlet_override), pin_pressure)
     u = np.zeros(3 * nv)
     if initial is not None:
         u[:2 * nv] = initial.v.ravel()
@@ -280,8 +242,9 @@ def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     A = block_matrix(spaces, params, z, _STATE_COLS, _STATE_ROWS)
     grad = gradient_blocks(spaces, params, z, names=("v", "p"))
     rhs = -np.concatenate([grad["v"].ravel(), grad["p"]])
-    dofs, _ = _flow_dirichlet(mesh, params, True, dirichlet_override,
-                              pin_pressure)
+    dofs, _ = dirichlet_dofs(
+        spaces, _STATE_ROWS,
+        velocity_dirichlet(mesh, params, dirichlet_override), pin_pressure)
     A = eliminate_dirichlet(A, dofs)
     rhs[dofs] = 0.0
     try:
@@ -298,12 +261,13 @@ def reduced_gradient(mesh: Mesh, w: np.ndarray, state: FlowState,
                      spaces: Spaces | None = None) -> np.ndarray:
     """Adjoint-based derivative of the dissipation with respect to w, (nv, 2).
 
-    Only the flow terms contribute: the extension pairing and penalty carry no
-    adjoint flow multipliers here.
+    Only the flow terms contribute: the shape multipliers are zero and the
+    engine gets the penalty weight beta = 0.
     """
     spaces = spaces or Spaces.build(mesh)
     z = zero_blocks(spaces)
     z["w"], z["v"], z["p"] = w, state.v, state.p
     z["lam_v"], z["lam_p"] = adjoint.lam_v, adjoint.lam_p
-    grad = gradient_blocks(spaces, _EngineParams(params), z, names=("w",))
+    grad = gradient_blocks(spaces, KktParams(nu=params.nu, mu=params.mu,
+                                             beta=0.0), z, names=("w",))
     return grad["w"]

@@ -4,12 +4,13 @@ The unknown is one long vector holding eleven blocks: the deformation ``w``,
 flow state ``v, p``, Neumann datum ``b`` of the extension, boundary control
 ``c``, their adjoints ``lam_w, lam_v, lam_p, lam_b``, and the two geometric
 multipliers ``lam_vol`` (volume) and ``lam_bc`` (barycenter).  Residual and
-matrix come from the term engine in :mod:`flowshape.lagrangian`; this module
-adds the degree-of-freedom bookkeeping and the boundary conditions, and
-solves the system with the damped semismooth Newton method of
-:mod:`flowshape.newton` (the determinant penalty makes the map piecewise
-smooth, with an active-set generalized derivative).  A solve stops when the
-residual norm is below ``newton_tol`` and the Newton correction is at most
+matrix come from the term engine in :mod:`flowshape.lagrangian`, and so
+do the boundary conditions (:func:`flowshape.lagrangian.dirichlet_dofs`);
+this module adds the degree-of-freedom bookkeeping and solves the system
+with the damped semismooth Newton method of :mod:`flowshape.newton` (the
+determinant penalty makes the map piecewise smooth, with an active-set
+generalized derivative).  A solve stops when the residual norm is below
+``newton_tol`` and the Newton correction is at most
 ``sqrt(newton_tol) * (1 + |u|)``.
 
 Only the control is free: ``w``, ``b`` and ``(v, p)`` are states, each fixed
@@ -18,8 +19,9 @@ therefore solved by null-space block elimination (Hinze, Pinnau, Ulbrich &
 Ulbrich, *Optimization with PDE Constraints*, 2009, ch. 2): one sparse LU of
 the state Jacobian, which is about half the size of the layout and carries
 no alpha, and one dense LU of the reduced system in the control and the
-geometric multipliers.  The shape subsystem of the iterative driver, a
-layout of seven blocks, is solved the same way.
+geometric multipliers.  :func:`solve_kkt` solves any block layout that
+holds the control; the shape subsystem of the iterative driver is the
+layout of seven blocks whose flow fields are held fixed.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ import scipy.sparse.linalg as spla
 
 from .fem import eliminate_dirichlet
 from .flow import velocity_dirichlet
-from .lagrangian import (BLOCK_NAMES, Spaces, block_matrix, block_offsets,
-                         block_sizes, gradient_blocks, total_value,
-                         zero_blocks)
+from .lagrangian import (BLOCK_NAMES, KktParams, Spaces, block_matrix,
+                         block_offsets, block_sizes, dirichlet_dofs,
+                         gradient_blocks, total_value, zero_blocks)
 from .mesh import Mesh
 from .newton import semismooth_newton
 from .transform import element_kinematics
@@ -45,37 +47,6 @@ __all__ = [
     "barycenter_residual", "penalty_active_set",
     "kkt_residual", "kkt_matrix", "gradient_fd_slopes", "solve_kkt",
 ]
-
-
-@dataclass(frozen=True)
-class KktParams:
-    """Physical and algorithmic parameters of the optimality system.
-
-    alpha weights the control cost, beta the determinant penalty with
-    threshold eta_det, eta_ext is the advection weight of the nonlinear
-    extension, and delta scales the inflow profile.  A Newton solve stops
-    when the residual norm is below newton_tol and the Newton correction is
-    at most sqrt(newton_tol) * (1 + |u|).
-    """
-
-    alpha: float = 1e-2
-    beta: float = 100.0
-    eta_det: float = 5e-2
-    eta_ext: float = 1.0
-    nu: float = 0.01
-    mu: float = 0.1
-    delta: float = 6.0
-    inflow: str = "paper-cosine"
-    newton_tol: float = 1e-9
-    newton_max_iter: int = 60
-
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError("control weight alpha must be positive")
-        if self.beta < 0.0:
-            raise ValueError("penalty weight beta must be >= 0")
-        if self.eta_det <= 0.0:
-            raise ValueError("penalty threshold eta_det must be positive")
 
 
 @dataclass
@@ -91,14 +62,12 @@ class KktVector:
     lam_v: np.ndarray
     lam_p: np.ndarray
     lam_b: np.ndarray
-    lam_vol: float
+    lam_vol: np.ndarray
     lam_bc: np.ndarray
 
     @classmethod
     def zeros(cls, spaces: Spaces) -> "KktVector":
-        z = zero_blocks(spaces)
-        return cls(**{k: (float(np.ravel(v)[0]) if k == "lam_vol" else v)
-                      for k, v in z.items()})
+        return cls(**zero_blocks(spaces))
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in BLOCK_NAMES}
@@ -131,11 +100,8 @@ class DofMap:
         """The blocks of the layout read from ``vec``; a layout of fewer
         than eleven blocks takes the others from ``frozen``."""
         zero = zero_blocks(self.spaces)
-        blocks = {}
-        for name in self.names:
-            seg = vec[self.block_slice(name)]
-            blocks[name] = (float(seg[0]) if name == "lam_vol"
-                            else seg.reshape(zero[name].shape).copy())
+        blocks = {name: vec[self.block_slice(name)].reshape(
+            zero[name].shape).copy() for name in self.names}
         return (KktVector(**blocks) if frozen is None
                 else replace(frozen, **blocks))
 
@@ -167,46 +133,6 @@ def penalty_active_set(spaces: Spaces, w: np.ndarray,
     return J < eta_det
 
 
-def _dirichlet(spaces: Spaces, params: KktParams, names=BLOCK_NAMES):
-    """Layout of ``names`` and its constrained flat dofs and values.
-
-    The deformation and its adjoint vanish on the whole outer boundary, the
-    velocity carries inflow/no-slip data with a homogeneous adjoint, and on a
-    holdall mesh every flow field is pinned at obstacle-interior vertices.
-    Conditions on blocks outside the layout are left out.
-    """
-    mesh = spaces.mesh
-    dm = DofMap(spaces, names)
-    dofs, values = [], []
-
-    def add(name, verts, vals):
-        if name not in dm.offsets:
-            return
-        off = dm.offsets[name]
-        if np.ndim(vals) == 2:
-            dofs.append(off + np.repeat(2 * verts, 2) + np.tile([0, 1], len(verts)))
-            values.append(np.asarray(vals, float).ravel())
-        else:
-            dofs.append(off + np.asarray(verts))
-            values.append(np.asarray(vals, float))
-
-    outer = mesh.outer_boundary_vertices()
-    zero2 = np.zeros((len(outer), 2))
-    add("w", outer, zero2)
-    add("lam_w", outer, zero2)
-    vverts, vvals = velocity_dirichlet(mesh, params)
-    add("v", vverts, vvals)
-    add("lam_v", vverts, np.zeros_like(vvals))
-    if mesh.is_holdall:
-        pins = mesh.obstacle_interior_vertices()
-        z2, z1 = np.zeros((len(pins), 2)), np.zeros(len(pins))
-        for name in ("v", "lam_v"):
-            add(name, pins, z2)
-        for name in ("p", "lam_p"):
-            add(name, pins, z1)
-    return dm, np.concatenate(dofs), np.concatenate(values)
-
-
 def kkt_residual(mesh: Mesh, y: KktVector, params: KktParams,
                  spaces: Spaces | None = None,
                  names=BLOCK_NAMES) -> np.ndarray:
@@ -218,7 +144,9 @@ def kkt_residual(mesh: Mesh, y: KktVector, params: KktParams,
     of ``y`` enter as fixed data.
     """
     spaces = spaces or Spaces.build(mesh)
-    dm, dofs, values = _dirichlet(spaces, params, names)
+    dm = DofMap(spaces, names)
+    dofs, values = dirichlet_dofs(spaces, names,
+                                  velocity_dirichlet(mesh, params))
     grad = gradient_blocks(spaces, params, y.as_dict(), names=dm.names)
     r = dm.pack(grad)
     r[dofs] = dm.pack(y)[dofs] - values
@@ -239,9 +167,9 @@ def kkt_matrix(mesh: Mesh, y: KktVector, params: KktParams,
     elements) instead of {det(DF) < eta_det} at y.
     """
     spaces = spaces or Spaces.build(mesh)
-    dm, dofs, _ = _dirichlet(spaces, params, names)
+    dofs, _ = dirichlet_dofs(spaces, names, velocity_dirichlet(mesh, params))
     return eliminate_dirichlet(
-        block_matrix(spaces, params, y.as_dict(), dm.names, active=active),
+        block_matrix(spaces, params, y.as_dict(), names, active=active),
         dofs)
 
 
@@ -259,7 +187,6 @@ def gradient_fd_slopes(mesh: Mesh, y: KktVector, params: KktParams,
     spaces = spaces or Spaces.build(mesh)
     z = {k: np.asarray(v, dtype=np.longdouble)
          for k, v in y.as_dict().items()}
-    z["lam_vol"] = np.atleast_1d(np.asarray(y.lam_vol, dtype=np.longdouble))
     grad = gradient_blocks(spaces, params, {k: np.asarray(v, float)
                                             for k, v in z.items()})
     rng = np.random.default_rng(seed)
@@ -382,40 +309,46 @@ class _StateElimination:
 
 
 def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
-              spaces: Spaces | None = None,
-              return_info: bool = False):
-    """Damped semismooth Newton solve of the coupled optimality system.
+              spaces: Spaces | None = None, names=BLOCK_NAMES):
+    """Damped semismooth Newton solve of the optimality system on the block
+    layout ``names``; returns ``(y, residual_history)``.
 
-    Starts from ``y0`` projected onto the Dirichlet data.  Each Newton
-    matrix, the generalized derivative at the iterate, is factorized by
-    block elimination: one sparse LU of the state Jacobian and one dense LU
-    of the reduced system in the control and the geometric multipliers (a
-    singular factor is a ``singular`` failure).  See
+    The default layout is the coupled system of all eleven blocks.  A
+    smaller one, such as the shape subsystem of the iterative driver, is
+    solved with the other blocks of ``y0`` held fixed, and ``y`` takes them
+    from ``y0``.  The solve starts from ``y0`` projected onto the Dirichlet
+    data.  Each Newton matrix, the generalized derivative at the iterate, is
+    factorized by block elimination: one sparse LU of the state Jacobian and
+    one dense LU of the reduced system in the control and the geometric
+    multipliers (a singular factor is a ``singular`` failure).  See
     :func:`flowshape.newton.semismooth_newton` for globalization and the stop
     test.  Raises a classified :class:`SolverError` on a singular matrix, a
     stall or divergence.
     """
     spaces = spaces or Spaces.build(mesh)
-    dm, dofs, values = _dirichlet(spaces, params)
+    dm = DofMap(spaces, names)
+    dofs, values = dirichlet_dofs(spaces, names,
+                                  velocity_dirichlet(mesh, params))
     u = dm.pack(y0)
     u[dofs] = values
     wslice = dm.block_slice("w")
 
     def residual(uvec):
-        return kkt_residual(mesh, dm.unpack(uvec), params, spaces)
+        return kkt_residual(mesh, dm.unpack(uvec, y0), params, spaces, names)
 
     elimination = _StateElimination(dm, dofs)
 
     def factorize(uvec, active):
-        return elimination.factorize(
-            kkt_matrix(mesh, dm.unpack(uvec), params, spaces, active))
+        return elimination.factorize(kkt_matrix(
+            mesh, dm.unpack(uvec, y0), params, spaces, active, names))
 
     def penalty_active(uvec):
         return penalty_active_set(spaces, uvec[wslice].reshape(-1, 2),
                                   params.eta_det)
 
+    what = ("KKT" if dm.names == BLOCK_NAMES
+            else f"KKT on {', '.join(dm.names)}")
     u, history = semismooth_newton(residual, factorize, u, params.newton_tol,
-                                   params.newton_max_iter, "KKT",
+                                   params.newton_max_iter, what,
                                    penalty_active)
-    y = dm.unpack(u)
-    return (y, history) if return_info else y
+    return dm.unpack(u, y0), history

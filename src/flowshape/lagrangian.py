@@ -19,7 +19,8 @@ flow solves, for instance, never build the displacement terms.
 Omitting the selection evaluates every block.  ``block_matrix`` places the
 pairs that a block layout (ordered row and column names) touches into one
 sparse matrix; the KKT matrix, the shape subsystem's matrix and the flow
-state and adjoint matrices are all built through it.
+state and adjoint matrices are all built through it.  ``dirichlet_dofs``
+gives the boundary conditions of a block layout, and so of every solve.
 
 Conventions: a displacement dof is a pair (vertex m, component c); for a unit
 perturbation of that dof the transformation derivatives are
@@ -47,8 +48,9 @@ from .mesh import BoundaryTag, Mesh, boundary_normals
 from .transform import (element_kinematics, pushed_gradients,
                         det_penalty_gradient, det_penalty_element_hessians)
 
-__all__ = ["BLOCK_NAMES", "HESSIAN_PAIRS", "Spaces", "block_sizes",
-           "block_offsets", "zero_blocks", "extension_residual",
+__all__ = ["BLOCK_NAMES", "HESSIAN_PAIRS", "KktParams", "Spaces",
+           "block_sizes", "block_offsets", "dirichlet_dofs", "zero_blocks",
+           "extension_residual",
            "extension_block", "total_value",
            "gradient_blocks", "hessian_blocks", "block_matrix"]
 
@@ -65,6 +67,37 @@ HESSIAN_PAIRS = (
     ("w", "lam_w"), ("w", "lam_vol"), ("w", "lam_bc"),
     ("v", "v"), ("v", "lam_v"), ("v", "lam_p"), ("p", "lam_v"), ("p", "lam_p"),
     ("c", "c"), ("c", "lam_b"), ("b", "lam_b"), ("b", "lam_w"))
+
+
+@dataclass(frozen=True)
+class KktParams:
+    """Physical and algorithmic parameters of the optimality system.
+
+    alpha weights the control cost, beta the determinant penalty with
+    threshold eta_det, eta_ext is the advection weight of the nonlinear
+    extension, and delta scales the inflow profile.  A Newton solve stops
+    when the residual norm is below newton_tol and the Newton correction is
+    at most sqrt(newton_tol) * (1 + |u|).
+    """
+
+    alpha: float = 1e-2
+    beta: float = 100.0
+    eta_det: float = 5e-2
+    eta_ext: float = 1.0
+    nu: float = 0.01
+    mu: float = 0.1
+    delta: float = 6.0
+    inflow: str = "paper-cosine"
+    newton_tol: float = 1e-9
+    newton_max_iter: int = 60
+
+    def __post_init__(self):
+        if self.alpha <= 0.0:
+            raise ValueError("control weight alpha must be positive")
+        if self.beta < 0.0:
+            raise ValueError("penalty weight beta must be >= 0")
+        if self.eta_det <= 0.0:
+            raise ValueError("penalty threshold eta_det must be positive")
 
 
 @dataclass(frozen=True)
@@ -121,6 +154,48 @@ def block_offsets(spaces: Spaces, names) -> tuple:
     sizes = block_sizes(spaces)
     starts = np.cumsum([0] + [sizes[name] for name in names])
     return dict(zip(names, starts[:-1].tolist())), int(starts[-1])
+
+
+def dirichlet_dofs(spaces: Spaces, names, velocity=None, pressure=None):
+    """Constrained flat dofs, and their values, of the block layout ``names``.
+
+    The deformation and its adjoint vanish on the outer boundary.  The
+    velocity takes the data ``velocity``, a pair (vertices, (n, 2) values),
+    and its adjoint vanishes there; ``pressure``, an optional (vertex,
+    value) pair, pins the pressure likewise.  On a holdall mesh every flow
+    field vanishes at the obstacle-interior vertices.  Conditions on blocks
+    outside the layout are left out, so ``velocity`` is needed only by a
+    layout with a velocity block.
+    """
+    mesh = spaces.mesh
+    offsets, _ = block_offsets(spaces, names)
+    dofs, values = [], []
+
+    def add(name, verts, vals):
+        if name in offsets:
+            verts, vals = np.asarray(verts), np.asarray(vals, float)
+            if vals.ndim == 2:
+                verts = np.repeat(2 * verts, 2) + np.tile([0, 1], len(verts))
+            dofs.append(offsets[name] + verts)
+            values.append(vals.ravel())
+
+    outer = mesh.outer_boundary_vertices()
+    for name in ("w", "lam_w"):
+        add(name, outer, np.zeros((len(outer), 2)))
+    if "v" in offsets or "lam_v" in offsets:
+        verts, vals = velocity
+        add("v", verts, vals)
+        add("lam_v", verts, np.zeros_like(vals))
+    pins = mesh.obstacle_interior_vertices()
+    for name in ("v", "lam_v"):
+        add(name, pins, np.zeros((len(pins), 2)))
+    for name in ("p", "lam_p"):
+        add(name, pins, np.zeros(len(pins)))
+    if pressure is not None:
+        vertex, value = pressure
+        add("p", [vertex], [value])
+        add("lam_p", [vertex], [0.0])
+    return np.concatenate(dofs), np.concatenate(values)
 
 
 # -- per-element working arrays ---------------------------------------------------
@@ -294,11 +369,6 @@ def _ext_frame(spaces: Spaces, z: dict) -> SimpleNamespace:
                            Lam=Lam)
 
 
-def _scalar(value) -> float:
-    """Accept a bare float or a length-one array for the volume multiplier."""
-    return float(np.ravel(value)[0]) if np.ndim(value) else float(value)
-
-
 def _curve_mass_pair(seg_length, u, v):
     """integral of u.v along the closed polyline, both nodal P1 fields."""
     u = u[:, None] if u.ndim == 1 else u
@@ -451,7 +521,7 @@ def total_value(spaces: Spaces, params, z: dict):
     cent = f.geo.centroid + f.wbar
     bary = np.einsum("t,ta->a", area * f.J, cent) - spaces.moment
     val -= z["lam_bc"] @ bary
-    val -= _scalar(z["lam_vol"]) * np.sum(area * (f.J - 1.0))
+    val -= z["lam_vol"][0] * np.sum(area * (f.J - 1.0))
     return val
 
 
@@ -581,7 +651,7 @@ def _w_terms(f: _FluidFrame, params, z: dict) -> SimpleNamespace:
     lbc = z["lam_bc"]
     lbcw = (f.geo.centroid + f.wbar) @ lbc
     S = aJ * (0.5 * nu * f.MM - nu * f.MN + f.pbar * f.trN + f.lpbar * f.trM
-              - lbcw - _scalar(z["lam_vol"])) - f.J * f.conv
+              - lbcw - z["lam_vol"][0]) - f.J * f.conv
     X = (nu * aJ)[:, None, None] * (f.K - f.B)
     Q = X + aJ[:, None, None] * (f.pbar[:, None, None] * f.N
                                  + f.lpbar[:, None, None] * f.M)

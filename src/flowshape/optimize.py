@@ -5,7 +5,9 @@ warm-start each level from the previous one.  The direct driver solves the
 monolithic optimality system once per level.  The iterative driver replaces
 that solve by a fixpoint sweep: flow state, adjoint, then the shape subsystem
 (deformation, boundary datum, control and the geometric multipliers) with the
-flow fields frozen, repeated until the control stops moving.  Sweep harnesses
+flow fields frozen, repeated until the control stops moving.  Both call
+:func:`flowshape.kkt.solve_kkt`: the direct driver on all eleven blocks, the
+iterative one on the seven blocks of the shape subsystem.  Sweep harnesses
 rerun the optimization over ranges of the extension strength or the
 determinant threshold and tabulate mesh quality and penalty activity.
 """
@@ -21,12 +23,10 @@ import numpy as np
 
 from .flow import (FlowParams, FlowState, SolverError, dissipation,
                    solve_adjoint, solve_state)
-from .kkt import (KktParams, KktVector, _dirichlet, _StateElimination,
-                  barycenter_residual, kkt_matrix, kkt_residual,
-                  penalty_active_set, solve_kkt, volume_residual)
+from .kkt import (KktParams, KktVector, barycenter_residual, solve_kkt,
+                  volume_residual)
 from .lagrangian import Spaces
 from .mesh import Mesh, worst_quality
-from .newton import semismooth_newton
 from .transform import det_penalty, element_kinematics
 
 __all__ = [
@@ -154,8 +154,7 @@ def run_direct(mesh: Mesh, params: KktParams,
     t0 = time.time()
     def advance(y, a_prev, a_next, depth):
         try:
-            return solve_kkt(mesh, y, replace(params, alpha=a_next), spaces,
-                             return_info=True)
+            return solve_kkt(mesh, y, replace(params, alpha=a_next), spaces)
         except SolverError as err:
             if depth == 0 or a_prev is None or err.cycling:
                 raise
@@ -174,44 +173,6 @@ def run_direct(mesh: Mesh, params: KktParams,
         log.append(_record(spaces, pk, y, k, k + 1, len(hist), t0))
         prev_alpha = alpha
     return y, log
-
-
-def _shape_subsolve(spaces: Spaces, params: KktParams,
-                    y: KktVector) -> KktVector:
-    """Semismooth Newton on the shape subsystem with frozen flow fields.
-
-    The unknowns are the blocks of ``_SHAPE_BLOCKS``; the flow fields and
-    their adjoints are taken from ``y`` and held fixed.  Residual and matrix
-    are those of :func:`flowshape.kkt.kkt_residual` and
-    :func:`flowshape.kkt.kkt_matrix` on the shape layout: only the shape
-    gradient blocks are evaluated and the matrix is assembled at the
-    subsystem's size.  Returns ``y`` with the solved shape blocks.  Damping,
-    the determinant-penalty kink, the stop test and the block elimination
-    of the Newton matrix (states ``w`` and ``b``) are those of
-    :func:`flowshape.kkt.solve_kkt`.
-    """
-    mesh = spaces.mesh
-    dm, dofs, _ = _dirichlet(spaces, params, _SHAPE_BLOCKS)
-    elimination = _StateElimination(dm, dofs)
-    wslice = dm.block_slice("w")
-
-    def residual(x):
-        return kkt_residual(mesh, dm.unpack(x, y), params, spaces,
-                            names=_SHAPE_BLOCKS)
-
-    def factorize(x, active):
-        return elimination.factorize(kkt_matrix(
-            mesh, dm.unpack(x, y), params, spaces, active,
-            names=_SHAPE_BLOCKS))
-
-    def penalty_active(x):
-        return penalty_active_set(spaces, x[wslice].reshape(-1, 2),
-                                  params.eta_det)
-
-    x, _ = semismooth_newton(residual, factorize, dm.pack(y),
-                             params.newton_tol, params.newton_max_iter,
-                             "shape subsystem", penalty_active)
-    return dm.unpack(x, y)
 
 
 def run_iterative(mesh: Mesh, params: KktParams,
@@ -247,7 +208,7 @@ def run_iterative(mesh: Mesh, params: KktParams,
                 y.v, y.p = state.v, state.p
                 y.lam_v, y.lam_p = adj.lam_v, adj.lam_p
                 c_old = y.c.copy()
-                y = _shape_subsolve(spaces, pk, y)
+                y, _ = solve_kkt(mesh, y, pk, spaces, _SHAPE_BLOCKS)
                 ell += 1
                 log.append(_record(spaces, pk, y, k, ell, 1, t0))
                 denom = np.linalg.norm(y.c)

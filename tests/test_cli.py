@@ -9,6 +9,8 @@ from flowshape.cli import (
     EXIT_SOLVER,
     main,
 )
+from flowshape.mesh import write_msh
+from flowshape.meshgen import unit_square_mesh
 
 
 def _write_cfg(tmp_path, text):
@@ -128,3 +130,15 @@ def test_bad_eta_list_is_config_error(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, SMALL_MESH)
     assert main(["quality-sweep", "--config", cfg, "--eta-ext",
                  "0.5,banana"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["deform", "optimize"])
+def test_mesh_without_obstacle_is_mesh_error(tmp_path, capsys, command):
+    """A mesh file without an obstacle has no boundary control to optimize
+    or to deform with."""
+    path = tmp_path / "square.msh"
+    write_msh(unit_square_mesh(6), path)
+    cfg = _write_cfg(tmp_path, f"mesh = {path}\n")
+    assert main([command, "--config", cfg, "--output",
+                 str(tmp_path / "out")]) == EXIT_MESH
+    assert "mesh error:" in capsys.readouterr().err

@@ -19,7 +19,8 @@ from flowshape.flow import (
     state_residual,
     velocity_dirichlet,
 )
-from flowshape.lagrangian import Spaces, block_matrix, zero_blocks
+from flowshape.lagrangian import (Spaces, block_matrix, dirichlet_dofs,
+                                  zero_blocks)
 from flowshape.mesh import BoundaryTag, deform_mesh
 from flowshape.meshgen import unit_square_mesh
 
@@ -245,13 +246,12 @@ def test_adjoint_satisfies_transposed_system(circle_mesh, rng):
     adj = solve_adjoint(circle_mesh, w, state, params)
     # directional identity: for a perturbation z vanishing on Dirichlet rows,
     # z' J^T lam = z' (-dJdis/du)
-    from flowshape.flow import _flow_dirichlet
-
     spaces = Spaces.build(circle_mesh)
     z = zero_blocks(spaces)
     z["w"], z["v"], z["p"] = w, state.v, state.p
     A = block_matrix(spaces, params, z, ("lam_v", "lam_p"), ("v", "p"))
-    dofs, _ = _flow_dirichlet(circle_mesh, params, True, None, None)
+    dofs, _ = dirichlet_dofs(spaces, ("lam_v", "lam_p"),
+                             velocity_dirichlet(circle_mesh, params))
     At = eliminate_dirichlet(A.T, dofs)
     lam = np.concatenate([adj.lam_v.ravel(), adj.lam_p])
     h = 1e-7
@@ -291,12 +291,22 @@ def test_reduced_gradient_matches_finite_differences(circle_mesh, rng):
     assert abs(got - fd) <= 1e-4 * abs(fd)
 
 
-def test_dirichlet_rows_hold_exact_values(circle_mesh):
+@pytest.mark.parametrize("mesh_name", ["circle_mesh", "holdall_mesh"])
+def test_dirichlet_rows_hold_exact_values(request, mesh_name):
+    """The state takes the velocity data exactly, and on a holdall mesh
+    every flow field of the state and adjoint solves vanishes inside the
+    obstacle."""
+    mesh = request.getfixturevalue(mesh_name)
     params = FlowParams(nu=0.1)
-    state = solve_state(circle_mesh, np.zeros((circle_mesh.num_vertices, 2)),
-                        params)
-    verts, vals = velocity_dirichlet(circle_mesh, params)
+    w = np.zeros((mesh.num_vertices, 2))
+    state = solve_state(mesh, w, params)
+    verts, vals = velocity_dirichlet(mesh, params)
     assert np.array_equal(state.v[verts], vals)
+    adj = solve_adjoint(mesh, w, state, params)
+    pins = mesh.obstacle_interior_vertices()
+    assert len(pins) > 0 or not mesh.is_holdall
+    for field in (state.v, state.p, adj.lam_v, adj.lam_p):
+        assert np.all(field[pins] == 0.0)
 
 
 def test_flow_solves_request_only_the_flow_blocks(circle_mesh, spy):

@@ -5,8 +5,9 @@ import pytest
 import scipy.sparse.linalg as spla
 from dataclasses import replace
 
-from flowshape.flow import FlowParams, solve_state, solve_adjoint
-from flowshape import kkt, optimize
+from flowshape.flow import (FlowParams, solve_state, solve_adjoint,
+                            velocity_dirichlet)
+from flowshape import kkt
 from flowshape.kkt import (
     DofMap,
     KktParams,
@@ -18,12 +19,12 @@ from flowshape.kkt import (
     penalty_active_set,
     solve_kkt,
     volume_residual,
-    _dirichlet,
     _StateElimination,
 )
 from flowshape.lagrangian import (BLOCK_NAMES, Spaces, block_matrix,
-                                  gradient_blocks, total_value)
-from flowshape.optimize import _SHAPE_BLOCKS, _shape_subsolve
+                                  dirichlet_dofs, gradient_blocks,
+                                  total_value)
+from flowshape.optimize import _SHAPE_BLOCKS
 from flowshape.transform import element_kinematics
 
 
@@ -39,8 +40,15 @@ def _random_vector(spaces, rng, w_scale=0.01, scale=0.5):
         field = getattr(y, name)
         s = w_scale if name == "w" else scale
         setattr(y, name, s * rng.standard_normal(np.shape(field)))
-    y.lam_vol = float(scale * rng.standard_normal())
+    y.lam_vol = scale * rng.standard_normal(1)
     return y
+
+
+def _dirichlet(spaces, params, names=BLOCK_NAMES):
+    """Layout map and Dirichlet table of the KKT layout ``names``."""
+    dofs, values = dirichlet_dofs(
+        spaces, names, velocity_dirichlet(spaces.mesh, params))
+    return DofMap(spaces, names), dofs, values
 
 
 def test_params_validation():
@@ -85,8 +93,6 @@ def test_residual_matches_gradient_on_free_rows(circle_mesh, spaces, rng):
     r = kkt_residual(circle_mesh, y, params, spaces)
     grad = gradient_blocks(spaces, params, y.as_dict())
     flat = dm.pack({k: np.asarray(v) for k, v in grad.items()})
-    from flowshape.kkt import _dirichlet
-
     _, dofs, _ = _dirichlet(spaces, params)
     free = np.setdiff1d(np.arange(dm.total), dofs)
     assert np.array_equal(r[free], flat[free])
@@ -100,8 +106,6 @@ def test_matrix_matches_residual_fd(circle_mesh, spaces, rng):
     h = np.longdouble(1e-7)
     d = rng.standard_normal(dm.total)
     # Dirichlet columns are eliminated from the matrix, so do not perturb them
-    from flowshape.kkt import _dirichlet
-
     _, dofs, _ = _dirichlet(spaces, params)
     d[dofs] = 0.0
     ul = u.astype(np.longdouble)
@@ -133,8 +137,6 @@ def test_block_layouts_restrict_the_full_system_exactly(request, mesh_name,
     """A layout's matrix and residual are the rows and columns of the full
     system at that layout, bit for bit, and the state layout is the
     transpose of the adjoint layout."""
-    from flowshape.optimize import _SHAPE_BLOCKS
-
     mesh = request.getfixturevalue(mesh_name)
     sp = Spaces.build(mesh)
     params = KktParams(alpha=0.3, beta=7.0, eta_det=1.2, eta_ext=2.0)
@@ -182,7 +184,7 @@ def test_solve_kkt_large_alpha_keeps_shape_fixed(circle_mesh, spaces):
     y0 = KktVector.zeros(spaces)
     state = solve_state(circle_mesh, y0.w, FlowParams(nu=0.05), spaces=spaces)
     y0.v, y0.p = state.v, state.p
-    y = solve_kkt(circle_mesh, y0, params, spaces)
+    y, _ = solve_kkt(circle_mesh, y0, params, spaces)
     assert np.abs(y.c).max() <= 1e-6
     assert np.abs(y.w).max() <= 1e-6
     assert abs(volume_residual(circle_mesh, y.w, spaces)) <= 1e-9
@@ -193,7 +195,7 @@ def test_solve_kkt_reaches_tolerance_and_constraints(circle_mesh, spaces):
     y0 = KktVector.zeros(spaces)
     state = solve_state(circle_mesh, y0.w, FlowParams(nu=0.05), spaces=spaces)
     y0.v, y0.p = state.v, state.p
-    y, hist = solve_kkt(circle_mesh, y0, params, spaces, return_info=True)
+    y, hist = solve_kkt(circle_mesh, y0, params, spaces)
     assert hist[-1] < 10 * params.newton_tol or hist[-1] < params.newton_tol
     r = kkt_residual(circle_mesh, y, params, spaces)
     assert np.linalg.norm(r) < params.newton_tol
@@ -210,10 +212,9 @@ def test_solve_kkt_warm_start_is_cheaper(circle_mesh, spaces):
     y0 = KktVector.zeros(spaces)
     state = solve_state(circle_mesh, y0.w, FlowParams(nu=0.05), spaces=spaces)
     y0.v, y0.p = state.v, state.p
-    y, hist_cold = solve_kkt(circle_mesh, y0, params, spaces,
-                             return_info=True)
+    y, hist_cold = solve_kkt(circle_mesh, y0, params, spaces)
     y2, hist_warm = solve_kkt(circle_mesh, y, replace(params, alpha=5e-3),
-                              spaces, return_info=True)
+                              spaces)
     assert len(hist_warm) <= len(hist_cold)
 
 
@@ -225,7 +226,7 @@ def test_adjoint_blocks_match_standalone_adjoint(circle_mesh, spaces):
     fp = FlowParams(nu=0.05)
     state = solve_state(circle_mesh, y0.w, fp, spaces=spaces)
     y0.v, y0.p = state.v, state.p
-    y = solve_kkt(circle_mesh, y0, params, spaces)
+    y, _ = solve_kkt(circle_mesh, y0, params, spaces)
     st = solve_state(circle_mesh, y.w, fp, spaces=spaces)
     adj = solve_adjoint(circle_mesh, y.w, st, fp, spaces=spaces)
     assert np.abs(adj.lam_v - y.lam_v).max() <= 1e-5 * max(
@@ -241,7 +242,7 @@ def test_kink_linearization_matches_one_sided_derivative(circle_mesh, spaces):
     y0 = KktVector.zeros(spaces)
     state = solve_state(circle_mesh, y0.w, FlowParams(nu=0.05), spaces=spaces)
     y0.v, y0.p = state.v, state.p
-    y = solve_kkt(circle_mesh, y0, params, spaces)
+    y, _ = solve_kkt(circle_mesh, y0, params, spaces)
     _, dets, _ = element_kinematics(spaces.geo_ext, y.w)
     kink = int(np.argmin(dets))
     params = replace(params, alpha=2e-3, eta_det=float(dets[kink]))
@@ -263,7 +264,7 @@ def test_kink_linearization_matches_one_sided_derivative(circle_mesh, spaces):
     assert mismatch(kkt_matrix(circle_mesh, y, params, spaces, active)) < 1e-5
     assert mismatch(kkt_matrix(circle_mesh, y, params, spaces)) > 0.1
 
-    _, hist = solve_kkt(circle_mesh, y, params, spaces, return_info=True)
+    _, hist = solve_kkt(circle_mesh, y, params, spaces)
     assert hist[-1] < params.newton_tol
 
 
@@ -312,11 +313,11 @@ def test_newton_factorizes_only_the_state_jacobian(circle_mesh, spaces,
     eliminated."""
     params = KktParams(alpha=1e-2)
     spy(kkt, "kkt_matrix")
-    spy(optimize, "kkt_matrix")
     spy(spla, "splu")
-    y = solve_kkt(circle_mesh, KktVector.zeros(spaces), params, spaces)
+    y, _ = solve_kkt(circle_mesh, KktVector.zeros(spaces), params, spaces)
     solved = len(spy.order)
-    _shape_subsolve(spaces, replace(params, alpha=1e-3), y)
+    solve_kkt(circle_mesh, y, replace(params, alpha=1e-3), spaces,
+              _SHAPE_BLOCKS)
     for names, calls in ((BLOCK_NAMES, spy.order[:solved]),
                          (_SHAPE_BLOCKS, spy.order[solved:])):
         dm, dofs, _ = _dirichlet(spaces, params, names)

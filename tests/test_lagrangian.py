@@ -158,6 +158,32 @@ def test_value_dtype_follows_input(mesh_spaces, params):
     assert np.asarray(val).dtype == np.longdouble
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is double precision here")
+def test_value_keeps_extended_precision_of_the_multipliers(spaces):
+    """A shift of a geometric multiplier below double precision moves the
+    extended-precision value by the shift times the constraint residual.
+
+    Only w and the multiplier are nonzero, so the value is that product
+    alone and its rounding error is far below the shift's effect."""
+    rng = np.random.default_rng(2)
+    z = zero_blocks(spaces, np.longdouble)
+    z["w"] = np.longdouble(0.01) * rng.standard_normal(z["w"].shape)
+    params = KktParams(beta=0.0)
+    grad = gradient_blocks(spaces, params, {k: np.asarray(v, float)
+                                            for k, v in z.items()})
+    shift = np.longdouble(2.0) ** -55   # 1 + shift rounds to 1 in double
+    for name in ("lam_vol", "lam_bc"):
+        z0, z1 = dict(z), dict(z)
+        z0[name] = np.ones_like(z[name])
+        z1[name] = z0[name].copy()
+        z1[name][0] += shift
+        change = total_value(spaces, params, z1) - total_value(spaces,
+                                                               params, z0)
+        assert float(change / shift) == pytest.approx(
+            float(grad[name][0]), rel=1e-2), name
+
+
 def test_gradient_matches_fd_of_value(mesh_spaces, params):
     z = random_point(mesh_spaces)
     grad = gradient_blocks(mesh_spaces, params, z)

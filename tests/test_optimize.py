@@ -6,8 +6,8 @@ import pytest
 import flowshape.lagrangian as lagrangian_module
 import flowshape.optimize as optimize_module
 from flowshape.flow import FlowParams, SolverError, solve_adjoint, solve_state
-from flowshape.kkt import KktParams, KktVector
-from flowshape.lagrangian import Spaces
+from flowshape.kkt import KktParams, KktVector, solve_kkt
+from flowshape.lagrangian import BLOCK_NAMES, Spaces
 from flowshape.optimize import (
     ContinuationSchedule,
     RunLog,
@@ -140,7 +140,8 @@ def test_det_sweep_csv_and_shapes(circle_mesh, spaces, tmp_path):
 
 
 def test_shape_subsolve_requests_only_shape_blocks(circle_mesh, spaces, spy):
-    """The shape subsystem must not fall back to the full Hessian."""
+    """The shape subsystem of the iterative driver must not fall back to the
+    full Hessian."""
     shape = {"w", "b", "c", "lam_w", "lam_b", "lam_vol", "lam_bc"}
     params = KktParams(nu=0.05, eta_ext=1.0, alpha=1e-1)
     fp = FlowParams(nu=params.nu)
@@ -150,7 +151,7 @@ def test_shape_subsolve_requests_only_shape_blocks(circle_mesh, spaces, spy):
     y.v, y.p, y.lam_v, y.lam_p = state.v, state.p, adj.lam_v, adj.lam_p
     # the flow solves call the engine too, so spy on the shape solve alone
     calls = spy(lagrangian_module, "hessian_blocks")
-    optimize_module._shape_subsolve(spaces, params, y)
+    solve_kkt(circle_mesh, y, params, spaces, optimize_module._SHAPE_BLOCKS)
     assert calls
     for call in calls:
         assert call.get("pairs") is not None
@@ -160,7 +161,7 @@ def test_shape_subsolve_requests_only_shape_blocks(circle_mesh, spaces, spy):
 def _fake_solve_kkt(stall_alpha, cycling, attempts):
     """A solve_kkt that converges in place, except at ``stall_alpha``."""
 
-    def solve(mesh, y, params, spaces=None, return_info=False):
+    def solve(mesh, y, params, spaces=None, names=BLOCK_NAMES):
         attempts.append(params.alpha)
         if np.isclose(params.alpha, stall_alpha, rtol=1e-12):
             raise SolverError("KKT active set cycles at residual 1.000e-05: "
