@@ -22,7 +22,7 @@ from .config import ConfigError, RunConfig, parse_config
 from .extension import ExtensionParams, solve_extension, solve_laplace_beltrami
 from .flow import FlowParams, SolverError, dissipation, solve_state
 from .kkt import DofMap, KktParams, gradient_fd_slopes
-from .lagrangian import Spaces
+from .lagrangian import Spaces, control_spaces
 from .mesh import (Mesh, MeshError, load_msh, signed_areas, worst_quality,
                    write_vtk)
 from .meshgen import tunnel_mesh
@@ -54,15 +54,6 @@ def _load_mesh(cfg: RunConfig) -> Mesh:
     return tunnel_mesh(h=cfg.mesh_h, n_obstacle=cfg.mesh_n_obstacle,
                        holdall=(cfg.mode == "holdall"),
                        n_rings=cfg.mesh_n_rings)
-
-
-def _control_spaces(mesh: Mesh) -> Spaces:
-    """Spaces of a mesh that carries a control: one with an obstacle."""
-    spaces = Spaces.build(mesh)
-    if spaces.curve is None:
-        raise MeshError("the mesh has no obstacle boundary, so there is no "
-                        "boundary control")
-    return spaces
 
 
 def _kkt_params(cfg: RunConfig) -> KktParams:
@@ -121,7 +112,7 @@ def _run(cfg: RunConfig, mesh: Mesh, spaces: Spaces, params: KktParams):
 
 def cmd_optimize(cfg: RunConfig) -> int:
     mesh = _load_mesh(cfg)
-    spaces = _control_spaces(mesh)
+    spaces = control_spaces(mesh)
     y, log = _run(cfg, mesh, spaces, _kkt_params(cfg))
     out = _outdir(cfg)
     log.write(out / "run.log")
@@ -151,7 +142,7 @@ def _parse_float_list(text: str, flag: str):
 
 def cmd_quality_sweep(cfg: RunConfig, eta_ext_list) -> int:
     mesh = _load_mesh(cfg)
-    spaces = _control_spaces(mesh)
+    spaces = control_spaces(mesh)
     values = eta_ext_list or [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
     out = _outdir(cfg)
     rows = quality_sweep(mesh, _kkt_params(cfg), values, _schedule(cfg),
@@ -164,7 +155,7 @@ def cmd_quality_sweep(cfg: RunConfig, eta_ext_list) -> int:
 
 def cmd_det_sweep(cfg: RunConfig, eta_det_list) -> int:
     mesh = _load_mesh(cfg)
-    spaces = _control_spaces(mesh)
+    spaces = control_spaces(mesh)
     values = eta_det_list or [0.5, 0.25, 0.2, 0.1]
     out = _outdir(cfg)
     rows = det_sweep(mesh, _kkt_params(cfg), values, _schedule(cfg),
@@ -210,7 +201,7 @@ def cmd_grad_check(cfg: RunConfig) -> int:
 def cmd_deform(cfg: RunConfig) -> int:
     """Apply the extension operator to the unit control and export the mesh."""
     mesh = _load_mesh(cfg)
-    spaces = _control_spaces(mesh)
+    spaces = control_spaces(mesh)
     c = np.ones(spaces.num_loop)
     b = solve_laplace_beltrami(mesh, c, spaces)
     w = solve_extension(mesh, b, ExtensionParams(eta_ext=cfg.eta_ext),

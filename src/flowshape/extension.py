@@ -9,8 +9,8 @@ symmetrized-gradient principal part and the advection term eta_ext (Dw w)
 that lets cells trade volume under large deformations.  Setting eta_ext to
 zero recovers a plain linear-elastic-style extension.  The residual and its
 derivative come from the term engine
-(:func:`flowshape.lagrangian.extension_residual` and
-:func:`flowshape.lagrangian.extension_block`); the nonlinear solve is the
+(:func:`flowshape.lagrangian.extension_residual`, and the (lam_w, w) block
+of :func:`flowshape.lagrangian.block_matrix`); the nonlinear solve is the
 damped Newton method of :mod:`flowshape.newton`, which stops when the
 residual norm is below ``newton_tol`` and the Newton correction is at most
 ``sqrt(newton_tol) * (1 + |w|)``.
@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fem import assemble_boundary_curve, eliminate_dirichlet
-from .lagrangian import (Spaces, dirichlet_dofs, extension_block,
-                         extension_residual)
-from .mesh import Mesh, boundary_normals
+from .lagrangian import (KktParams, Spaces, block_matrix, control_spaces,
+                         dirichlet_dofs, extension_residual, zero_blocks)
+from .mesh import Mesh
 from .newton import semismooth_newton
 
 __all__ = ["ExtensionParams", "solve_laplace_beltrami", "solve_extension"]
@@ -54,13 +53,13 @@ def solve_laplace_beltrami(mesh: Mesh, c: np.ndarray,
     """Boundary datum b from the control c on the obstacle loop, (m, 2).
 
     Solves (M + K) b = M (c n) componentwise; the curve operator is symmetric
-    positive definite, so the solution is unique.
+    positive definite, so the solution is unique.  A mesh without an
+    obstacle boundary raises ``MeshError``.
     """
-    curve = spaces.curve if spaces is not None else assemble_boundary_curve(mesh)
-    normals = (spaces.normals if spaces is not None
-               else boundary_normals(mesh))
+    spaces = control_spaces(mesh, spaces)
+    curve = spaces.curve
     c = np.asarray(c, dtype=float)
-    rhs = curve.mass @ (c[:, None] * normals)
+    rhs = curve.mass @ (c[:, None] * spaces.normals)
     solve = spla.factorized((curve.mass + curve.stiffness).tocsc())
     return np.column_stack([solve(rhs[:, 0]), solve(rhs[:, 1])])
 
@@ -74,11 +73,14 @@ def solve_extension(mesh: Mesh, b: np.ndarray, params: ExtensionParams,
     extension residual plus the boundary load M b on the obstacle loop.  The
     displacement vanishes on the whole outer boundary and is free on the
     obstacle loop (and, on a holdall mesh, inside the obstacle).  For
-    eta_ext = 0 the problem is linear and one factorization converges.
+    eta_ext = 0 the problem is linear and one factorization converges.  A
+    mesh without an obstacle boundary raises ``MeshError``.
     """
-    spaces = spaces or Spaces.build(mesh)
+    spaces = control_spaces(mesh, spaces)
     nv = mesh.num_vertices
     fixed, _ = dirichlet_dofs(spaces, ("w",))
+    engine = KktParams(eta_ext=params.eta_ext)
+    z = zero_blocks(spaces)
     load = np.zeros((nv, 2))
     load[spaces.curve.loop] = spaces.curve.mass @ np.asarray(b, dtype=float)
     w = (np.zeros(2 * nv) if initial is None
@@ -92,8 +94,9 @@ def solve_extension(mesh: Mesh, b: np.ndarray, params: ExtensionParams,
         return r
 
     def factorize(x, active):
-        H = extension_block(spaces, x.reshape(nv, 2), params.eta_ext)
-        return spla.splu(eliminate_dirichlet(H.T, fixed).tocsc()).solve
+        z["w"] = x.reshape(nv, 2)
+        A = block_matrix(spaces, engine, z, ("lam_w",), ("w",), fixed=fixed)
+        return spla.splu(A.tocsc()).solve
 
     w, _ = semismooth_newton(residual, factorize, w, params.newton_tol,
                              params.newton_max_iter, "extension")

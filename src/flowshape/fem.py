@@ -161,7 +161,8 @@ def eliminate_dirichlet(matrix: sp.spmatrix, dofs) -> sp.csr_matrix:
     The elimination acts on the stored entries: those in a constrained row
     or column are dropped and every other one keeps its value, an explicit
     zero included.  So the pattern of the result depends only on the pattern
-    of ``matrix``, not on entries that happen to round to zero.
+    of ``matrix``, not on entries that happen to round to zero.  The data
+    keeps its dtype, so integer data can number the stored entries.
     """
     A = sp.csr_matrix(matrix)
     free = np.ones(A.shape[0], dtype=bool)
@@ -173,7 +174,7 @@ def eliminate_dirichlet(matrix: sp.spmatrix, dofs) -> sp.csr_matrix:
     indptr = np.concatenate([[0], np.cumsum(np.diff(kept_before) + ~free)])
     unit = np.zeros(indptr[-1], dtype=bool)
     unit[indptr[fixed]] = True
-    data = np.ones(indptr[-1])
+    data = np.ones(indptr[-1], dtype=A.data.dtype)
     data[~unit] = A.data[keep]
     indices = np.empty(indptr[-1], dtype=A.indices.dtype)
     indices[unit] = fixed

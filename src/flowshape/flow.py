@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fem import eliminate_dirichlet, quadrature_triangle
+from .fem import quadrature_triangle
 from .lagrangian import (KktParams, Spaces, block_matrix, dirichlet_dofs,
                          gradient_blocks, zero_blocks)
 from .mesh import BoundaryTag, Mesh
@@ -204,8 +204,9 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
     def factorize(uvec, active):
         z = _state_blocks(spaces, params, w, uvec[:2 * nv].reshape(nv, 2),
                           uvec[2 * nv:])
-        A = block_matrix(spaces, params, z, _STATE_ROWS, _STATE_COLS)
-        return spla.splu(eliminate_dirichlet(A, dofs).tocsc()).solve
+        A = block_matrix(spaces, params, z, _STATE_ROWS, _STATE_COLS,
+                         fixed=dofs)
+        return spla.splu(A.tocsc()).solve
 
     u, _ = semismooth_newton(residual, factorize, u, params.newton_tol,
                              params.newton_max_iter, "state")
@@ -239,13 +240,12 @@ def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     spaces = spaces or Spaces.build(mesh)
     nv = mesh.num_vertices
     z = _state_blocks(spaces, params, w, state.v, state.p)
-    A = block_matrix(spaces, params, z, _STATE_COLS, _STATE_ROWS)
-    grad = gradient_blocks(spaces, params, z, names=("v", "p"))
-    rhs = -np.concatenate([grad["v"].ravel(), grad["p"]])
     dofs, _ = dirichlet_dofs(
         spaces, _STATE_ROWS,
         velocity_dirichlet(mesh, params, dirichlet_override), pin_pressure)
-    A = eliminate_dirichlet(A, dofs)
+    A = block_matrix(spaces, params, z, _STATE_COLS, _STATE_ROWS, fixed=dofs)
+    grad = gradient_blocks(spaces, params, z, names=("v", "p"))
+    rhs = -np.concatenate([grad["v"].ravel(), grad["p"]])
     rhs[dofs] = 0.0
     try:
         sol = spla.splu(A.tocsc()).solve(rhs)

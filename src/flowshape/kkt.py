@@ -33,11 +33,11 @@ import scipy.linalg as linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .fem import eliminate_dirichlet
 from .flow import velocity_dirichlet
 from .lagrangian import (BLOCK_NAMES, KktParams, Spaces, block_matrix,
-                         block_offsets, block_sizes, dirichlet_dofs,
-                         gradient_blocks, total_value, zero_blocks)
+                         block_offsets, block_sizes, control_spaces,
+                         dirichlet_dofs, gradient_blocks, total_value,
+                         zero_blocks)
 from .mesh import Mesh
 from .newton import semismooth_newton
 from .transform import element_kinematics
@@ -168,9 +168,8 @@ def kkt_matrix(mesh: Mesh, y: KktVector, params: KktParams,
     """
     spaces = spaces or Spaces.build(mesh)
     dofs, _ = dirichlet_dofs(spaces, names, velocity_dirichlet(mesh, params))
-    return eliminate_dirichlet(
-        block_matrix(spaces, params, y.as_dict(), names, active=active),
-        dofs)
+    return block_matrix(spaces, params, y.as_dict(), names, active=active,
+                        fixed=dofs)
 
 
 def gradient_fd_slopes(mesh: Mesh, y: KktVector, params: KktParams,
@@ -323,9 +322,10 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
     multipliers (a singular factor is a ``singular`` failure).  See
     :func:`flowshape.newton.semismooth_newton` for globalization and the stop
     test.  Raises a classified :class:`SolverError` on a singular matrix, a
-    stall or divergence.
+    stall or divergence, and ``MeshError`` on a mesh without an obstacle
+    boundary, which carries no control.
     """
-    spaces = spaces or Spaces.build(mesh)
+    spaces = control_spaces(mesh, spaces)
     dm = DofMap(spaces, names)
     dofs, values = dirichlet_dofs(spaces, names,
                                   velocity_dirichlet(mesh, params))

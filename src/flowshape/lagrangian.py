@@ -18,9 +18,21 @@ requested keys and builds only the per-element arrays those blocks read; the
 flow solves, for instance, never build the displacement terms.
 Omitting the selection evaluates every block.  ``block_matrix`` places the
 pairs that a block layout (ordered row and column names) touches into one
-sparse matrix; the KKT matrix, the shape subsystem's matrix and the flow
-state and adjoint matrices are all built through it.  ``dirichlet_dofs``
-gives the boundary conditions of a block layout, and so of every solve.
+sparse matrix; the KKT matrix, the shape subsystem's matrix, the flow
+state and adjoint matrices and the extension Jacobian are all built through
+it.  ``dirichlet_dofs`` gives the boundary conditions of a block layout,
+and so of every solve.
+
+Assembly follows a scatter plan, because the sparsity depends only on the
+mesh (Cuvelier, Japhet & Scarella, "An efficient way to assemble finite
+element matrices in vector languages", BIT 56, 2016).  The CSR pattern of
+each Hessian block, and the stored position of each element entry in it,
+are worked out once per ``Spaces``; a block is then one ``np.bincount`` of
+its element entries, summed in element order.  For each layout and set of
+constrained dofs, ``block_matrix`` builds on its first call the pattern
+of the eliminated matrix and the position of every entry of every placed
+block in it, and each later call is one indexed assignment per placed
+block.  The plans live in the ``Spaces`` they were built for.
 
 Conventions: a displacement dof is a pair (vertex m, component c); for a unit
 perturbation of that dof the transformation derivatives are
@@ -43,14 +55,15 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sparse
 
-from .fem import P1Geometry, CurveOperators, assemble_boundary_curve
-from .mesh import BoundaryTag, Mesh, boundary_normals
+from .fem import (P1Geometry, CurveOperators, assemble_boundary_curve,
+                  eliminate_dirichlet)
+from .mesh import BoundaryTag, Mesh, MeshError, boundary_normals
 from .transform import (element_kinematics, pushed_gradients,
                         det_penalty_gradient, det_penalty_element_hessians)
 
 __all__ = ["BLOCK_NAMES", "HESSIAN_PAIRS", "KktParams", "Spaces",
-           "block_sizes", "block_offsets", "dirichlet_dofs", "zero_blocks",
-           "extension_residual",
+           "control_spaces", "block_sizes", "block_offsets",
+           "dirichlet_dofs", "zero_blocks", "extension_residual",
            "extension_block", "total_value",
            "gradient_blocks", "hessian_blocks", "block_matrix"]
 
@@ -131,6 +144,23 @@ class Spaces:
     @property
     def num_loop(self) -> int:
         return 0 if self.curve is None else len(self.curve.loop)
+
+    @cached_property
+    def _patterns(self) -> dict:
+        """Scatter indices of the Hessian blocks and assembly plans of the
+        block layouts, each built on first use (see :func:`block_matrix`)."""
+        return {}
+
+
+def control_spaces(mesh: Mesh, spaces: Spaces | None = None) -> Spaces:
+    """``spaces`` (built from ``mesh`` when None) of a mesh that carries a
+    boundary control; a mesh without an obstacle boundary raises
+    ``MeshError``."""
+    spaces = spaces or Spaces.build(mesh)
+    if spaces.curve is None:
+        raise MeshError("the mesh has no obstacle boundary, so there is no "
+                        "boundary control")
+    return spaces
 
 
 def zero_blocks(spaces: Spaces, dtype=float) -> dict:
@@ -389,12 +419,62 @@ def _vdofs(tri):
     return (2 * tri[:, :, None] + np.arange(2)[None, None, :]).reshape(len(tri), 6)
 
 
-def _scatter(loc, rows, cols, nr, nc) -> sparse.coo_matrix:
-    t, R, C = loc.shape
-    r = np.repeat(rows, C, axis=1).ravel()
-    c = np.tile(cols, (1, R)).ravel()
-    return sparse.coo_matrix((loc.reshape(t, R * C).ravel(), (r, c)),
-                             shape=(nr, nc))
+# The dof maps of the element matrices of the Hessian blocks, by the key of
+# their cached pattern: vector ("v", _vdofs) and scalar ("s", the vertices)
+# fields on the fluid cells, vector fields on the extension cells ("ext"),
+# and the fluid vector dofs against lam_vol ("vol") and lam_bc ("bc").
+# Blocks with the same dof maps share one pattern.
+
+
+def _block_pattern(spaces: Spaces, kind, rows, cols, shape) -> tuple:
+    """CSR pattern of a Hessian block of shape ``shape`` assembled from
+    (t, R, C) element matrices whose row dofs are ``rows`` (t, R) and
+    column dofs ``cols`` (t, C): the stored position of every element
+    entry, and the pattern's column indices and row pointer.  It depends
+    only on the mesh, so it is built once per ``spaces`` and ``kind``, the
+    key of the dof maps."""
+    key = ("block", kind)
+    if key not in spaces._patterns:
+        R, C = rows.shape[1], cols.shape[1]
+        where, inverse = np.unique(
+            np.repeat(rows, C, axis=1).ravel().astype(np.int64) * shape[1]
+            + np.tile(cols, (1, R)).ravel(), return_inverse=True)
+        r, c = np.divmod(where, shape[1])
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(r, minlength=shape[0]))])
+        spaces._patterns[key] = (inverse.astype(np.int32),
+                                 c.astype(np.int32), indptr.astype(np.int32))
+    return spaces._patterns[key]
+
+
+def _scatter(spaces: Spaces, kind, loc, rows, cols, shape) -> sparse.csr_matrix:
+    """The sum of the element matrices ``loc``, (t, R, C) in row-major
+    order, as a CSR matrix of shape ``shape`` (see
+    :func:`_block_pattern`).  Each entry sums its element entries in
+    element order."""
+    inverse, indices, indptr = _block_pattern(spaces, kind, rows, cols,
+                                              shape)
+    return sparse.csr_matrix(
+        (np.bincount(inverse, loc.ravel(), minlength=len(indices)),
+         indices, indptr), shape=shape)
+
+
+def _symmetric_scatter(spaces: Spaces, kind, half, dofs, n) -> sparse.csr_matrix:
+    """S + S^T for the sum S of the element matrices ``half`` (t, R, R) on
+    the dofs ``dofs`` (t, R), as :func:`_scatter` gives it.
+
+    An entry is s_ij + s_ji, each s summed in element order, and so equals
+    its transposed entry bit for bit.
+    """
+    S = _scatter(spaces, kind, half, dofs, dofs, (n, n))
+    key = ("transpose", kind)
+    if key not in spaces._patterns:
+        r = np.repeat(np.arange(n, dtype=np.int64), np.diff(S.indptr))
+        where = r * n + S.indices
+        spaces._patterns[key] = np.searchsorted(where, S.indices * np.int64(n)
+                                                + r)
+    S.data += S.data[spaces._patterns[key]]
+    return S
 
 
 # Element matrices (t, 6, 6) between two vector P1 fields: row dof (m, c) is
@@ -471,7 +551,7 @@ def extension_block(spaces: Spaces, w: np.ndarray,
         (K, np.eye(2)))
     dofs = _vdofs(geo.tri)
     n = 2 * spaces.mesh.num_vertices
-    return _scatter(H, dofs, dofs, n, n)
+    return _scatter(spaces, "ext", H, dofs, dofs, (n, n))
 
 
 # -- value ------------------------------------------------------------------------
@@ -664,9 +744,11 @@ def _w_terms(f: _FluidFrame, params, z: dict) -> SimpleNamespace:
 
 def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
                    pairs=None) -> dict:
-    """Second-derivative blocks as sparse matrices keyed by block-name pairs.
+    """Second-derivative blocks as CSR matrices keyed by block-name pairs.
 
-    Only one triangle of the block structure is produced; the assembled system
+    A block's pattern is every position that an element touches, zeros
+    included, so it depends only on the mesh; each entry sums its element
+    entries in element order (see :func:`block_matrix`).  Only one triangle of the block structure is produced; the assembled system
     matrix places each off-diagonal block together with its transpose.  The
     penalty contribution uses the generalized derivative with the active set
     {det(DF) < eta_det} (ties inactive), making the result an element of the
@@ -717,9 +799,8 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
         Ke += 0.5 * det_penalty_element_hessians(
             spaces.geo_ext, z["w"], params.eta_det, params.beta, active)
         Ke[spaces.mesh.fluid_cells] += K
-        edofs = _vdofs(e.tri)
-        half = _scatter(Ke, edofs, edofs, sizes["w"], sizes["w"]).tocsr()
-        blocks[("w", "w")] = half + half.T
+        blocks[("w", "w")] = _symmetric_scatter(
+            spaces, "ext", Ke, _vdofs(e.tri), sizes["w"])
 
     # -- (w, v)
     if ("w", "v") in want:
@@ -730,8 +811,8 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
         Hwv += _dof_swap(tJ * g, f.Q1)
         Hwv -= _dof_kron((f.gg, (nu * aJ)[:, None, None]
                           * np.swapaxes(f.M - f.N, 1, 2)))
-        blocks[("w", "v")] = _scatter(Hwv, fdofs, fdofs, sizes["w"],
-                                      sizes["v"])
+        blocks[("w", "v")] = _scatter(spaces, "vv", Hwv, fdofs, fdofs,
+                                      (sizes["w"], sizes["v"]))
 
     # -- (w, lam_v)
     if ("w", "lam_v") in want:
@@ -741,8 +822,8 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
         Hwl += _dof_kron(((nu * aJ)[:, None, None] * f.gg
                           + tJ * np.swapaxes(f.Q5, 1, 2),
                           np.swapaxes(f.M, 1, 2)))
-        blocks[("w", "lam_v")] = _scatter(Hwl, fdofs, fdofs, sizes["w"],
-                                          sizes["lam_v"])
+        blocks[("w", "lam_v")] = _scatter(spaces, "vv", Hwl, fdofs,
+                                          fdofs, (sizes["w"], sizes["lam_v"]))
 
     # -- (w, p) and (w, lam_p)
     if ("w", "p") in want:
@@ -751,16 +832,16 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
         Hwp = Hwp - mh2[:, None, None, None] * (
             f.gG[:, :, None, :] * f.aglp[:, None, :, None]
             + f.sglp[:, :, None, None] * np.swapaxes(f.TG, 1, 2)[:, None])
-        blocks[("w", "p")] = _scatter(Hwp.reshape(-1, 6, 3), fdofs, ftri,
-                                      sizes["w"], sizes["p"])
+        blocks[("w", "p")] = _scatter(spaces, "vs", Hwp, fdofs, ftri,
+                                      (sizes["w"], sizes["p"]))
     if ("w", "lam_p") in want:
         Hwlp = ((aJ[:, None, None] / 3.0)
                 * (f.trM[:, None, None] * g - f.MTg))[:, :, :, None]
         Hwlp = Hwlp - mh2[:, None, None, None] * (
             f.gG[:, :, None, :] * f.agp[:, None, :, None]
             + f.sgp[:, :, None, None] * np.swapaxes(f.TG, 1, 2)[:, None])
-        blocks[("w", "lam_p")] = _scatter(Hwlp.reshape(-1, 6, 3), fdofs,
-                                          ftri, sizes["w"], sizes["lam_p"])
+        blocks[("w", "lam_p")] = _scatter(spaces, "vs", Hwlp, fdofs,
+                                          ftri, (sizes["w"], sizes["lam_p"]))
 
     # -- (w, lam_w): the extension linearization
     if ("w", "lam_w") in want:
@@ -770,8 +851,8 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
     # -- (w, lam_vol) and (w, lam_bc)
     if ("w", "lam_vol") in want:
         blocks[("w", "lam_vol")] = _scatter(
-            -(aJ[:, None, None] * g).reshape(-1, 6, 1), fdofs,
-            np.zeros((len(ftri), 1), dtype=int), sizes["w"], 1)
+            spaces, "vol", -(aJ[:, None, None] * g), fdofs,
+            np.zeros((len(ftri), 1), dtype=int), (sizes["w"], 1))
     if ("w", "lam_bc") in want:
         cent = f.geo.centroid + f.wbar
         Hwbc = -(area[:, None, None, None]
@@ -779,37 +860,37 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
                     * cent[:, None, None, :]
                     + (J[:, None, None, None] / 3.0) * eye[None, None, :, :]))
         bccols = np.broadcast_to(np.arange(2)[None, :], (len(ftri), 2)).copy()
-        blocks[("w", "lam_bc")] = _scatter(Hwbc.reshape(-1, 6, 2), fdofs,
-                                           bccols, sizes["w"], 2)
+        blocks[("w", "lam_bc")] = _scatter(spaces, "bc", Hwbc,
+                                           fdofs, bccols, (sizes["w"], 2))
 
     # -- (v, v), (v, lam_v), (v, lam_p), (p, lam_v), (p, lam_p)
     if ("v", "v") in want:
         Lamv = area[:, None, None] * (_S12 @ f.lvloc)
         Hvv = _dof_kron(((nu * aJ)[:, None, None] * f.gg, eye))
         Hvv -= _dof_swap(tJ * g, Lamv) + _dof_swap(Lamv, tJ * g)
-        blocks[("v", "v")] = _scatter(Hvv, fdofs, fdofs, sizes["v"],
-                                      sizes["v"])
+        blocks[("v", "v")] = _scatter(spaces, "vv", Hvv, fdofs, fdofs,
+                                      (sizes["v"], sizes["v"]))
     if ("v", "lam_v") in want:
         Hvlv = -_dof_kron(((nu * aJ)[:, None, None] * f.gg
                            + tJ * np.swapaxes(f.Q5, 1, 2), eye),
                           ((J * area)[:, None, None] * _S12,
                            np.swapaxes(f.M, 1, 2)))
-        blocks[("v", "lam_v")] = _scatter(Hvlv, fdofs, fdofs, sizes["v"],
-                                          sizes["lam_v"])
+        blocks[("v", "lam_v")] = _scatter(spaces, "vv", Hvlv, fdofs,
+                                          fdofs, (sizes["v"], sizes["lam_v"]))
     if ("v", "lam_p") in want:
         Hvlp = np.repeat(((aJ[:, None, None] / 3.0) * g)[:, :, :, None], 3,
                          axis=3)
-        blocks[("v", "lam_p")] = _scatter(Hvlp.reshape(-1, 6, 3), fdofs,
-                                          ftri, sizes["v"], sizes["lam_p"])
+        blocks[("v", "lam_p")] = _scatter(spaces, "vs", Hvlp, fdofs,
+                                          ftri, (sizes["v"], sizes["lam_p"]))
     if ("p", "lam_v") in want:
         Hplv = np.repeat(((aJ[:, None, None] / 3.0) * g)[:, None, :, :], 3,
                          axis=1)
-        blocks[("p", "lam_v")] = _scatter(Hplv.reshape(-1, 3, 6), ftri,
-                                          fdofs, sizes["p"], sizes["lam_v"])
+        blocks[("p", "lam_v")] = _scatter(spaces, "sv", Hplv, ftri,
+                                          fdofs, (sizes["p"], sizes["lam_v"]))
     if ("p", "lam_p") in want:
         Hplp = mh2[:, None, None] * (f.AG @ np.swapaxes(f.AG, 1, 2))
-        blocks[("p", "lam_p")] = _scatter(Hplp, ftri, ftri,
-                                          sizes["p"], sizes["lam_p"])
+        blocks[("p", "lam_p")] = _scatter(spaces, "ss", Hplp, ftri,
+                                          ftri, (sizes["p"], sizes["lam_p"]))
 
     # -- boundary blocks on the obstacle loop
     Mc, Kc, loop = _obstacle_loop(spaces)
@@ -836,7 +917,7 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
 
 
 def block_matrix(spaces: Spaces, params, z: dict, rows, cols=None,
-                 active=None) -> sparse.csr_matrix:
+                 active=None, fixed=None) -> sparse.csr_matrix:
     """Second-derivative matrix of the Lagrangian on a block layout.
 
     ``rows`` and ``cols`` (default: ``rows``) are ordered tuples of block
@@ -844,19 +925,107 @@ def block_matrix(spaces: Spaces, params, z: dict, rows, cols=None,
     :func:`block_offsets`, is the second derivative with respect to r and
     c.  Only the pairs of ``HESSIAN_PAIRS`` that the layout touches are
     evaluated; an off-diagonal pair also fills its transposed position.
-    ``active`` is passed to :func:`hessian_blocks`.
+    ``active`` is passed to :func:`hessian_blocks`.  ``fixed`` lists
+    constrained dofs of a square layout: their rows and columns are
+    eliminated as by :func:`flowshape.fem.eliminate_dirichlet`, which
+    leaves a unit diagonal.
+
+    The blocks come summed, one entry per stored position, so each entry
+    has one place in the result: the matrix is filled by one indexed
+    assignment per placed block, through a plan built on the first call
+    per ``spaces``, layout and ``fixed`` and cached in ``spaces``.  A
+    stored value is thus the same in every layout, the transposed entry of
+    a placed block equals the entry bit for bit, and stored zeros stay.
     """
     cols = rows if cols is None else cols
     roff, nr = block_offsets(spaces, rows)
     coff, nc = block_offsets(spaces, cols)
     pairs = tuple((a, b) for a, b in HESSIAN_PAIRS
                   if (a in roff and b in coff) or (b in roff and a in coff))
-    H = hessian_blocks(spaces, params, z, active, pairs=pairs)
-    H.update({(b, a): mat.T for (a, b), mat in H.items() if a != b})
-    placed = [(roff[r], coff[c], mat.tocoo()) for (r, c), mat in H.items()
-              if r in roff and c in coff]
-    return sparse.coo_matrix(
-        (np.concatenate([m.data for _, _, m in placed]),
-         (np.concatenate([m.row + r for r, _, m in placed]),
-          np.concatenate([m.col + c for _, c, m in placed]))),
-        shape=(nr, nc)).tocsr()
+    blocks = hessian_blocks(spaces, params, z, active, pairs=pairs)
+    if fixed is not None:
+        fixed = np.unique(np.asarray(fixed, dtype=np.int64))
+    key = ("plan", tuple(rows), tuple(cols),
+           None if fixed is None else fixed.tobytes())
+    if key not in spaces._patterns:
+        spaces._patterns[key] = _build_plan(spaces, blocks, rows, cols, fixed)
+    plan = spaces._patterns[key]
+    nnz = len(plan.indices)
+    values = np.empty(nnz + 1)
+    for pair, slots in plan.placements:
+        values[slots] = blocks[pair].data
+    values[plan.unit] = 1.0
+    return sparse.csr_matrix((values[:nnz], plan.indices, plan.indptr),
+                             shape=(nr, nc))
+
+
+@dataclass(frozen=True)
+class _AssemblyPlan:
+    """Where the entries of the Hessian blocks go in a layout's matrix.
+
+    ``placements`` pairs each placed block (an off-diagonal one placed
+    twice appears twice) with the stored position of every entry of the
+    block, ``len(indices)`` for an eliminated one.  ``unit`` holds the
+    unit diagonals of the constrained dofs; ``indptr`` and ``indices`` are
+    the CSR pattern.
+    """
+
+    placements: tuple
+    unit: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
+def _build_plan(spaces: Spaces, blocks: dict, rows, cols,
+                fixed) -> _AssemblyPlan:
+    """The plan of the layout (rows, cols) with the constrained dofs
+    ``fixed`` (sorted), from the CSR patterns of ``blocks``."""
+    roff, nr = block_offsets(spaces, rows)
+    coff, nc = block_offsets(spaces, cols)
+    placed = []
+    for (a, b), mat in blocks.items():
+        # the data numbers the block's entries, so that the transposed
+        # pattern tells where each one goes
+        ids = sparse.csr_matrix((np.arange(mat.nnz), mat.indices,
+                                 mat.indptr), shape=mat.shape)
+        for r, c, part in ((a, b, ids), (b, a, ids.T.tocsr()))[:1 + (a != b)]:
+            if r in roff and c in coff:
+                placed.append(((a, b), part, roff[r], coff[c]))
+    # a row of the layout lists the rows of its blocks left to right
+    placed.sort(key=lambda p: p[3])
+    counts = np.zeros(nr, dtype=np.int64)
+    for _, part, r0, _ in placed:
+        counts[r0:r0 + part.shape[0]] += np.diff(part.indptr)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    filled = indptr[:-1].copy()
+    slots = []
+    for _, part, r0, c0 in placed:
+        local = np.repeat(np.arange(part.shape[0]), np.diff(part.indptr))
+        where = (filled[r0 + local] + np.arange(part.nnz)
+                 - part.indptr[local])
+        filled[r0:r0 + part.shape[0]] += np.diff(part.indptr)
+        indices[where] = part.indices + c0
+        slot = np.empty(part.nnz, dtype=np.int64)
+        slot[part.data] = where
+        slots.append(slot)
+    # likewise the pattern's data numbers its stored entries, so that the
+    # elimination tells where each one goes
+    pattern = sparse.csr_matrix(
+        (np.arange(len(indices), dtype=np.int32), indices, indptr),
+        shape=(nr, nc))
+    unit = np.zeros(0, dtype=np.int64)
+    if fixed is not None:
+        pattern = eliminate_dirichlet(pattern, fixed)
+        unit = pattern.indptr[fixed]
+    kept = np.ones(pattern.nnz, dtype=bool)
+    kept[unit] = False
+    target = np.full(len(indices), pattern.nnz, dtype=np.int32)
+    target[pattern.data[kept]] = np.flatnonzero(kept)
+    # the matrices share the pattern's arrays, so they must not change
+    indptr = pattern.indptr.astype(np.int32)
+    indices = pattern.indices.astype(np.int32)
+    indptr.flags.writeable = indices.flags.writeable = False
+    return _AssemblyPlan(
+        tuple((pair, target[slot]) for (pair, *_), slot in zip(placed, slots)),
+        unit, indptr, indices)

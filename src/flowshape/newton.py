@@ -79,14 +79,16 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
     convergence, a relative correction of ``sqrt(tol)`` leaves one of order
     ``tol``.  After a full step the simplified Newton step of the line
     search serves as that correction, so a converging solve costs no extra
-    factorization.
+    factorization.  The residual is evaluated once per iterate: the line
+    search's residual at the accepted trial point is that of the next
+    iterate.
     """
     penalty_active = penalty_active or _no_penalty
     history = []
     correction = np.inf
     flipped = False  # elements switched by the last relinearization
+    r = residual(x)
     for _ in range(max_iter):
-        r = residual(x)
         rnorm = float(np.linalg.norm(r))
         history.append(rnorm)
         xtol = np.sqrt(tol) * (1.0 + float(np.linalg.norm(x)))
@@ -95,6 +97,7 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
         here = penalty_active(x)
         active = None
         while True:
+            linsolve = None  # never hold two factorizations at once
             try:
                 linsolve = factorize(x, active)
             except RuntimeError as exc:
@@ -107,7 +110,7 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
             snorm = float(np.linalg.norm(step))
             if rnorm < tol and snorm <= xtol:
                 return x, history
-            scale, simplified, crossed = _line_search(
+            scale, trial, r_trial, simplified, crossed = _line_search(
                 residual, linsolve, x, step, penalty_active, here)
             if scale is not None:
                 break
@@ -127,7 +130,7 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
                     "determinant-penalty kink cross eta_det back and forth",
                     history, kind="stall", cycling=cycling)
             flipped, active = kink, crossed
-        x = x + scale * step
+        x, r = trial, r_trial
         correction = (float(np.linalg.norm(simplified)) if scale == 1.0
                       else np.inf)
     raise SolverError(
@@ -138,8 +141,9 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
 def _line_search(residual, linsolve, x, step, penalty_active, here):
     """Natural monotonicity test on the dampings 1, 1/2, ... down to the floor.
 
-    Returns ``(scale, simplified_step, None)`` for the first damping that
-    passes.  When none above ``_MIN_DAMPING`` does, returns ``(None, None,
+    Returns ``(scale, trial, residual(trial), simplified_step, None)`` for
+    the first damping that passes, with ``trial = x + scale * step``.  When
+    none above ``_MIN_DAMPING`` does, returns ``(None, None, None, None,
     crossed)``: ``crossed`` is the penalty active set of the shortest
     rejected trial whose set differs from ``here``, the set at x (None if
     no trial crossed eta_det).
@@ -149,11 +153,12 @@ def _line_search(residual, linsolve, x, step, penalty_active, here):
     scale = 1.0
     while scale >= _MIN_DAMPING:
         trial = x + scale * step
-        simplified = linsolve(-residual(trial))
+        r = residual(trial)
+        simplified = linsolve(-r)
         if np.linalg.norm(simplified) < snorm:
-            return scale, simplified, None
+            return scale, trial, r, simplified, None
         at_trial = penalty_active(trial)
         if np.any(at_trial != here):
             crossed = at_trial
         scale *= 0.5
-    return None, None, crossed
+    return None, None, None, None, crossed

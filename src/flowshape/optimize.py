@@ -25,7 +25,7 @@ from .flow import (FlowParams, FlowState, SolverError, dissipation,
                    solve_adjoint, solve_state)
 from .kkt import (KktParams, KktVector, barycenter_residual, solve_kkt,
                   volume_residual)
-from .lagrangian import Spaces
+from .lagrangian import Spaces, control_spaces
 from .mesh import Mesh, worst_quality
 from .transform import det_penalty, element_kinematics
 
@@ -142,7 +142,7 @@ def run_direct(mesh: Mesh, params: KktParams,
     on, so the error is raised at once.
     """
     schedule = schedule or ContinuationSchedule()
-    spaces = spaces or Spaces.build(mesh)
+    spaces = control_spaces(mesh, spaces)
     log = RunLog()
     y = KktVector.zeros(spaces)
     # seed the velocity and pressure blocks with the flow at the undeformed
@@ -190,7 +190,7 @@ def run_iterative(mesh: Mesh, params: KktParams,
     Every raised error carries the partial log as ``err.log``.
     """
     schedule = schedule or ContinuationSchedule(1.0, 0.5, 2e-7)
-    spaces = spaces or Spaces.build(mesh)
+    spaces = control_spaces(mesh, spaces)
     log = RunLog()
     t0 = time.time()
     fp = FlowParams(nu=params.nu, mu=params.mu, delta=params.delta,

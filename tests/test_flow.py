@@ -327,3 +327,36 @@ def test_flow_solves_request_only_the_flow_blocks(circle_mesh, spy):
     solve_adjoint(circle_mesh, w, state, params, spaces)
     assert len(hess) == 1 and set(hess[0]["pairs"]) == flow_pairs
     assert len(grad) == 1 and tuple(grad[0]["names"]) == ("v", "p")
+
+
+def test_newton_evaluates_the_residual_once_per_iterate(circle_mesh,
+                                                        monkeypatch):
+    """The line search's residual at the accepted trial is reused, so a
+    solve makes one residual evaluation plus one per line-search trial,
+    and never two at the same point."""
+    points, solves, factorizations = [], [], []
+    real = flow_module.semismooth_newton
+
+    def counting(residual, factorize, x, *args, **kwargs):
+        def counted_residual(u):
+            points.append(u.tobytes())
+            return residual(u)
+
+        def counted_factorize(u, active):
+            factorizations.append(u)
+            linsolve = factorize(u, active)
+
+            def counted(rhs):
+                solves.append(rhs)
+                return linsolve(rhs)
+
+            return counted
+
+        return real(counted_residual, counted_factorize, x, *args, **kwargs)
+
+    monkeypatch.setattr(flow_module, "semismooth_newton", counting)
+    solve_state(circle_mesh, _smooth_w(circle_mesh), FlowParams(nu=0.1))
+    trials = len(solves) - len(factorizations)
+    assert len(factorizations) >= 3 and trials >= len(factorizations) - 1
+    assert len(points) == 1 + trials
+    assert len(set(points)) == len(points)

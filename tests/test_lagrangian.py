@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from flowshape import lagrangian as lagrangian_module
+from flowshape.fem import eliminate_dirichlet
+from flowshape.flow import velocity_dirichlet
 from flowshape.kkt import DofMap, KktParams
 from flowshape.lagrangian import (BLOCK_NAMES, HESSIAN_PAIRS, Spaces,
-                                  gradient_blocks, hessian_blocks,
-                                  total_value, zero_blocks)
+                                  block_matrix, block_offsets,
+                                  dirichlet_dofs, gradient_blocks,
+                                  hessian_blocks, total_value, zero_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -306,3 +310,82 @@ def test_unknown_blocks_are_rejected(spaces, params):
     for names in (["x"], ["w", "lam_x"]):
         with pytest.raises(ValueError):
             gradient_blocks(spaces, params, z, names=names)
+
+
+# -- assembly plan ------------------------------------------------------------------
+
+SHAPE_LAYOUT = ("w", "b", "c", "lam_w", "lam_b", "lam_vol", "lam_bc")
+
+
+def _layouts(sp, params):
+    """(rows, cols, fixed) of the full, shape, state and adjoint layouts."""
+    velocity = velocity_dirichlet(sp.mesh, params)
+    state, adjoint = ("v", "p"), ("lam_v", "lam_p")
+    return {"full": (BLOCK_NAMES, BLOCK_NAMES,
+                     dirichlet_dofs(sp, BLOCK_NAMES, velocity)[0]),
+            "shape": (SHAPE_LAYOUT, SHAPE_LAYOUT,
+                      dirichlet_dofs(sp, SHAPE_LAYOUT)[0]),
+            "state": (adjoint, state,
+                      dirichlet_dofs(sp, state, velocity)[0]),
+            "adjoint": (state, adjoint,
+                        dirichlet_dofs(sp, adjoint, velocity)[0])}
+
+
+def _reference_matrix(sp, params, z, rows, cols, fixed, active):
+    """The layout's matrix by COO-to-CSR conversion of every block and its
+    transpose, then the Dirichlet elimination."""
+    roff, nr = block_offsets(sp, rows)
+    coff, nc = block_offsets(sp, cols)
+    placed = []
+    for (a, b), mat in hessian_blocks(sp, params, z, active).items():
+        mat = mat.tocoo()
+        for r, c, i, j in ((a, b, mat.row, mat.col),
+                           (b, a, mat.col, mat.row))[:1 + (a != b)]:
+            if r in roff and c in coff:
+                placed.append((mat.data, i + roff[r], j + coff[c]))
+    A = sparse.coo_matrix(
+        (np.concatenate([d for d, _, _ in placed]),
+         (np.concatenate([i for _, i, _ in placed]),
+          np.concatenate([j for _, _, j in placed]))), shape=(nr, nc))
+    return eliminate_dirichlet(A.tocsr(), fixed)
+
+
+@pytest.mark.parametrize("with_active", [False, True])
+@pytest.mark.parametrize("layout", ["full", "shape", "state", "adjoint"])
+def test_assembly_plan_matches_reference_assembly(mesh_spaces, params,
+                                                  layout, with_active):
+    sp = mesh_spaces
+    z = random_point(sp, seed=21)
+    active = None
+    if with_active:
+        active = np.random.default_rng(5).random(
+            sp.geo_ext.num_triangles) < 0.3
+    rows, cols, fixed = _layouts(sp, params)[layout]
+    got = block_matrix(sp, params, z, rows, cols, active, fixed)
+    want = _reference_matrix(sp, params, z, rows, cols, fixed, active)
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(
+        want.data).max()
+    if "w" in rows:
+        w = slice(0, block_offsets(sp, ("w",))[1])
+        ww = got[w, w]
+        assert ww.nnz > 0 and (ww != ww.T).nnz == 0
+
+
+def test_assembly_plan_is_built_once_per_spaces_and_layout(circle_mesh,
+                                                           params, spy):
+    builds = spy(lagrangian_module, "_build_plan")
+    for _ in range(2):
+        sp = Spaces.build(circle_mesh)
+        layouts = _layouts(sp, params)
+        for k in range(3):
+            z = random_point(sp, seed=k)
+            for rows, cols, fixed in layouts.values():
+                block_matrix(sp, params, z, rows, cols, fixed=fixed)
+            block_matrix(sp, params, z, SHAPE_LAYOUT)
+    layouts = [(tuple(c["rows"]), tuple(c["cols"]),
+                c["fixed"] is None) for c in builds]
+    assert len(builds) == 10 and len(set(layouts)) == 5
+    assert layouts[:5] == layouts[5:]

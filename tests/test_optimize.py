@@ -5,9 +5,13 @@ import pytest
 
 import flowshape.lagrangian as lagrangian_module
 import flowshape.optimize as optimize_module
+from flowshape.extension import (ExtensionParams, solve_extension,
+                                 solve_laplace_beltrami)
 from flowshape.flow import FlowParams, SolverError, solve_adjoint, solve_state
 from flowshape.kkt import KktParams, KktVector, solve_kkt
 from flowshape.lagrangian import BLOCK_NAMES, Spaces
+from flowshape.mesh import MeshError
+from flowshape.meshgen import unit_square_mesh
 from flowshape.optimize import (
     ContinuationSchedule,
     RunLog,
@@ -198,3 +202,26 @@ def test_run_direct_bisects_a_stall_without_cycling(circle_mesh, spaces,
     at_level = [a for a in attempts if np.isclose(a, 1e-3, rtol=1e-12)]
     between = [a for a in attempts if 1e-3 * (1 + 1e-9) < a < 1e-2]
     assert len(at_level) > 1 and between
+
+
+@pytest.mark.parametrize("entry", ["run_direct", "run_iterative", "solve_kkt",
+                                   "solve_laplace_beltrami",
+                                   "solve_extension"])
+def test_entry_points_reject_a_mesh_without_obstacle(entry):
+    """Every driver of the control gives the CLI's mesh error on a mesh
+    without an obstacle boundary."""
+    mesh = unit_square_mesh(6)
+    params = KktParams()
+    calls = {
+        "run_direct": lambda: run_direct(mesh, params),
+        "run_iterative": lambda: run_iterative(mesh, params),
+        "solve_kkt": lambda: solve_kkt(
+            mesh, KktVector.zeros(Spaces.build(mesh)), params),
+        "solve_laplace_beltrami": lambda: solve_laplace_beltrami(
+            mesh, np.zeros(0)),
+        "solve_extension": lambda: solve_extension(
+            mesh, np.zeros((0, 2)), ExtensionParams()),
+    }
+    with pytest.raises(MeshError, match="no obstacle boundary, so there "
+                                        "is no boundary control"):
+        calls[entry]()
