@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from .fem import LU_OPTIONS
 from .lagrangian import (KktParams, Spaces, block_matrix, control_spaces,
                          dirichlet_dofs, extension_residual, zero_blocks)
 from .mesh import Mesh
@@ -60,8 +61,8 @@ def solve_laplace_beltrami(mesh: Mesh, c: np.ndarray,
     curve = spaces.curve
     c = np.asarray(c, dtype=float)
     rhs = curve.mass @ (c[:, None] * spaces.normals)
-    solve = spla.factorized((curve.mass + curve.stiffness).tocsc())
-    return np.column_stack([solve(rhs[:, 0]), solve(rhs[:, 1])])
+    return spla.splu((curve.mass + curve.stiffness).tocsc(),
+                     **LU_OPTIONS).solve(rhs)
 
 
 def solve_extension(mesh: Mesh, b: np.ndarray, params: ExtensionParams,
@@ -96,7 +97,7 @@ def solve_extension(mesh: Mesh, b: np.ndarray, params: ExtensionParams,
     def factorize(x, active):
         z["w"] = x.reshape(nv, 2)
         A = block_matrix(spaces, engine, z, ("lam_w",), ("w",), fixed=fixed)
-        return spla.splu(A.tocsc()).solve
+        return spla.splu(A.tocsc(), **LU_OPTIONS).solve
 
     w, _ = semismooth_newton(residual, factorize, w, params.newton_tol,
                              params.newton_max_iter, "extension")

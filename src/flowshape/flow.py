@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fem import quadrature_triangle
+from .fem import LU_OPTIONS, quadrature_triangle
 from .lagrangian import (KktParams, Spaces, block_matrix, dirichlet_dofs,
                          gradient_blocks, zero_blocks)
 from .mesh import BoundaryTag, Mesh
@@ -206,7 +206,7 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
                           uvec[2 * nv:])
         A = block_matrix(spaces, params, z, _STATE_ROWS, _STATE_COLS,
                          fixed=dofs)
-        return spla.splu(A.tocsc()).solve
+        return spla.splu(A.tocsc(), **LU_OPTIONS).solve
 
     u, _ = semismooth_newton(residual, factorize, u, params.newton_tol,
                              params.newton_max_iter, "state")
@@ -248,7 +248,7 @@ def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     rhs = -np.concatenate([grad["v"].ravel(), grad["p"]])
     rhs[dofs] = 0.0
     try:
-        sol = spla.splu(A.tocsc()).solve(rhs)
+        sol = spla.splu(A.tocsc(), **LU_OPTIONS).solve(rhs)
     except RuntimeError as exc:
         raise SolverError(f"singular adjoint matrix: {exc}",
                           kind="singular")

@@ -19,7 +19,10 @@ therefore solved by null-space block elimination (Hinze, Pinnau, Ulbrich &
 Ulbrich, *Optimization with PDE Constraints*, 2009, ch. 2): one sparse LU of
 the state Jacobian, which is about half the size of the layout and carries
 no alpha, and one dense LU of the reduced system in the control and the
-geometric multipliers.  :func:`solve_kkt` solves any block layout that
+geometric multipliers.  The sparse LU follows the program's one policy,
+:data:`flowshape.fem.LU_OPTIONS`: the state Jacobian has a nonzero
+diagonal, which a minimum-degree ordering of A^T + A with threshold
+pivoting keeps.  :func:`solve_kkt` solves any block layout that
 holds the control; the shape subsystem of the iterative driver is the
 layout of seven blocks whose flow fields are held fixed.
 """
@@ -33,6 +36,7 @@ import scipy.linalg as linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
+from .fem import LU_OPTIONS
 from .flow import velocity_dirichlet
 from .lagrangian import (BLOCK_NAMES, KktParams, Spaces, block_matrix,
                          block_offsets, block_sizes, control_spaces,
@@ -270,11 +274,12 @@ class _StateElimination:
                 f"{self.adjoints.size} free adjoint dofs")
 
     def factorize(self, A):
-        """Solver for ``A x = b``: one sparse LU of A_y and one dense LU of
-        the reduced system.  A singular factor raises ``RuntimeError``."""
+        """Solver for ``A x = b``: one sparse LU of A_y with ``LU_OPTIONS``
+        and one dense LU of the reduced system.  A singular factor raises
+        ``RuntimeError``."""
         Y, L, C, M = self.states, self.adjoints, self.control, self.multipliers
         rows = A[L]
-        lu = spla.splu(rows[:, Y].tocsc())
+        lu = spla.splu(rows[:, Y].tocsc(), **LU_OPTIONS)
         k = C.size
         basis = np.zeros((A.shape[0], k))
         basis[Y] = -lu.solve(rows[:, C].toarray())

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import flowshape.flow as flow_module
 import flowshape.lagrangian as lagrangian_module
-from flowshape.fem import eliminate_dirichlet
+from flowshape.fem import LU_OPTIONS, eliminate_dirichlet
 from flowshape.flow import (
     AdjointFlowState,
     FlowParams,
@@ -360,3 +361,22 @@ def test_newton_evaluates_the_residual_once_per_iterate(circle_mesh,
     assert len(factorizations) >= 3 and trials >= len(factorizations) - 1
     assert len(points) == 1 + trials
     assert len(set(points)) == len(points)
+
+
+def test_lu_policy_fills_the_flow_jacobian_no_more_than_the_default(
+        circle_mesh_fine):
+    """At the converged flow on the undeformed finer circle mesh, the
+    program's LU policy fills the Newton matrix of the state solve no more
+    than SciPy's default ordering does."""
+    params = FlowParams()
+    spaces = Spaces.build(circle_mesh_fine)
+    state = solve_state(circle_mesh_fine,
+                        np.zeros((circle_mesh_fine.num_vertices, 2)), params,
+                        spaces=spaces)
+    dofs, _ = dirichlet_dofs(spaces, ("v", "p"),
+                             velocity_dirichlet(circle_mesh_fine, params))
+    z = zero_blocks(spaces)
+    z["v"], z["p"] = state.v, state.p
+    A = block_matrix(spaces, params, z, ("lam_v", "lam_p"), ("v", "p"),
+                     fixed=dofs).tocsc()
+    assert spla.splu(A, **LU_OPTIONS).nnz <= spla.splu(A).nnz

@@ -8,6 +8,7 @@ from dataclasses import replace
 from flowshape.flow import (FlowParams, solve_state, solve_adjoint,
                             velocity_dirichlet)
 from flowshape import kkt
+from flowshape.fem import LU_OPTIONS
 from flowshape.kkt import (
     DofMap,
     KktParams,
@@ -337,3 +338,22 @@ def test_newton_factorizes_only_the_state_jacobian(circle_mesh, spaces,
     with pytest.raises(RuntimeError, match="control"):
         _StateElimination(dm, dofs).factorize(
             kkt_matrix(circle_mesh, y, params, spaces, names=names))
+
+
+def test_lu_policy_fills_the_state_jacobian_no_more_than_the_default(
+        circle_mesh_fine):
+    """At the first Newton matrix of the direct driver on the finer circle
+    mesh (no deformation, the converged flow, alpha 1e-4), the program's LU
+    policy fills the state Jacobian A_y no more than SciPy's default
+    ordering does; the speed of the factorization rests on that."""
+    sp = Spaces.build(circle_mesh_fine)
+    params = KktParams(alpha=1e-4)
+    y = KktVector.zeros(sp)
+    state = solve_state(circle_mesh_fine, y.w, FlowParams(nu=params.nu),
+                        spaces=sp)
+    y.v, y.p = state.v, state.p
+    dm, dofs, _ = _dirichlet(sp, params)
+    elimination = _StateElimination(dm, dofs)
+    A = kkt_matrix(circle_mesh_fine, y, params, sp)
+    A_y = A[elimination.adjoints][:, elimination.states].tocsc()
+    assert spla.splu(A_y, **LU_OPTIONS).nnz <= spla.splu(A_y).nnz

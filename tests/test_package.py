@@ -55,3 +55,27 @@ def test_modules_import_only_public_names_at_module_level():
                             if a.name.startswith("_")]
     assert not private, private
     assert not local, local
+
+
+
+def test_every_sparse_lu_follows_one_policy():
+    """Every ``splu`` of the program factorizes one matrix with the keyword
+    arguments ``**LU_OPTIONS`` and no others, and no sparse factorization
+    goes around it (``factorized``, ``spsolve``)."""
+    splus, bad = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            where = f"{path.name}:{node.lineno}"
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("factorized", "spsolve"):
+                bad.append(f"{where} {name}")
+            elif name == "splu":
+                splus.append(where)
+                keywords = [(k.arg, getattr(k.value, "id", None))
+                            for k in node.keywords]
+                if len(node.args) != 1 or keywords != [(None, "LU_OPTIONS")]:
+                    bad.append(f"{where} splu without **LU_OPTIONS")
+    assert not bad, bad
+    assert len(splus) >= 5, splus
