@@ -21,7 +21,7 @@ from .lagrangian import Spaces
 from .mesh import (BoundaryTag, Mesh, MeshError, boundary_normals,
                    deform_mesh, element_qualities, load_msh, obstacle_loop,
                    worst_quality, write_msh, write_vtk)
-from .meshgen import tunnel_mesh, unit_square_mesh
+from .meshgen import tunnel_mesh
 from .optimize import (ContinuationSchedule, RunLog, RunRecord, det_sweep,
                        quality_sweep, run_direct, run_iterative)
 

@@ -53,16 +53,14 @@ def solve_laplace_beltrami(mesh: Mesh, c: np.ndarray,
                            spaces: Spaces | None = None) -> np.ndarray:
     """Boundary datum b from the control c on the obstacle loop, (m, 2).
 
-    Solves (M + K) b = M (c n) componentwise; the curve operator is symmetric
-    positive definite, so the solution is unique.  A mesh without an
-    obstacle boundary raises ``MeshError``.
+    Solves (M + K) b = M (c n) componentwise with the cached factor of the
+    curve operator, which is symmetric positive definite.  A mesh without
+    an obstacle boundary raises ``MeshError``.
     """
     spaces = control_spaces(mesh, spaces)
     curve = spaces.curve
     c = np.asarray(c, dtype=float)
-    rhs = curve.mass @ (c[:, None] * spaces.normals)
-    return spla.splu((curve.mass + curve.stiffness).tocsc(),
-                     **LU_OPTIONS).solve(rhs)
+    return curve.factor.solve(curve.mass @ (c[:, None] * spaces.normals))
 
 
 def solve_extension(mesh: Mesh, b: np.ndarray, params: ExtensionParams,

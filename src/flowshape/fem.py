@@ -7,9 +7,11 @@ All matrices are scipy CSR.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .mesh import Mesh, BoundaryTag, MeshError, obstacle_loop
 
@@ -23,15 +25,15 @@ __all__ = [
 ]
 
 # Keyword arguments of every ``scipy.sparse.linalg.splu`` in the program.
-# Each matrix it factorizes (the state Jacobian of the KKT layouts, the flow
-# and extension Jacobians, the curve operator) has a nonzero diagonal, so a
-# minimum-degree ordering of A^T + A with threshold partial pivoting that
-# prefers the diagonal suits it (X. S. Li, "An overview of SuperLU", ACM
-# TOMS 31, 2005).  On the state Jacobian of the 29k-dof circle mesh it cuts
-# the L+U fill of SciPy's default (COLAMD with threshold 1) by 40% and the
-# factorization time by half.  Both keywords matter: at threshold 1 the
-# same ordering fills many times more, and without ``SymmetricMode`` it
-# fills more than COLAMD on the flow Jacobian.
+# Each matrix it factorizes (the extension and flow Jacobians, also the
+# diagonal blocks of the KKT state Jacobian, and the curve operator) has a
+# nonzero diagonal, so a minimum-degree ordering of A^T + A with threshold
+# partial pivoting that prefers the diagonal suits it (X. S. Li, "An
+# overview of SuperLU", ACM TOMS 31, 2005).  On the whole state Jacobian of
+# the 29k-dof circle mesh it cut the L+U fill of SciPy's default (COLAMD,
+# threshold 1) by 40% and the factorization time by half.  Both keywords
+# matter: at threshold 1 the same ordering fills many times more, and
+# without ``SymmetricMode`` it fills more than COLAMD on the flow Jacobian.
 LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                   options=dict(SymmetricMode=True))
 
@@ -137,6 +139,11 @@ class CurveOperators:
     @property
     def total_length(self) -> float:
         return float(self.seg_length.sum())
+
+    @cached_property
+    def factor(self):
+        """Sparse LU of the curve operator M + K, built on first use."""
+        return spla.splu((self.mass + self.stiffness).tocsc(), **LU_OPTIONS)
 
 
 def assemble_boundary_curve(mesh: Mesh, tag: BoundaryTag = BoundaryTag.OBSTACLE) -> CurveOperators:

@@ -34,7 +34,7 @@ from .transform import element_kinematics, pushed_gradients
 __all__ = [
     "SolverError", "FlowParams", "FlowState", "AdjointFlowState",
     "inflow_profile", "velocity_dirichlet", "state_residual", "solve_state",
-    "dissipation", "solve_adjoint", "reduced_gradient",
+    "dissipation", "solve_adjoint", "reduced_gradient", "factorize_flow",
 ]
 
 
@@ -169,6 +169,16 @@ def state_residual(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     return np.concatenate([rv.ravel(), grad["lam_p"]])
 
 
+def factorize_flow(matrix):
+    """Sparse LU with ``LU_OPTIONS`` of a flow Jacobian (the state Newton
+    matrix, its transpose or the flow block of a KKT state Jacobian); a
+    singular matrix raises a ``singular`` :class:`SolverError`."""
+    try:
+        return spla.splu(matrix.tocsc(), **LU_OPTIONS)
+    except RuntimeError as exc:
+        raise SolverError(f"flow matrix: {exc}", kind="singular") from exc
+
+
 def solve_state(mesh: Mesh, w: np.ndarray, params,
                 spaces: Spaces | None = None, body_force=None,
                 dirichlet_override=None, pin_pressure=None,
@@ -204,9 +214,8 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
     def factorize(uvec, active):
         z = _state_blocks(spaces, params, w, uvec[:2 * nv].reshape(nv, 2),
                           uvec[2 * nv:])
-        A = block_matrix(spaces, params, z, _STATE_ROWS, _STATE_COLS,
-                         fixed=dofs)
-        return spla.splu(A.tocsc(), **LU_OPTIONS).solve
+        return factorize_flow(block_matrix(
+            spaces, params, z, _STATE_ROWS, _STATE_COLS, fixed=dofs)).solve
 
     u, _ = semismooth_newton(residual, factorize, u, params.newton_tol,
                              params.newton_max_iter, "state")
@@ -247,11 +256,7 @@ def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     grad = gradient_blocks(spaces, params, z, names=("v", "p"))
     rhs = -np.concatenate([grad["v"].ravel(), grad["p"]])
     rhs[dofs] = 0.0
-    try:
-        sol = spla.splu(A.tocsc(), **LU_OPTIONS).solve(rhs)
-    except RuntimeError as exc:
-        raise SolverError(f"singular adjoint matrix: {exc}",
-                          kind="singular")
+    sol = factorize_flow(A).solve(rhs)
     return AdjointFlowState(sol[:2 * nv].reshape(nv, 2).copy(),
                             sol[2 * nv:].copy())
 

@@ -16,15 +16,13 @@ generalized derivative).  A solve stops when the residual norm is below
 Only the control is free: ``w``, ``b`` and ``(v, p)`` are states, each fixed
 by its own equation (extension, Laplace-Beltrami, flow).  A Newton step is
 therefore solved by null-space block elimination (Hinze, Pinnau, Ulbrich &
-Ulbrich, *Optimization with PDE Constraints*, 2009, ch. 2): one sparse LU of
-the state Jacobian, which is about half the size of the layout and carries
-no alpha, and one dense LU of the reduced system in the control and the
-geometric multipliers.  The sparse LU follows the program's one policy,
-:data:`flowshape.fem.LU_OPTIONS`: the state Jacobian has a nonzero
-diagonal, which a minimum-degree ordering of A^T + A with threshold
-pivoting keeps.  :func:`solve_kkt` solves any block layout that
-holds the control; the shape subsystem of the iterative driver is the
-layout of seven blocks whose flow fields are held fixed.
+Ulbrich, *Optimization with PDE Constraints*, 2009, ch. 2): the state
+Jacobian is factorized by its diagonal blocks, one per state, with the
+program's one sparse LU policy :data:`flowshape.fem.LU_OPTIONS`, and the
+reduced system in the control and the geometric multipliers by one dense
+LU.  :func:`solve_kkt` solves any block layout that holds the control; the
+shape subsystem of the iterative driver is the layout of seven blocks
+whose flow fields are held fixed.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .fem import LU_OPTIONS
-from .flow import velocity_dirichlet
+from .flow import factorize_flow, velocity_dirichlet
 from .lagrangian import (BLOCK_NAMES, KktParams, Spaces, block_matrix,
                          block_offsets, block_sizes, control_spaces,
                          dirichlet_dofs, gradient_blocks, total_value,
@@ -225,11 +223,6 @@ def gradient_fd_slopes(mesh: Mesh, y: KktVector, params: KktParams,
     return slopes
 
 
-_STATES = ("w", "v", "p", "b")
-_ADJOINTS = ("lam_w", "lam_v", "lam_p", "lam_b")
-_MULTIPLIERS = ("lam_vol", "lam_bc")
-
-
 class _StateElimination:
     """Newton steps on a block layout by null-space block elimination.
 
@@ -247,11 +240,14 @@ class _StateElimination:
     two multipliers (see ``HESSIAN_PAIRS``): the adjoint and geometric rows
     have no entries in multiplier columns.
 
-    The index sets hold the free dofs (Dirichlet dofs are decoupled by unit
-    diagonals and solved directly) of the states, their adjoints, the
-    control and the geometric multipliers.  They depend only on the layout;
-    one that has no control, or whose states and adjoints differ in number,
-    raises ``RuntimeError``.
+    A_y is block lower bidiagonal in the state groups (b, w, (v, p)): its
+    solves substitute through the groups, forward for A_y and backward for
+    A_y^T, and only its diagonal blocks are factorized (Duff, Erisman &
+    Reid, *Direct Methods for Sparse Matrices*, 2017), that of b, the curve
+    operator -kron(M + K, I_2), once per mesh.  The free dofs (Dirichlet
+    dofs are decoupled by unit diagonals and solved directly) depend only
+    on the layout; one without the control, or with a group whose free
+    states and adjoints differ in number, raises ``RuntimeError``.
     """
 
     def __init__(self, dm: DofMap, dofs):
@@ -263,27 +259,57 @@ class _StateElimination:
             return np.flatnonzero(free & np.isin(owner, names))
 
         self.fixed = np.flatnonzero(~free)
-        self.states, self.adjoints = select(_STATES), select(_ADJOINTS)
-        self.control, self.multipliers = select(("c",)), select(_MULTIPLIERS)
+        self.control = select(("c",))
+        self.multipliers = select(("lam_vol", "lam_bc"))
         if not self.control.size:
             raise RuntimeError("block elimination needs a layout with the "
                                "control c")
-        if self.states.size != self.adjoints.size:
-            raise RuntimeError(
-                f"{self.states.size} free state dofs but "
-                f"{self.adjoints.size} free adjoint dofs")
+        lu = dm.spaces.curve.factor  # of M + K, which is symmetric
+        # -kron(M + K, I_2) on the vertex-major b: a constant of the mesh
+        self.curve_solve = lambda r, trans="N": -lu.solve(
+            r.reshape(lu.shape[0], -1)).reshape(r.shape)
+        # (names, states, adjoints, coupled columns) per group, the coupled
+        # columns being the control and the states of the group before
+        self.groups, coupled = [], self.control
+        for names in (("b",), ("w",), ("v", "p")):
+            Y, L = select(names), select(["lam_" + n for n in names])
+            if Y.size != L.size:
+                raise RuntimeError(f"{Y.size} free {'/'.join(names)} dofs "
+                                   f"but {L.size} free adjoint dofs")
+            if Y.size:
+                self.groups.append((names, Y, L, coupled))
+                coupled = np.concatenate([self.control, Y])
 
     def factorize(self, A):
-        """Solver for ``A x = b``: one sparse LU of A_y with ``LU_OPTIONS``
-        and one dense LU of the reduced system.  A singular factor raises
-        ``RuntimeError``."""
-        Y, L, C, M = self.states, self.adjoints, self.control, self.multipliers
-        rows = A[L]
-        lu = spla.splu(rows[:, Y].tocsc(), **LU_OPTIONS)
-        k = C.size
+        """Solver for ``A x = b`` by the diagonal blocks of A_y and a dense
+        LU of the reduced system; a singular one raises ``RuntimeError``."""
+        C, M, k = self.control, self.multipliers, self.control.size
+        steps = []  # index sets, coupling and its transpose, diagonal solve
+        for names, Y, L, K in self.groups:
+            if names == ("b",):
+                solve = self.curve_solve
+            elif names == ("w",):
+                solve = spla.splu(A[L][:, Y].tocsc(), **LU_OPTIONS).solve
+            else:
+                solve = factorize_flow(A[L][:, Y]).solve
+            coupling = A[L][:, K]
+            steps.append((Y, L, K, coupling, coupling.T, solve))
+
+        def forward(x, rhs):
+            """x[states] = A_y^-1 (r - A_c x[control]), r[L] = ``rhs(L)``."""
+            for Y, L, K, coupling, _, solve in steps:
+                x[Y] = solve(rhs(L) - coupling @ x[K])
+
+        def backward(x, s):
+            """x[adjoints] = A_y^-T s[states]."""
+            carry = 0.0
+            for Y, L, _, _, transposed, solve in reversed(steps):
+                x[L] = solve(s[Y] - carry, trans="T")
+                carry = (transposed @ x[L])[k:]  # past the control columns
+
         basis = np.zeros((A.shape[0], k))
-        basis[Y] = -lu.solve(rows[:, C].toarray())
         basis[C, np.arange(k)] = 1.0
+        forward(basis, lambda L: 0.0)
         image = A @ basis
         reduced = np.zeros((k + M.size, k + M.size))
         reduced[:k, :k] = basis.T @ image
@@ -296,13 +322,13 @@ class _StateElimination:
         def solve_once(rhs):
             x = np.zeros_like(rhs)
             x[self.fixed] = rhs[self.fixed]
-            x[Y] = lu.solve(rhs[L])
+            forward(x, lambda L: rhs[L])
             r = rhs - A @ x
             sol = linalg.lu_solve(factor, np.concatenate([basis.T @ r, r[M]]),
                                   check_finite=False)
             x += basis @ sol[:k]
             x[M] = sol[k:]
-            x[L] = lu.solve((rhs - A @ x)[Y], trans="T")
+            backward(x, rhs - A @ x)
             return x
 
         def linsolve(rhs):
@@ -322,9 +348,9 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
     solved with the other blocks of ``y0`` held fixed, and ``y`` takes them
     from ``y0``.  The solve starts from ``y0`` projected onto the Dirichlet
     data.  Each Newton matrix, the generalized derivative at the iterate, is
-    factorized by block elimination: one sparse LU of the state Jacobian and
-    one dense LU of the reduced system in the control and the geometric
-    multipliers (a singular factor is a ``singular`` failure).  See
+    factorized by block elimination: the diagonal blocks of the state
+    Jacobian and one dense LU of the reduced system in the control and the
+    geometric multipliers (a singular factor is a ``singular`` failure).  See
     :func:`flowshape.newton.semismooth_newton` for globalization and the stop
     test.  Raises a classified :class:`SolverError` on a singular matrix, a
     stall or divergence, and ``MeshError`` on a mesh without an obstacle

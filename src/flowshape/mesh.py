@@ -23,7 +23,6 @@ __all__ = [
     "write_vtk",
     "boundary_normals",
     "obstacle_loop",
-    "triangle_quality",
     "element_qualities",
     "worst_quality",
     "deform_mesh",
@@ -428,11 +427,6 @@ def boundary_normals(mesh: Mesh) -> np.ndarray:
 
 
 # -- quality metrics --------------------------------------------------------------
-
-
-def triangle_quality(a, b, c) -> float:
-    """Radius ratio R/r (circumradius over inradius) of one triangle; >= 2."""
-    return float(_radius_ratio(np.asarray([a]), np.asarray([b]), np.asarray([c]))[0])
 
 
 def _radius_ratio(a, b, c):

@@ -3,7 +3,39 @@ import inspect
 import numpy as np
 import pytest
 
-from flowshape.meshgen import tunnel_mesh, unit_square_mesh
+from flowshape.mesh import BoundaryTag, Mesh
+from flowshape.meshgen import tunnel_mesh
+
+
+def unit_square_mesh(n: int = 16) -> Mesh:
+    """Structured unit-square mesh: left inflow, right outflow, top/bottom wall."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    points = np.column_stack([gx.ravel(), gy.ravel()])
+
+    def vid(i, j):
+        return i * (n + 1) + j
+
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    segments, tags = [], []
+    for j in range(n):
+        segments.append((vid(0, j), vid(0, j + 1)))
+        tags.append(BoundaryTag.INFLOW)
+        segments.append((vid(n, j), vid(n, j + 1)))
+        tags.append(BoundaryTag.OUTFLOW)
+    for i in range(n):
+        segments.append((vid(i, 0), vid(i + 1, 0)))
+        tags.append(BoundaryTag.WALL)
+        segments.append((vid(i, n), vid(i + 1, n)))
+        tags.append(BoundaryTag.WALL)
+    return Mesh(points, np.asarray(tris), np.asarray(segments),
+                np.asarray(tags, dtype=object))
 
 
 @pytest.fixture(scope="session")

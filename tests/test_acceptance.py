@@ -20,10 +20,12 @@ from flowshape.kkt import (KktParams, KktVector, barycenter_residual,
                            gradient_fd_slopes, volume_residual)
 from flowshape.lagrangian import Spaces
 from flowshape.mesh import deform_mesh
-from flowshape.meshgen import tunnel_mesh, unit_square_mesh
+from flowshape.meshgen import tunnel_mesh
 from flowshape.optimize import (ContinuationSchedule, run_direct,
                                 run_iterative, quality_sweep)
 from flowshape.transform import displacement_gradient, element_kinematics
+
+from conftest import unit_square_mesh
 
 pytestmark = pytest.mark.slow
 

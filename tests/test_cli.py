@@ -10,7 +10,8 @@ from flowshape.cli import (
     main,
 )
 from flowshape.mesh import write_msh
-from flowshape.meshgen import unit_square_mesh
+
+from conftest import unit_square_mesh
 
 
 def _write_cfg(tmp_path, text):

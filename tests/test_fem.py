@@ -9,7 +9,9 @@ from flowshape.fem import (
     quadrature_triangle,
 )
 from flowshape.mesh import BoundaryTag, Mesh
-from flowshape.meshgen import tunnel_mesh, unit_square_mesh
+from flowshape.meshgen import tunnel_mesh
+
+from conftest import unit_square_mesh
 
 
 def test_quadrature_order1():

@@ -23,7 +23,8 @@ from flowshape.flow import (
 from flowshape.lagrangian import (Spaces, block_matrix, dirichlet_dofs,
                                   zero_blocks)
 from flowshape.mesh import BoundaryTag, deform_mesh
-from flowshape.meshgen import unit_square_mesh
+
+from conftest import unit_square_mesh
 
 
 def _smooth_w(mesh, scale=0.02):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from dataclasses import replace
 
@@ -306,32 +307,65 @@ def test_block_elimination_matches_direct_lu(request, mesh_name, names,
     assert np.linalg.norm(A @ step - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
 
+def _free_groups(dm, dofs):
+    """Free (states, adjoints) of the state groups b, w and (v, p) that the
+    layout holds, in the order of block forward substitution."""
+    free = np.ones(dm.total, dtype=bool)
+    free[dofs] = False
+
+    def select(names):
+        idx = [np.arange(dm.total)[dm.block_slice(n)] for n in names
+               if n in dm.names]
+        idx = np.concatenate(idx) if idx else np.zeros(0, dtype=int)
+        return idx[free[idx]]
+
+    groups = [(select(g), select(["lam_" + n for n in g]))
+              for g in (("b",), ("w",), ("v", "p"))]
+    return [(Y, L) for Y, L in groups if Y.size]
+
+
 def test_newton_factorizes_only_the_state_jacobian(circle_mesh, spaces,
                                                    spy):
-    """Each KKT or shape-subsystem assembly is followed by exactly one sparse
-    LU, of the state Jacobian: square, as large as the free state dofs and
-    smaller than the layout.  A layout without the control cannot be
-    eliminated."""
+    """Each KKT or shape-subsystem assembly is followed by exactly one
+    sparse LU in ``kkt``, of the free (lam_w, w) block, and on the full
+    layout by one flow-block factorization; the curve operator's factor is
+    built once per mesh.  The diagonal blocks cover the free state dofs,
+    and no LU sees the whole state Jacobian.  A layout without the control
+    cannot be eliminated."""
     params = KktParams(alpha=1e-2)
+    curve_lu = spaces.curve.factor
     spy(kkt, "kkt_matrix")
+    spy(kkt, "factorize_flow")
     spy(spla, "splu")
     y, _ = solve_kkt(circle_mesh, KktVector.zeros(spaces), params, spaces)
     solved = len(spy.order)
     solve_kkt(circle_mesh, y, replace(params, alpha=1e-3), spaces,
               _SHAPE_BLOCKS)
+    assert spaces.curve.factor is curve_lu
     for names, calls in ((BLOCK_NAMES, spy.order[:solved]),
                          (_SHAPE_BLOCKS, spy.order[solved:])):
         dm, dofs, _ = _dirichlet(spaces, params, names)
-        free = np.ones(dm.total, dtype=bool)
-        free[dofs] = False
-        n_state = sum(int(free[dm.block_slice(n)].sum())
-                      for n in ("w", "v", "p", "b") if n in dm.names)
-        assert n_state < dm.total
+        groups = _free_groups(dm, dofs)
+        n_state = sum(Y.size for Y, _ in groups)
+        sizes = [Y.size for Y, _ in groups]
+        assert sizes[0] == 2 * spaces.num_loop
+        per_assembly = (["kkt_matrix", "splu", "factorize_flow", "splu"]
+                        if names == BLOCK_NAMES else ["kkt_matrix", "splu"])
         assert [name for name, _ in calls] == (
-            ["kkt_matrix", "splu"] * (len(calls) // 2))
-        assert len(calls) >= 4
-        for _, arguments in calls[1::2]:
-            assert arguments["A"].shape == (n_state, n_state)
+            per_assembly * (len(calls) // len(per_assembly)))
+        assert len(calls) >= 2 * len(per_assembly)
+        factored = []
+        for i in range(0, len(calls), len(per_assembly)):
+            assembly = calls[i][1]
+            Y, L = groups[1]
+            block = kkt_matrix(**assembly)[L][:, Y]
+            assert _same_csr(calls[i + 1][1]["A"], block)
+            factored.append([calls[j][1]["A"].shape[0] for j in
+                             range(i + 1, i + len(per_assembly), 2)])
+        assert all(f == sizes[1:] for f in factored)
+        assert sum(sizes) == n_state < dm.total
+        assert all(arguments["A"].shape != (n_state, n_state)
+                   for name, arguments in calls if name == "splu")
 
     names = ("w", "b", "lam_w", "lam_b")
     dm, dofs, _ = _dirichlet(spaces, params, names)
@@ -340,20 +374,76 @@ def test_newton_factorizes_only_the_state_jacobian(circle_mesh, spaces,
             kkt_matrix(circle_mesh, y, params, spaces, names=names))
 
 
+@pytest.mark.parametrize("mesh_name", ["circle_mesh", "holdall_mesh"])
+@pytest.mark.parametrize("names", [BLOCK_NAMES, _SHAPE_BLOCKS],
+                         ids=["full", "shape"])
+def test_state_jacobian_is_block_lower_triangular(request, mesh_name, names,
+                                                  rng):
+    """At a random point with the Dirichlet data held, the state Jacobian
+    A_y stores entries only in its diagonal blocks and the blocks just below
+    them, in the group order (b, w, (v, p)), and its (lam_b, b) block is
+    -kron(M + K, I_2) bit for bit: the block substitution and the cached
+    curve factor rest on both."""
+    mesh = request.getfixturevalue(mesh_name)
+    sp = Spaces.build(mesh)
+    params = KktParams(alpha=1e-2)
+    dm, dofs, values = _dirichlet(sp, params, names)
+    y = _random_vector(sp, rng, w_scale=1e-3)
+    u = dm.pack(y)
+    u[dofs] = values
+    A = kkt_matrix(mesh, dm.unpack(u, y), params, sp, names=names)
+    groups = _free_groups(dm, dofs)
+    assert len(groups) == (3 if names == BLOCK_NAMES else 2)
+    for i, (_, L) in enumerate(groups):
+        for j, (Y, _) in enumerate(groups):
+            if j > i or j < i - 1:
+                assert A[L][:, Y].nnz == 0, (i, j)
+    Y, L = groups[0]
+    curve = sp.curve
+    expected = -sparse.kron(curve.mass + curve.stiffness, sparse.identity(2))
+    assert np.array_equal(A[L][:, Y].toarray(), expected.toarray())
+
+
+def _first_direct_matrix(mesh):
+    """Spaces, layout, Dirichlet dofs and matrix of the first Newton step of
+    the direct driver at alpha 1e-4: no deformation, the converged flow."""
+    sp = Spaces.build(mesh)
+    params = KktParams(alpha=1e-4)
+    y = KktVector.zeros(sp)
+    state = solve_state(mesh, y.w, FlowParams(nu=params.nu), spaces=sp)
+    y.v, y.p = state.v, state.p
+    dm, dofs, _ = _dirichlet(sp, params)
+    return sp, dm, dofs, kkt_matrix(mesh, y, params, sp)
+
+
+def _state_jacobian(A, dm, dofs):
+    """A_y whole, CSC: the free adjoint rows and state columns of ``A`` in
+    layout order."""
+    Y, L = (np.sort(np.concatenate(idx))
+            for idx in zip(*_free_groups(dm, dofs)))
+    return A[L][:, Y].tocsc()
+
+
 def test_lu_policy_fills_the_state_jacobian_no_more_than_the_default(
         circle_mesh_fine):
     """At the first Newton matrix of the direct driver on the finer circle
     mesh (no deformation, the converged flow, alpha 1e-4), the program's LU
     policy fills the state Jacobian A_y no more than SciPy's default
     ordering does; the speed of the factorization rests on that."""
-    sp = Spaces.build(circle_mesh_fine)
-    params = KktParams(alpha=1e-4)
-    y = KktVector.zeros(sp)
-    state = solve_state(circle_mesh_fine, y.w, FlowParams(nu=params.nu),
-                        spaces=sp)
-    y.v, y.p = state.v, state.p
-    dm, dofs, _ = _dirichlet(sp, params)
-    elimination = _StateElimination(dm, dofs)
-    A = kkt_matrix(circle_mesh_fine, y, params, sp)
-    A_y = A[elimination.adjoints][:, elimination.states].tocsc()
+    _, dm, dofs, A = _first_direct_matrix(circle_mesh_fine)
+    A_y = _state_jacobian(A, dm, dofs)
     assert spla.splu(A_y, **LU_OPTIONS).nnz <= spla.splu(A_y).nnz
+
+
+def test_block_factors_fill_less_than_the_whole_state_jacobian(
+        circle_mesh_fine):
+    """At the same matrix, the L+U factors of the diagonal blocks of A_y
+    (curve operator, extension, flow) hold fewer entries together than the
+    factors of A_y whole; the block elimination's speed rests on that."""
+    sp, dm, dofs, A = _first_direct_matrix(circle_mesh_fine)
+    A_y = _state_jacobian(A, dm, dofs)
+    _, (Yw, Lw), (Yf, Lf) = _free_groups(dm, dofs)
+    blocks = (sp.curve.factor.nnz
+              + spla.splu(A[Lw][:, Yw].tocsc(), **LU_OPTIONS).nnz
+              + spla.splu(A[Lf][:, Yf].tocsc(), **LU_OPTIONS).nnz)
+    assert blocks < spla.splu(A_y, **LU_OPTIONS).nnz

@@ -11,8 +11,8 @@ from flowshape.mesh import (
     boundary_normals,
     deform_mesh,
     load_msh,
+    element_qualities,
     obstacle_loop,
-    triangle_quality,
     worst_quality,
     write_msh,
     write_vtk,
@@ -30,6 +30,13 @@ def read_vtk_points(path) -> np.ndarray:
             pts = np.array([[float(x) for x in lines[i + 1 + k].split()] for k in range(n)])
             return pts[:, :2]
     raise ValueError("no POINTS block found")
+
+
+def triangle_quality(a, b, c) -> float:
+    """Radius ratio R/r of one triangle, read from ``element_qualities``."""
+    mesh = Mesh(np.array([a, b, c], dtype=float), [[0, 1, 2]],
+                np.empty((0, 2), dtype=int), [])
+    return float(element_qualities(mesh)[0])
 
 
 def polygon_area_moment(points: np.ndarray) -> tuple[float, np.ndarray]:

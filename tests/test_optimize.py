@@ -11,7 +11,6 @@ from flowshape.flow import FlowParams, SolverError, solve_adjoint, solve_state
 from flowshape.kkt import KktParams, KktVector, solve_kkt
 from flowshape.lagrangian import BLOCK_NAMES, Spaces
 from flowshape.mesh import MeshError
-from flowshape.meshgen import unit_square_mesh
 from flowshape.optimize import (
     ContinuationSchedule,
     RunLog,
@@ -21,6 +20,8 @@ from flowshape.optimize import (
     run_direct,
     run_iterative,
 )
+
+from conftest import unit_square_mesh
 
 
 @pytest.fixture(scope="module")

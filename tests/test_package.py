@@ -58,24 +58,51 @@ def test_modules_import_only_public_names_at_module_level():
 
 
 
+# every sparse LU of the program, by file and enclosing function
+SPLU_SITES = sorted([
+    "fem.py:CurveOperators.factor",
+    "flow.py:factorize_flow",
+    "extension.py:solve_extension.factorize",
+    "kkt.py:_StateElimination.factorize",
+])
+
+
+def _calls(tree):
+    """Each call in ``tree`` with the dotted name of the classes and
+    functions that enclose it."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                found.append((child, scope))
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
 def test_every_sparse_lu_follows_one_policy():
     """Every ``splu`` of the program factorizes one matrix with the keyword
-    arguments ``**LU_OPTIONS`` and no others, and no sparse factorization
-    goes around it (``factorized``, ``spsolve``)."""
+    arguments ``**LU_OPTIONS`` and no others, sits at one of the expected
+    places, and no sparse factorization goes around it (``factorized``,
+    ``spsolve``)."""
     splus, bad = [], []
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
-                continue
+        for node, scope in _calls(ast.parse(path.read_text())):
             where = f"{path.name}:{node.lineno}"
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
             if name in ("factorized", "spsolve"):
                 bad.append(f"{where} {name}")
             elif name == "splu":
-                splus.append(where)
+                splus.append(f"{path.name}:{scope}")
                 keywords = [(k.arg, getattr(k.value, "id", None))
                             for k in node.keywords]
                 if len(node.args) != 1 or keywords != [(None, "LU_OPTIONS")]:
                     bad.append(f"{where} splu without **LU_OPTIONS")
     assert not bad, bad
-    assert len(splus) >= 5, splus
+    assert sorted(splus) == SPLU_SITES
