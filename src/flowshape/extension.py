@@ -71,9 +71,12 @@ def solve_extension(mesh: Mesh, b: np.ndarray, params: ExtensionParams,
     The residual is the lam_w gradient of the term engine: its interior
     extension residual plus the boundary load M b on the obstacle loop.  The
     displacement vanishes on the whole outer boundary and is free on the
-    obstacle loop (and, on a holdall mesh, inside the obstacle).  For
-    eta_ext = 0 the problem is linear and one factorization converges.  A
-    mesh without an obstacle boundary raises ``MeshError``.
+    obstacle loop (and, on a holdall mesh, inside the obstacle).  The
+    Jacobian is factorized at the first iterate and wherever the Newton loop
+    stops reusing the last factorization for chord steps (see
+    :func:`flowshape.newton.semismooth_newton`); for eta_ext = 0 the problem
+    is linear and one factorization converges.  A mesh without an obstacle
+    boundary raises ``MeshError``.
     """
     spaces = control_spaces(mesh, spaces)
     nv = mesh.num_vertices

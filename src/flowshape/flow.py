@@ -186,10 +186,12 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
     """Damped Newton solve of the pulled-back stationary flow equations.
 
     ``pin_pressure`` is a (vertex, value) pair fixing the pressure level for
-    fully enclosed configurations; the tunnel's open outflow needs none.  See
-    :func:`flowshape.newton.semismooth_newton` for globalization and the stop
-    test; a failure raises a classified :class:`SolverError` that carries
-    the residual history.
+    fully enclosed configurations; the tunnel's open outflow needs none.  The
+    flow Jacobian is factorized at the first iterate and wherever the
+    Newton loop stops reusing the last factorization for chord steps.  See
+    :func:`flowshape.newton.semismooth_newton` for globalization, reuse and
+    the stop test; a failure raises a classified :class:`SolverError` that
+    carries the residual history.
     """
     spaces = spaces or Spaces.build(mesh)
     if np.any(_element_dets(spaces, w) <= 0.0):

@@ -279,6 +279,12 @@ class _StateElimination:
             if Y.size:
                 self.groups.append((names, Y, L, coupled))
                 coupled = np.concatenate([self.control, Y])
+        # the rows of A @ basis that the reduced system reads: the basis is
+        # zero off the control and the free states, and G Z sits in the
+        # multiplier rows; the adjoint rows are never read
+        self.primal = np.concatenate([self.control]
+                                     + [Y for _, Y, _, _ in self.groups])
+        self.read = np.concatenate([self.primal, self.multipliers])
 
     def factorize(self, A):
         """Solver for ``A x = b`` by the diagonal blocks of A_y and a dense
@@ -310,11 +316,12 @@ class _StateElimination:
         basis = np.zeros((A.shape[0], k))
         basis[C, np.arange(k)] = 1.0
         forward(basis, lambda L: 0.0)
-        image = A @ basis
+        P = self.primal
+        image = A[self.read] @ basis
         reduced = np.zeros((k + M.size, k + M.size))
-        reduced[:k, :k] = basis.T @ image
-        reduced[k:, :k] = image[M]
-        reduced[:k, k:] = image[M].T
+        reduced[:k, :k] = basis[P].T @ image[:P.size]
+        reduced[k:, :k] = image[P.size:]
+        reduced[:k, k:] = image[P.size:].T
         factor = linalg.lu_factor(reduced, check_finite=False)
         if not np.all(np.diag(factor[0])):
             raise RuntimeError("reduced KKT matrix is exactly singular")
@@ -347,14 +354,15 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
     smaller one, such as the shape subsystem of the iterative driver, is
     solved with the other blocks of ``y0`` held fixed, and ``y`` takes them
     from ``y0``.  The solve starts from ``y0`` projected onto the Dirichlet
-    data.  Each Newton matrix, the generalized derivative at the iterate, is
-    factorized by block elimination: the diagonal blocks of the state
-    Jacobian and one dense LU of the reduced system in the control and the
-    geometric multipliers (a singular factor is a ``singular`` failure).  See
-    :func:`flowshape.newton.semismooth_newton` for globalization and the stop
-    test.  Raises a classified :class:`SolverError` on a singular matrix, a
-    stall or divergence, and ``MeshError`` on a mesh without an obstacle
-    boundary, which carries no control.
+    data.  A Newton matrix, the generalized derivative at the iterate, is
+    assembled and factorized by block elimination only where the Newton loop
+    does not reuse the last one for a chord step: the diagonal blocks of the
+    state Jacobian and one dense LU of the reduced system in the control and
+    the geometric multipliers (a singular factor is a ``singular`` failure).
+    See :func:`flowshape.newton.semismooth_newton` for globalization, reuse
+    and the stop test.  Raises a classified :class:`SolverError` on a
+    singular matrix, a stall or divergence, and ``MeshError`` on a mesh
+    without an obstacle boundary, which carries no control.
     """
     spaces = control_spaces(mesh, spaces)
     dm = DofMap(spaces, names)

@@ -3,7 +3,9 @@
 The coupled optimality system, the shape subsystem of the iterative driver,
 the flow state and the nonlinear extension all call :func:`semismooth_newton`
 with their own residual and factorization; failures are reported as a
-classified :class:`SolverError`.
+classified :class:`SolverError`.  While the iteration contracts fast, a
+factorization is kept for simplified Newton (chord) steps, and the stop test
+measures the correction with the factorization in use.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ class SolverError(RuntimeError):
 # benchmark workloads accept dampings down to 2^-9.
 _MIN_DAMPING = 2.0 ** -10
 
+# A full step whose simplified step is at most this fraction of it keeps its
+# factorization for chord steps.  These converge only linearly (Deuflhard,
+# *Newton Methods for Nonlinear Problems*, 2011; Kelley, *Solving Nonlinear
+# Equations with Newton's Method*, 2003), but at 1/4 each still cuts the
+# correction by four for one residual and one solve, with no assembly or
+# factorization.  Near a solution these solves contract by 1e-2 to 1e-7.
+_CHORD_CONTRACTION = 0.25
+
 
 def _no_penalty(x):
     return np.zeros(0, dtype=bool)
@@ -72,21 +82,31 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
     then cycles, each one-sided model putting the root on the other side.
     Both errors count the elements at the kink.
 
+    A full step whose contraction Theta = |simplified step| / |step| is at
+    most ``_CHORD_CONTRACTION`` keeps its factorization: its simplified
+    step becomes the next step, a chord step that is tried at damping 1
+    alone.  A chord trial with Theta < 1 is accepted, and the chord steps go
+    on while Theta stays at most ``_CHORD_CONTRACTION`` and the active set
+    at the iterate is the one the factorization was built with.  Otherwise
+    the trial is discarded and the iterate takes a damped Newton step from
+    a new factorization.  ``max_iter`` counts chord iterations too.
+
     Convergence needs a residual norm below ``tol`` and a Newton correction
     of at most ``sqrt(tol) * (1 + |x|)``.  The residual alone weighs the
     control rows with alpha, so at small alpha a residual below ``tol``
     still admits control errors of order ``tol / alpha``; at quadratic
     convergence, a relative correction of ``sqrt(tol)`` leaves one of order
-    ``tol``.  After a full step the simplified Newton step of the line
-    search serves as that correction, so a converging solve costs no extra
-    factorization.  The residual is evaluated once per iterate: the line
-    search's residual at the accepted trial point is that of the next
-    iterate.
+    ``tol``.  After a full or chord step the simplified step at the new
+    iterate, with the factorization in use, serves as that correction, so a
+    converging solve costs no extra factorization.  The residual is
+    evaluated once per iterate: the residual at the accepted trial point is
+    that of the next iterate.
     """
     penalty_active = penalty_active or _no_penalty
     history = []
     correction = np.inf
     flipped = False  # elements switched by the last relinearization
+    chord = None  # next step with the kept factorization, built at ``built``
     r = residual(x)
     for _ in range(max_iter):
         rnorm = float(np.linalg.norm(r))
@@ -95,6 +115,18 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
         if rnorm < tol and correction <= xtol:
             return x, history
         here = penalty_active(x)
+        if chord is not None and np.array_equal(here, built):
+            trial = x + chord
+            r_trial = residual(trial)
+            simplified = linsolve(-r_trial)
+            snorm = float(np.linalg.norm(chord))
+            cnorm = float(np.linalg.norm(simplified))
+            if cnorm < snorm:  # a non-finite simplified step fails this
+                x, r, correction = trial, r_trial, cnorm
+                chord = (simplified if cnorm <= _CHORD_CONTRACTION * snorm
+                         else None)
+                continue
+        chord = None
         active = None
         while True:
             linsolve = None  # never hold two factorizations at once
@@ -130,9 +162,12 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
                     "determinant-penalty kink cross eta_det back and forth",
                     history, kind="stall", cycling=cycling)
             flipped, active = kink, crossed
+        built = here if active is None else active
         x, r = trial, r_trial
         correction = (float(np.linalg.norm(simplified)) if scale == 1.0
                       else np.inf)
+        if correction <= _CHORD_CONTRACTION * snorm:
+            chord = simplified
     raise SolverError(
         f"{what} Newton did not converge in {max_iter} iterations: last "
         f"residual {history[-1]:.3e}", history, kind="divergence")

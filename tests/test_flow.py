@@ -333,10 +333,11 @@ def test_flow_solves_request_only_the_flow_blocks(circle_mesh, spy):
 
 def test_newton_evaluates_the_residual_once_per_iterate(circle_mesh,
                                                         monkeypatch):
-    """The line search's residual at the accepted trial is reused, so a
-    solve makes one residual evaluation plus one per line-search trial,
-    and never two at the same point."""
-    points, solves, factorizations = [], [], []
+    """The residual at the accepted trial is reused, so a solve makes one
+    residual evaluation plus one per trial (of the line search or of a
+    chord step), and never two at the same point; a contracting solve
+    keeps a factorization for more than one iterate."""
+    points, solves, factorizations, iterates = [], [], [], []
     real = flow_module.semismooth_newton
 
     def counting(residual, factorize, x, *args, **kwargs):
@@ -354,12 +355,16 @@ def test_newton_evaluates_the_residual_once_per_iterate(circle_mesh,
 
             return counted
 
-        return real(counted_residual, counted_factorize, x, *args, **kwargs)
+        x, history = real(counted_residual, counted_factorize, x, *args,
+                          **kwargs)
+        iterates.extend(history)
+        return x, history
 
     monkeypatch.setattr(flow_module, "semismooth_newton", counting)
     solve_state(circle_mesh, _smooth_w(circle_mesh), FlowParams(nu=0.1))
     trials = len(solves) - len(factorizations)
-    assert len(factorizations) >= 3 and trials >= len(factorizations) - 1
+    assert len(iterates) >= 3 and trials >= len(iterates) - 1
+    assert len(factorizations) < len(iterates)
     assert len(points) == 1 + trials
     assert len(set(points)) == len(points)
 
