@@ -102,18 +102,15 @@ def cmd_solve_flow(cfg: RunConfig) -> int:
     return 0
 
 
-def _run(cfg: RunConfig, mesh: Mesh, spaces: Spaces, params: KktParams):
-    schedule = _schedule(cfg)
-    if cfg.algorithm == "iterative":
-        return run_iterative(mesh, params, schedule, eps=cfg.eps,
-                             spaces=spaces)
-    return run_direct(mesh, params, schedule, spaces=spaces)
-
-
 def cmd_optimize(cfg: RunConfig) -> int:
     mesh = _load_mesh(cfg)
     spaces = control_spaces(mesh)
-    y, log = _run(cfg, mesh, spaces, _kkt_params(cfg))
+    params, schedule = _kkt_params(cfg), _schedule(cfg)
+    if cfg.algorithm == "iterative":
+        y, log = run_iterative(mesh, params, schedule, eps=cfg.eps,
+                               spaces=spaces)
+    else:
+        y, log = run_direct(mesh, params, schedule, spaces=spaces)
     out = _outdir(cfg)
     log.write(out / "run.log")
     write_vtk(mesh, {"displacement": y.w, "velocity": y.v, "pressure": y.p},

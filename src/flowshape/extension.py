@@ -8,9 +8,9 @@ of the mesh (the fluid domain, or the whole holdall), with the
 symmetrized-gradient principal part and the advection term eta_ext (Dw w)
 that lets cells trade volume under large deformations.  Setting eta_ext to
 zero recovers a plain linear-elastic-style extension.  The residual and its
-derivative come from the term engine
-(:func:`flowshape.lagrangian.extension_residual`, and the (lam_w, w) block
-of :func:`flowshape.lagrangian.block_matrix`); the nonlinear solve is the
+derivative come from the term engine: the lam_w block of
+:func:`flowshape.lagrangian.gradient_blocks` and the (lam_w, w) block of
+:func:`flowshape.lagrangian.block_matrix`.  The nonlinear solve is the
 damped Newton method of :mod:`flowshape.newton`, which stops when the
 residual norm is below ``newton_tol`` and the Newton correction is at most
 ``sqrt(newton_tol) * (1 + |w|)``.
@@ -25,7 +25,7 @@ import scipy.sparse.linalg as spla
 
 from .fem import LU_OPTIONS
 from .lagrangian import (KktParams, Spaces, block_matrix, control_spaces,
-                         dirichlet_dofs, extension_residual, zero_blocks)
+                         dirichlet_dofs, gradient_blocks, zero_blocks)
 from .mesh import Mesh
 from .newton import semismooth_newton
 
@@ -64,13 +64,12 @@ def solve_laplace_beltrami(mesh: Mesh, c: np.ndarray,
 
 
 def solve_extension(mesh: Mesh, b: np.ndarray, params: ExtensionParams,
-                    spaces: Spaces | None = None,
-                    initial: np.ndarray | None = None) -> np.ndarray:
+                    spaces: Spaces | None = None) -> np.ndarray:
     """Damped Newton solve of the nonlinear extension, returns w (nv, 2).
 
-    The residual is the lam_w gradient of the term engine: its interior
-    extension residual plus the boundary load M b on the obstacle loop.  The
-    displacement vanishes on the whole outer boundary and is free on the
+    The residual is the lam_w gradient of the term engine at the boundary
+    datum b: the extension equation plus the load M b on the obstacle loop.
+    The displacement vanishes on the whole outer boundary and is free on the
     obstacle loop (and, on a holdall mesh, inside the obstacle).  The
     Jacobian is factorized at the first iterate and wherever the Newton loop
     stops reusing the last factorization for chord steps (see
@@ -83,15 +82,12 @@ def solve_extension(mesh: Mesh, b: np.ndarray, params: ExtensionParams,
     fixed, _ = dirichlet_dofs(spaces, ("w",))
     engine = KktParams(eta_ext=params.eta_ext)
     z = zero_blocks(spaces)
-    load = np.zeros((nv, 2))
-    load[spaces.curve.loop] = spaces.curve.mass @ np.asarray(b, dtype=float)
-    w = (np.zeros(2 * nv) if initial is None
-         else np.array(initial, dtype=float).ravel())
-    w[fixed] = 0.0
+    z["b"] = np.asarray(b, dtype=float)
 
     def residual(x):
-        r = (extension_residual(spaces, x.reshape(nv, 2), params.eta_ext)
-             + load).ravel()
+        z["w"] = x.reshape(nv, 2)
+        r = gradient_blocks(spaces, engine, z, names=("lam_w",))["lam_w"]
+        r = r.ravel()
         r[fixed] = 0.0
         return r
 
@@ -100,6 +96,7 @@ def solve_extension(mesh: Mesh, b: np.ndarray, params: ExtensionParams,
         A = block_matrix(spaces, engine, z, ("lam_w",), ("w",), fixed=fixed)
         return spla.splu(A.tocsc(), **LU_OPTIONS).solve
 
-    w, _ = semismooth_newton(residual, factorize, w, params.newton_tol,
-                             params.newton_max_iter, "extension")
+    w, _ = semismooth_newton(residual, factorize, np.zeros(2 * nv),
+                             params.newton_tol, params.newton_max_iter,
+                             "extension")
     return w.reshape(nv, 2)

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Mesh, BoundaryTag, MeshError, obstacle_loop
+from .mesh import Mesh, MeshError, obstacle_loop
 
 __all__ = [
     "quadrature_triangle",
@@ -37,51 +37,34 @@ __all__ = [
 LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                   options=dict(SymmetricMode=True))
 
-# Dunavant rules on the reference triangle in barycentric coordinates.
-# Weights are normalized to sum to one (reference measure normalized).
-_QUAD_RULES = {
-    1: (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
-    2: (
-        np.array(
-            [
-                [2 / 3, 1 / 6, 1 / 6],
-                [1 / 6, 2 / 3, 1 / 6],
-                [1 / 6, 1 / 6, 2 / 3],
-            ]
-        ),
-        np.array([1 / 3, 1 / 3, 1 / 3]),
-    ),
-    4: (
-        np.array(
-            [
-                [0.108103018168070, 0.445948490915965, 0.445948490915965],
-                [0.445948490915965, 0.108103018168070, 0.445948490915965],
-                [0.445948490915965, 0.445948490915965, 0.108103018168070],
-                [0.816847572980459, 0.091576213509771, 0.091576213509771],
-                [0.091576213509771, 0.816847572980459, 0.091576213509771],
-                [0.091576213509771, 0.091576213509771, 0.816847572980459],
-            ]
-        ),
-        np.array(
-            [
-                0.223381589678011,
-                0.223381589678011,
-                0.223381589678011,
-                0.109951743655322,
-                0.109951743655322,
-                0.109951743655322,
-            ]
-        ),
-    ),
-}
+# The degree-4 Dunavant rule on the reference triangle in barycentric
+# coordinates, with weights normalized to sum to one.
+_QUAD_POINTS = np.array(
+    [
+        [0.108103018168070, 0.445948490915965, 0.445948490915965],
+        [0.445948490915965, 0.108103018168070, 0.445948490915965],
+        [0.445948490915965, 0.445948490915965, 0.108103018168070],
+        [0.816847572980459, 0.091576213509771, 0.091576213509771],
+        [0.091576213509771, 0.816847572980459, 0.091576213509771],
+        [0.091576213509771, 0.091576213509771, 0.816847572980459],
+    ]
+)
+_QUAD_WEIGHTS = np.array(
+    [
+        0.223381589678011,
+        0.223381589678011,
+        0.223381589678011,
+        0.109951743655322,
+        0.109951743655322,
+        0.109951743655322,
+    ]
+)
 
 
-def quadrature_triangle(order: int):
-    """Barycentric points and weights; weights sum to 1; exact to the given degree."""
-    if order not in _QUAD_RULES:
-        raise ValueError(f"unsupported quadrature order {order}; supported: 1, 2, 4")
-    pts, w = _QUAD_RULES[order]
-    return pts.copy(), w.copy()
+def quadrature_triangle():
+    """Barycentric points and weights of a rule exact to degree 4; the
+    weights sum to 1."""
+    return _QUAD_POINTS.copy(), _QUAD_WEIGHTS.copy()
 
 
 @dataclass(frozen=True)
@@ -116,10 +99,6 @@ class P1Geometry:
         h = np.linalg.norm(edges, axis=2).max(axis=1)
         return cls(tri, grads, 0.5 * det, h, p.mean(axis=1))
 
-    @property
-    def num_triangles(self) -> int:
-        return len(self.tri)
-
 
 # -- curve operators on the obstacle polyline -------------------------------------
 
@@ -136,21 +115,14 @@ class CurveOperators:
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
 
-    @property
-    def total_length(self) -> float:
-        return float(self.seg_length.sum())
-
     @cached_property
     def factor(self):
         """Sparse LU of the curve operator M + K, built on first use."""
         return spla.splu((self.mass + self.stiffness).tocsc(), **LU_OPTIONS)
 
 
-def assemble_boundary_curve(mesh: Mesh, tag: BoundaryTag = BoundaryTag.OBSTACLE) -> CurveOperators:
-    """Curve mass and stiffness for the closed polyline with the given tag."""
-    if tag != BoundaryTag.OBSTACLE:
-        # only the obstacle polyline is closed; other tags are open polylines
-        raise MeshError(f"curve assembly requires a closed polyline; tag {tag} is open")
+def assemble_boundary_curve(mesh: Mesh) -> CurveOperators:
+    """Curve mass and stiffness for the closed obstacle polyline."""
     loop = obstacle_loop(mesh)
     m = len(loop)
     pts = mesh.vertices[loop]

@@ -75,15 +75,13 @@ class AdjointFlowState:
 
 
 def inflow_profile(x, delta: float, kind: str = "paper-cosine") -> np.ndarray:
-    """Inflow velocity at one or many points.
+    """Inflow velocity at the points x, (n, 2).
 
     ``paper-cosine`` is (cos(2 pi |x| / delta), 0); ``parabolic`` is the
     clamped channel profile (max(0, 1 - (2 y / delta)^2), 0) with delta as
     the channel height.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
+    pts = np.asarray(x, dtype=float)
     out = np.zeros_like(pts)
     if kind == "paper-cosine":
         r = np.linalg.norm(pts, axis=1)
@@ -92,7 +90,7 @@ def inflow_profile(x, delta: float, kind: str = "paper-cosine") -> np.ndarray:
         out[:, 0] = np.maximum(0.0, 1.0 - (2.0 * pts[:, 1] / delta) ** 2)
     else:
         raise ValueError(f"unknown inflow profile {kind!r}")
-    return out[0] if single else out
+    return out
 
 
 def _tag_vertices(mesh: Mesh, *tags) -> np.ndarray:
@@ -120,9 +118,9 @@ def velocity_dirichlet(mesh: Mesh, params, override=None):
     v_zero = _tag_vertices(mesh, BoundaryTag.WALL, BoundaryTag.OBSTACLE)
     verts = np.concatenate([v_in, v_zero])
     vals = np.zeros((len(verts), 2))
-    kind = getattr(params, "inflow", "paper-cosine")
-    vals[:len(v_in)] = inflow_profile(mesh.vertices[v_in], params.delta, kind)
-    vals[np.isin(verts, v_zero)] = 0.0  # wall wins at shared corners
+    vals[:len(v_in)] = inflow_profile(mesh.vertices[v_in], params.delta,
+                                      params.inflow)
+    # wall wins at shared corners
     keep = np.concatenate([~np.isin(v_in, v_zero), np.ones(len(v_zero), bool)])
     return verts[keep], vals[keep]
 
@@ -134,7 +132,7 @@ def velocity_dirichlet(mesh: Mesh, params, override=None):
 _STATE_ROWS, _STATE_COLS = ("lam_v", "lam_p"), ("v", "p")
 
 
-def _state_blocks(spaces: Spaces, params, w, v, p):
+def _state_blocks(spaces: Spaces, w, v, p):
     z = zero_blocks(spaces)
     z["w"], z["v"], z["p"] = w, v, p
     return z
@@ -143,7 +141,7 @@ def _state_blocks(spaces: Spaces, params, w, v, p):
 def _forcing(spaces: Spaces, body_force) -> np.ndarray:
     """Nodal load vector of an optional manufactured body force (nv, 2)."""
     geo = spaces.geo_fluid
-    qp, qw = quadrature_triangle(4)
+    qp, qw = quadrature_triangle()
     pts = np.einsum("ql,tlx->tqx", qp, spaces.mesh.vertices[geo.tri])
     nt, nq = pts.shape[:2]
     vals = np.asarray(body_force(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2)
@@ -161,7 +159,7 @@ def state_residual(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     entries.  Dirichlet rows are not altered here.
     """
     spaces = spaces or Spaces.build(mesh)
-    z = _state_blocks(spaces, params, w, state.v, state.p)
+    z = _state_blocks(spaces, w, state.v, state.p)
     grad = gradient_blocks(spaces, params, z, names=("lam_v", "lam_p"))
     rv = grad["lam_v"]
     if body_force is not None:
@@ -194,7 +192,8 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
     carries the residual history.
     """
     spaces = spaces or Spaces.build(mesh)
-    if np.any(_element_dets(spaces, w) <= 0.0):
+    _, det, _ = element_kinematics(spaces.geo_fluid, np.asarray(w, float))
+    if np.any(det <= 0.0):
         import warnings
         warnings.warn("non-positive det(DF); state solve attempted anyway")
     nv = mesh.num_vertices
@@ -214,7 +213,7 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
         return r
 
     def factorize(uvec, active):
-        z = _state_blocks(spaces, params, w, uvec[:2 * nv].reshape(nv, 2),
+        z = _state_blocks(spaces, w, uvec[:2 * nv].reshape(nv, 2),
                           uvec[2 * nv:])
         return factorize_flow(block_matrix(
             spaces, params, z, _STATE_ROWS, _STATE_COLS, fixed=dofs)).solve
@@ -222,11 +221,6 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
     u, _ = semismooth_newton(residual, factorize, u, params.newton_tol,
                              params.newton_max_iter, "state")
     return FlowState(u[:2 * nv].reshape(nv, 2).copy(), u[2 * nv:].copy())
-
-
-def _element_dets(spaces: Spaces, w) -> np.ndarray:
-    _, det, _ = element_kinematics(spaces.geo_fluid, np.asarray(w, float))
-    return det
 
 
 def dissipation(mesh: Mesh, w: np.ndarray, state: FlowState, nu: float,
@@ -241,8 +235,7 @@ def dissipation(mesh: Mesh, w: np.ndarray, state: FlowState, nu: float,
 
 
 def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
-                  spaces: Spaces | None = None, pin_pressure=None,
-                  dirichlet_override=None) -> AdjointFlowState:
+                  spaces: Spaces | None = None) -> AdjointFlowState:
     """Linear adjoint solve at a converged state.
 
     The matrix is the transpose of the state Jacobian; the right-hand side is
@@ -250,10 +243,9 @@ def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     """
     spaces = spaces or Spaces.build(mesh)
     nv = mesh.num_vertices
-    z = _state_blocks(spaces, params, w, state.v, state.p)
-    dofs, _ = dirichlet_dofs(
-        spaces, _STATE_ROWS,
-        velocity_dirichlet(mesh, params, dirichlet_override), pin_pressure)
+    z = _state_blocks(spaces, w, state.v, state.p)
+    dofs, _ = dirichlet_dofs(spaces, _STATE_ROWS,
+                             velocity_dirichlet(mesh, params))
     A = block_matrix(spaces, params, z, _STATE_COLS, _STATE_ROWS, fixed=dofs)
     grad = gradient_blocks(spaces, params, z, names=("v", "p"))
     rhs = -np.concatenate([grad["v"].ravel(), grad["p"]])
@@ -272,8 +264,7 @@ def reduced_gradient(mesh: Mesh, w: np.ndarray, state: FlowState,
     engine gets the penalty weight beta = 0.
     """
     spaces = spaces or Spaces.build(mesh)
-    z = zero_blocks(spaces)
-    z["w"], z["v"], z["p"] = w, state.v, state.p
+    z = _state_blocks(spaces, w, state.v, state.p)
     z["lam_v"], z["lam_p"] = adjoint.lam_v, adjoint.lam_p
     grad = gradient_blocks(spaces, KktParams(nu=params.nu, mu=params.mu,
                                              beta=0.0), z, names=("w",))

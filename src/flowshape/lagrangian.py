@@ -20,8 +20,11 @@ Omitting the selection evaluates every block.  ``block_matrix`` places the
 pairs that a block layout (ordered row and column names) touches into one
 sparse matrix; the KKT matrix, the shape subsystem's matrix, the flow
 state and adjoint matrices and the extension Jacobian are all built through
-it.  ``dirichlet_dofs`` gives the boundary conditions of a block layout,
-and so of every solve.
+it.  The residuals of the solves are gradient blocks likewise: the extension
+equation is the lam_w block, and its Jacobian the (w, lam_w) pair, both
+from the one per-element frame of the extension operator.
+``dirichlet_dofs`` gives the boundary conditions of a block layout, and so
+of every solve.
 
 Assembly follows a scatter plan, because the sparsity depends only on the
 mesh (Cuvelier, Japhet & Scarella, "An efficient way to assemble finite
@@ -63,8 +66,7 @@ from .transform import (element_kinematics, pushed_gradients,
 
 __all__ = ["BLOCK_NAMES", "HESSIAN_PAIRS", "KktParams", "Spaces",
            "control_spaces", "block_sizes", "block_offsets",
-           "dirichlet_dofs", "zero_blocks", "extension_residual",
-           "extension_block", "total_value",
+           "dirichlet_dofs", "zero_blocks", "total_value",
            "gradient_blocks", "hessian_blocks", "block_matrix"]
 
 # integral of phi_l phi_m over a triangle is area * S12[l, m]
@@ -386,6 +388,9 @@ def _fluid_frame(spaces: Spaces, z: dict) -> _FluidFrame:
 
 
 def _ext_frame(spaces: Spaces, z: dict) -> SimpleNamespace:
+    """Per-element arrays of the extension pairing and the determinant
+    penalty at one point, on the extension domain; every extension term
+    of the value, the gradient and the Hessian reads them."""
     geo = spaces.geo_ext
     tri = geo.tri
     wloc = z["w"][tri]
@@ -394,9 +399,10 @@ def _ext_frame(spaces: Spaces, z: dict) -> SimpleNamespace:
     Dlw = np.swapaxes(lwloc, 1, 2) @ geo.grads
     J = (1.0 + Dw[:, 0, 0]) * (1.0 + Dw[:, 1, 1]) - Dw[:, 0, 1] * Dw[:, 1, 0]
     Lam = geo.area[:, None, None] * (_S12 @ lwloc)    # integral of phi_n lam_w
+    W = geo.area[:, None, None] * (_S12 @ wloc)       # integral of phi_n w
     return SimpleNamespace(geo=geo, tri=tri, area=geo.area, G=geo.grads,
                            wloc=wloc, lwloc=lwloc, Dw=Dw, Dlw=Dlw, J=J,
-                           Lam=Lam)
+                           Lam=Lam, W=W)
 
 
 def _curve_mass_pair(seg_length, u, v):
@@ -502,58 +508,6 @@ def _dof_kron(*pairs):
             .reshape(t, 6, 6))
 
 
-# -- extension operator -----------------------------------------------------------
-
-
-def _ext_displacement(geo: P1Geometry, w: np.ndarray):
-    """Dw per element and W[n] = integral of phi_n w, (t, 3, 2)."""
-    wloc = w[geo.tri]
-    return (np.swapaxes(wloc, 1, 2) @ geo.grads,
-            geo.area[:, None, None] * (_S12 @ wloc))
-
-
-def extension_residual(spaces: Spaces, w: np.ndarray,
-                       eta_ext: float) -> np.ndarray:
-    """Interior residual of the extension equation, (nv, 2).
-
-    It is the interior part of the lam_w gradient: minus the
-    symmetrized-gradient form and the advection eta_ext (Dw w), tested with
-    each hat function over the extension domain.  The boundary load on the
-    obstacle loop is not included.
-    """
-    geo = spaces.geo_ext
-    Dw, W = _ext_displacement(geo, w)
-    DwT = np.swapaxes(Dw, 1, 2)
-    loc = -geo.area[:, None, None] * (geo.grads @ (Dw + DwT))
-    loc -= eta_ext * (W @ DwT)
-    residual = np.zeros((spaces.mesh.num_vertices, 2))
-    np.add.at(residual, geo.tri, loc)
-    return residual
-
-
-def extension_block(spaces: Spaces, w: np.ndarray,
-                    eta_ext: float) -> sparse.coo_matrix:
-    """The (w, lam_w) block, rows w and columns lam_w, as a sparse COO matrix.
-
-    It is the transposed derivative of :func:`extension_residual` with
-    respect to w.  The extension pairing is linear in lam_w, so the block
-    applied to lam_w is the pairing's w gradient.
-    """
-    geo = spaces.geo_ext
-    G, area = geo.grads, geo.area
-    Dw, W = _ext_displacement(geo, w)
-    # entry (m, c), (n, a): -area G_m[a] G_n[c] - eta_ext Dw[a, c] area
-    # S12[m, n] - delta_ca K[m, n]
-    K = (area[:, None, None] * (G @ np.swapaxes(G, 1, 2))
-         + eta_ext * (G @ np.swapaxes(W, 1, 2)))
-    H = -_dof_swap(area[:, None, None] * G, G) - _dof_kron(
-        (eta_ext * area[:, None, None] * _S12, np.swapaxes(Dw, 1, 2)),
-        (K, np.eye(2)))
-    dofs = _vdofs(geo.tri)
-    n = 2 * spaces.mesh.num_vertices
-    return _scatter(spaces, "ext", H, dofs, dofs, (n, n))
-
-
 # -- value ------------------------------------------------------------------------
 
 
@@ -636,18 +590,22 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
 
     ``names`` selects blocks from ``BLOCK_NAMES`` (None: all eleven); the
     result holds exactly those keys, in that order, and only what they read
-    is evaluated: the extension terms and the penalty gradient only for "w"
-    or "lam_w".  An unknown name raises ``ValueError``.
+    is evaluated: the extension frame only for "w" or "lam_w", the penalty
+    gradient only for "w", the fluid frame for any block but "lam_w" and the
+    boundary blocks.  An unknown name raises ``ValueError``.
     """
     want = _select(names, BLOCK_NAMES, "block name")
-    f = _fluid_frame(spaces, z)
     nu, mu = params.nu, params.mu
     zero = zero_blocks(spaces)
     out = {name: zero[name] for name in want}
-    area, J, g, h = f.area, f.J, f.g, f.h
-    aJ = area * J
-    mh2 = mu * h * h * area
+    if set(want) - {"lam_w", "b", "c", "lam_b"}:
+        f = _fluid_frame(spaces, z)
+        area, J, g, h = f.area, f.J, f.g, f.h
+        aJ = area * J
+        mh2 = mu * h * h * area
     Mc, Kc, loop = _obstacle_loop(spaces)
+    if "w" in want or "lam_w" in want:
+        e = _ext_frame(spaces, z)
 
     if "w" in want:
         # the fluid and constraint terms, then the extension pairing's w
@@ -655,7 +613,6 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
         # mesh.fluid_cells (all cells on a mesh without a holdall)
         wt = _w_terms(f, params, z)
         gw = wt.S[:, None, None] * g - g @ wt.Q - wt.V - wt.L[:, None, :]
-        e = _ext_frame(spaces, z)
         ge = -e.area[:, None, None] * (e.G @ (e.Dlw
                                               + np.swapaxes(e.Dlw, 1, 2)))
         ge -= params.eta_ext * (e.G @ (np.swapaxes(e.wloc, 1, 2) @ e.Lam)
@@ -666,8 +623,13 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
                                          params.eta_det, params.beta)
 
     if "lam_w" in want:
-        # extension equation and its boundary load
-        out["lam_w"] += extension_residual(spaces, z["w"], params.eta_ext)
+        # the extension equation: minus the symmetrized-gradient form and
+        # the advection eta_ext (Dw w), tested with each hat function over
+        # the extension domain, plus the boundary load M b on the loop
+        DwT = np.swapaxes(e.Dw, 1, 2)
+        glw = -e.area[:, None, None] * (e.G @ (e.Dw + DwT))
+        glw -= params.eta_ext * (e.W @ DwT)
+        np.add.at(out["lam_w"], e.tri, glw)
         out["lam_w"][loop] += Mc @ z["b"]
 
     if "v" in want:
@@ -748,7 +710,8 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
 
     A block's pattern is every position that an element touches, zeros
     included, so it depends only on the mesh; each entry sums its element
-    entries in element order (see :func:`block_matrix`).  Only one triangle of the block structure is produced; the assembled system
+    entries in element order (see :func:`block_matrix`).  Only one
+    triangle of the block structure is produced; the assembled system
     matrix places each off-diagonal block together with its transpose.  The
     penalty contribution uses the generalized derivative with the active set
     {det(DF) < eta_det} (ties inactive), making the result an element of the
@@ -757,9 +720,9 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
 
     ``pairs`` selects blocks from ``HESSIAN_PAIRS`` (None: all seventeen);
     the result holds exactly those keys, in that order, and only the
-    per-element arrays they read are built: the extension frame and the
-    penalty Hessian only for ("w", "w").  An unknown pair, a reversed one
-    included, raises ``ValueError``.
+    per-element arrays they read are built: the extension frame only for
+    ("w", "w") or ("w", "lam_w"), the penalty Hessian only for ("w", "w").
+    An unknown pair, a reversed one included, raises ``ValueError``.
     """
     want = _select(pairs, HESSIAN_PAIRS, "Hessian block pair")
     f = _fluid_frame(spaces, z)
@@ -774,6 +737,9 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
     blocks = {}
     fdofs = _vdofs(f.tri)
     ftri = f.tri
+    if ("w", "w") in want or ("w", "lam_w") in want:
+        e = _ext_frame(spaces, z)
+        edofs = _vdofs(e.tri)
 
     # -- (w, w): every J-carrying term plus stabilization, advection, penalty
     if ("w", "w") in want:
@@ -794,13 +760,12 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
         # the extension domain, whose cells include the fluid cells at
         # mesh.fluid_cells; the assembled half plus its transpose is exactly
         # symmetric, whatever order the sparse sum takes
-        e = _ext_frame(spaces, z)
         Ke = _dof_swap(e.G, -params.eta_ext * e.Lam)
         Ke += 0.5 * det_penalty_element_hessians(
             spaces.geo_ext, z["w"], params.eta_det, params.beta, active)
         Ke[spaces.mesh.fluid_cells] += K
         blocks[("w", "w")] = _symmetric_scatter(
-            spaces, "ext", Ke, _vdofs(e.tri), sizes["w"])
+            spaces, "ext", Ke, edofs, sizes["w"])
 
     # -- (w, v)
     if ("w", "v") in want:
@@ -843,10 +808,19 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
         blocks[("w", "lam_p")] = _scatter(spaces, "vs", Hwlp, fdofs,
                                           ftri, (sizes["w"], sizes["lam_p"]))
 
-    # -- (w, lam_w): the extension linearization
+    # -- (w, lam_w): the extension linearization, the transposed derivative
+    # of the extension equation (the lam_w gradient) by w; the pairing is
+    # linear in lam_w, so the block applied to lam_w is its w gradient
     if ("w", "lam_w") in want:
-        blocks[("w", "lam_w")] = extension_block(spaces, z["w"],
-                                                 params.eta_ext)
+        # entry (m, c), (n, a): -area G_m[a] G_n[c] - eta_ext Dw[a, c] area
+        # S12[m, n] - delta_ca K[m, n]
+        eta, G, earea = params.eta_ext, e.G, e.area[:, None, None]
+        K = earea * (G @ np.swapaxes(G, 1, 2)) + eta * (
+            G @ np.swapaxes(e.W, 1, 2))
+        Hwlw = -_dof_swap(earea * G, G) - _dof_kron(
+            (eta * earea * _S12, np.swapaxes(e.Dw, 1, 2)), (K, eye))
+        blocks[("w", "lam_w")] = _scatter(spaces, "ext", Hwlw, edofs, edofs,
+                                          (sizes["w"], sizes["lam_w"]))
 
     # -- (w, lam_vol) and (w, lam_bc)
     if ("w", "lam_vol") in want:

@@ -37,7 +37,7 @@ class BoundaryTag(Enum):
     OBSTACLE = "obstacle"
 
 
-# default mapping of Gmsh physical ids to boundary groups / surfaces
+# mapping of Gmsh physical ids to boundary groups / surfaces
 DEFAULT_PHYSICAL_TAGS = {
     1: BoundaryTag.INFLOW,
     2: BoundaryTag.WALL,
@@ -181,15 +181,15 @@ def signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 # -- MSH 2.2 reader / writer -----------------------------------------------------
 
 
-def load_msh(path, physical_tags: dict | None = None) -> Mesh:
+def load_msh(path) -> Mesh:
     """Read an ASCII Gmsh MSH 2.2 file.
 
     Line elements (type 1) carry the boundary tags, triangles (type 2) the
-    surfaces.  ``physical_tags`` maps physical ids of line elements to
-    :class:`BoundaryTag`; triangles with physical id ``OBSTACLE_SURFACE_TAG``
-    become obstacle cells.  Negatively oriented triangles are flipped.
+    surfaces.  ``DEFAULT_PHYSICAL_TAGS`` maps physical ids of line elements
+    to :class:`BoundaryTag`; triangles with physical id
+    ``OBSTACLE_SURFACE_TAG`` become obstacle cells.  Negatively oriented
+    triangles are flipped.
     """
-    tag_map = dict(DEFAULT_PHYSICAL_TAGS if physical_tags is None else physical_tags)
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
     sections: dict[str, list[str]] = {}
@@ -256,10 +256,10 @@ def load_msh(path, physical_tags: dict | None = None) -> Mesh:
         if etype == 1:
             if len(conn) != 2:
                 raise MshParseError(f"line element {k} has {len(conn)} nodes")
-            if phys not in tag_map:
+            if phys not in DEFAULT_PHYSICAL_TAGS:
                 raise MshParseError(f"line element {k} carries unknown physical tag {phys}")
             segments.append(conn)
-            seg_tags.append(tag_map[phys])
+            seg_tags.append(DEFAULT_PHYSICAL_TAGS[phys])
         elif etype == 2:
             if len(conn) != 3:
                 raise MshParseError(f"triangle element {k} has {len(conn)} nodes")
@@ -279,10 +279,9 @@ def load_msh(path, physical_tags: dict | None = None) -> Mesh:
                 np.asarray(seg_tags, dtype=object), obstacle_cells)
 
 
-def write_msh(mesh: Mesh, path, physical_tags: dict | None = None) -> None:
+def write_msh(mesh: Mesh, path) -> None:
     """Write the mesh as ASCII MSH 2.2 (inverse of :func:`load_msh`)."""
-    tag_map = dict(DEFAULT_PHYSICAL_TAGS if physical_tags is None else physical_tags)
-    inv = {v: k for k, v in tag_map.items()}
+    inv = {v: k for k, v in DEFAULT_PHYSICAL_TAGS.items()}
     obstacle = set(mesh.obstacle_cells.tolist())
     with open(path, "w") as fh:
         fh.write("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")

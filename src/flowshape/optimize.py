@@ -23,11 +23,11 @@ import numpy as np
 
 from .flow import (FlowParams, FlowState, SolverError, dissipation,
                    solve_adjoint, solve_state)
-from .kkt import (KktParams, KktVector, barycenter_residual, solve_kkt,
-                  volume_residual)
+from .kkt import (KktParams, KktVector, barycenter_residual,
+                  penalty_active_set, solve_kkt, volume_residual)
 from .lagrangian import Spaces, control_spaces
 from .mesh import Mesh, worst_quality
-from .transform import det_penalty, element_kinematics
+from .transform import det_penalty
 
 __all__ = [
     "ContinuationSchedule", "RunRecord", "RunLog", "run_direct",
@@ -91,9 +91,6 @@ class RunLog:
 
     records: list = field(default_factory=list)
 
-    def append(self, record: RunRecord) -> None:
-        self.records.append(record)
-
     @property
     def total_iterations(self) -> int:
         return self.records[-1].ell if self.records else 0
@@ -110,10 +107,7 @@ def _diagnostics(spaces: Spaces, params: KktParams, y: KktVector):
     """Dissipation, control cost, penalty and constraint residuals at y."""
     mesh = spaces.mesh
     j = dissipation(mesh, y.w, FlowState(y.v, y.p), params.nu, spaces)
-    if spaces.curve is not None and len(y.c):
-        cnorm = float(np.sqrt(y.c @ (spaces.curve.mass @ y.c)))
-    else:
-        cnorm = 0.0
+    cnorm = float(np.sqrt(y.c @ (spaces.curve.mass @ y.c)))
     pen = det_penalty(spaces.geo_ext, y.w, params.eta_det, params.beta)
     vol = volume_residual(mesh, y.w, spaces)
     bary = barycenter_residual(mesh, y.w, spaces)
@@ -170,7 +164,7 @@ def run_direct(mesh: Mesh, params: KktParams,
         except SolverError as err:
             err.log = log
             raise
-        log.append(_record(spaces, pk, y, k, k + 1, len(hist), t0))
+        log.records.append(_record(spaces, pk, y, k, k + 1, len(hist), t0))
         prev_alpha = alpha
     return y, log
 
@@ -210,7 +204,7 @@ def run_iterative(mesh: Mesh, params: KktParams,
                 c_old = y.c.copy()
                 y, _ = solve_kkt(mesh, y, pk, spaces, _SHAPE_BLOCKS)
                 ell += 1
-                log.append(_record(spaces, pk, y, k, ell, 1, t0))
+                log.records.append(_record(spaces, pk, y, k, ell, 1, t0))
                 denom = np.linalg.norm(y.c)
                 change = np.linalg.norm(y.c - c_old)
                 changes.append(change)
@@ -228,11 +222,6 @@ def run_iterative(mesh: Mesh, params: KktParams,
         err.log = log
         raise
     return y, log
-
-
-def _min_det(spaces: Spaces, w: np.ndarray) -> float:
-    _, J, _ = element_kinematics(spaces.geo_ext, w)
-    return float(J.min())
 
 
 def quality_sweep(mesh: Mesh, params: KktParams, eta_ext_values,
@@ -256,11 +245,8 @@ def quality_sweep(mesh: Mesh, params: KktParams, eta_ext_values,
         except SolverError:
             rows.append((float(eta), float("nan")))
     if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eta_ext", "worst_quality"])
-            for eta, q in rows:
-                writer.writerow([f"{eta:.6g}", f"{q:.10g}"])
+        _write_csv(csv_path, ["eta_ext", "worst_quality"],
+                   [(f"{eta:.6g}", f"{q:.10g}") for eta, q in rows])
     return rows
 
 
@@ -284,22 +270,24 @@ def det_sweep(mesh: Mesh, params: KktParams, eta_det_values,
         except SolverError:
             rows.append((float(eta), "failed", ""))
             continue
-        active = _min_det(spaces, y.w) < float(eta)
+        active = penalty_active_set(spaces, y.w, float(eta)).any()
         path = ""
-        if output_dir is not None and spaces.curve is not None:
+        if output_dir is not None:
             loop = spaces.curve.loop
             pts = mesh.vertices[loop] + y.w[loop]
             path = str(Path(output_dir) / f"shape_eta_det_{eta:g}.csv")
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["x", "y"])
-                for x, yv in pts:
-                    writer.writerow([f"{x:.10g}", f"{yv:.10g}"])
+            _write_csv(path, ["x", "y"],
+                       [(f"{x:.10g}", f"{yv:.10g}") for x, yv in pts])
         rows.append((float(eta), bool(active), path))
     if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eta_det", "active", "path"])
-            for eta, active, path in rows:
-                writer.writerow([f"{eta:.6g}", str(active).lower(), path])
+        _write_csv(csv_path, ["eta_det", "active", "path"],
+                   [(f"{eta:.6g}", str(active).lower(), path)
+                    for eta, active, path in rows])
     return rows
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -113,6 +113,9 @@ def test_quality_sweep_single_point(tmp_path, capsys):
     table = (out / "quality_sweep.csv").read_text().splitlines()
     assert table[0] == "eta_ext,worst_quality"
     assert len(table) == 2
+    eta, quality = table[1].split(",")
+    assert eta == "1"
+    assert quality == f"{float(quality):.10g}"
 
 
 def test_det_sweep_single_point(tmp_path, capsys):
@@ -125,6 +128,15 @@ def test_det_sweep_single_point(tmp_path, capsys):
     table = (out / "det_sweep.csv").read_text().splitlines()
     assert table[0] == "eta_det,active,path"
     assert len(table) == 2
+    eta, active, path = table[1].split(",")
+    assert (eta, path) == ("0.05", str(out / "shape_eta_det_0.05.csv"))
+    assert active in ("true", "false")
+    # the deformed obstacle loop, one row per loop vertex
+    shape = (out / "shape_eta_det_0.05.csv").read_text().splitlines()
+    assert shape[0] == "x,y"
+    assert len(shape) == 1 + 24
+    for row in shape[1:]:
+        assert row == ",".join(f"{float(v):.10g}" for v in row.split(","))
 
 
 def test_bad_eta_list_is_config_error(tmp_path, capsys):

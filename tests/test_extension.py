@@ -9,11 +9,21 @@ from flowshape.extension import (
     solve_extension,
     solve_laplace_beltrami,
 )
-from flowshape.lagrangian import Spaces, extension_block, extension_residual
+from flowshape.lagrangian import (KktParams, Spaces, gradient_blocks,
+                                  hessian_blocks, zero_blocks)
 
 
 def _loop_normals(spaces):
     return spaces.normals
+
+
+def _extension_residual(spaces, w, b, eta_ext):
+    """The lam_w gradient of the term engine: the extension equation at w
+    with the boundary datum b."""
+    z = zero_blocks(spaces)
+    z["w"], z["b"] = w, b
+    return gradient_blocks(spaces, KktParams(eta_ext=eta_ext), z,
+                           names=("lam_w",))["lam_w"].ravel()
 
 
 def test_laplace_beltrami_circle_closed_form(circle_mesh):
@@ -53,9 +63,7 @@ def test_extension_residual_zero_at_solution(circle_mesh, rng):
     params = ExtensionParams(eta_ext=2.0)
     b = 0.05 * rng.standard_normal((spaces.num_loop, 2))
     w = solve_extension(circle_mesh, b, params, spaces=spaces)
-    r = extension_residual(spaces, w, params.eta_ext)
-    r[spaces.curve.loop] += spaces.curve.mass @ b
-    r = r.ravel()
+    r = _extension_residual(spaces, w, b, params.eta_ext)
     outer = circle_mesh.outer_boundary_vertices()
     free = np.ones(circle_mesh.num_vertices, bool)
     free[outer] = False
@@ -67,7 +75,7 @@ def test_extension_residual_zero_at_solution(circle_mesh, rng):
 def test_linearization_matches_finite_differences(circle_mesh, rng):
     """The Newton matrix of the extension (the transposed (w, lam_w) block)
     and the boundary load M b are the derivatives of the extension residual
-    in w and in b."""
+    (the lam_w gradient) in w and in b."""
     spaces = Spaces.build(circle_mesh)
     params = ExtensionParams(eta_ext=2.0)
     nv = circle_mesh.num_vertices
@@ -76,11 +84,12 @@ def test_linearization_matches_finite_differences(circle_mesh, rng):
     b = 0.05 * rng.standard_normal((m, 2))
 
     def residual(w, b):
-        r = extension_residual(spaces, w, params.eta_ext)
-        r[spaces.curve.loop] += spaces.curve.mass @ b
-        return r.ravel()
+        return _extension_residual(spaces, w, b, params.eta_ext)
 
-    jac_w = extension_block(spaces, w, params.eta_ext).T
+    z = zero_blocks(spaces)
+    z["w"] = w
+    jac_w = hessian_blocks(spaces, KktParams(eta_ext=params.eta_ext), z,
+                           pairs=[("w", "lam_w")])[("w", "lam_w")].T
     h = 1e-5
     dw = rng.standard_normal((nv, 2))
     db = rng.standard_normal((m, 2))

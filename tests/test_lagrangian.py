@@ -359,7 +359,7 @@ def test_assembly_plan_matches_reference_assembly(mesh_spaces, params,
     active = None
     if with_active:
         active = np.random.default_rng(5).random(
-            sp.geo_ext.num_triangles) < 0.3
+            len(sp.geo_ext.tri)) < 0.3
     rows, cols, fixed = _layouts(sp, params)[layout]
     got = block_matrix(sp, params, z, rows, cols, active, fixed)
     want = _reference_matrix(sp, params, z, rows, cols, fixed, active)

@@ -48,8 +48,8 @@ def test_schedule_validation():
 
 def test_runlog_roundtrip(tmp_path):
     log = RunLog()
-    log.append(RunRecord(0, 1, 1e-4, 0.5, 0.4, 0.0, 1.0, 1e-9, (1e-9, -2e-9),
-                         7, 1.25))
+    log.records.append(RunRecord(0, 1, 1e-4, 0.5, 0.4, 0.0, 1.0, 1e-9,
+                                 (1e-9, -2e-9), 7, 1.25))
     path = tmp_path / "run.log"
     log.write(path)
     lines = path.read_text().strip().split("\n")

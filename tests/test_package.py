@@ -106,3 +106,71 @@ def test_every_sparse_lu_follows_one_policy():
                     bad.append(f"{where} splu without **LU_OPTIONS")
     assert not bad, bad
     assert sorted(splus) == SPLU_SITES
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = sorted(path for folder in ("src", "tests", "demos", "perfbench")
+                 for path in (ROOT / folder).rglob("*.py"))
+
+
+def _defaulted_parameters(tree):
+    """Each public function and public method of a public class in
+    ``tree`` that has parameters with a default: its name, its qualified
+    name, and the name of each such parameter with the position a call
+    passes it at (None if keyword-only)."""
+    found = []
+
+    def add(node, where, method):
+        if node.name.startswith("_"):
+            return
+        args = node.args
+        positional = (args.posonlyargs + args.args)[1 if method else 0:]
+        offset = len(positional) - len(args.defaults)
+        params = [(a.arg, i) for i, a in enumerate(positional) if i >= offset]
+        params += [(a.arg, None) for a, d in zip(args.kwonlyargs,
+                                                 args.kw_defaults) if d]
+        if params:
+            found.append((node.name, where, params))
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            add(node, node.name, False)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not any(
+                        getattr(d, "id", None) == "staticmethod"
+                        for d in item.decorator_list):
+                    add(item, f"{node.name}.{item.name}", True)
+    return found
+
+
+def test_every_keyword_has_a_caller():
+    """Every defaulted parameter of a public function or method of the
+    package is passed, by keyword or by position, in some call in the
+    sources, tests, demos or benchmark: an option that no call sets is
+    dead code.  Calls are matched by the called name alone, and a call with
+    ``*args`` or ``**kwargs`` counts as passing everything."""
+    keywords, positions = {}, {}
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr",
+                               getattr(node.func, "id", None))
+                # a ``**kwargs`` argument shows up as the keyword None
+                keywords.setdefault(name, set()).update(
+                    k.arg for k in node.keywords)
+                count = (float("inf") if any(isinstance(a, ast.Starred)
+                                             for a in node.args)
+                         else len(node.args))
+                positions[name] = max(positions.get(name, 0), count)
+    unused = []
+    for path in SOURCES:
+        for name, where, params in _defaulted_parameters(
+                ast.parse(path.read_text())):
+            given = keywords.get(name, set())
+            unused += [f"{path.name}:{where}({param}=)"
+                       for param, i in params
+                       if not (param in given or None in given
+                               or (i is not None
+                                   and i < positions.get(name, 0)))]
+    assert not unused, unused
