@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fem import LU_OPTIONS, quadrature_triangle
+from .fem import LU_OPTIONS, quadrature_triangle, scatter_nodal
 from .lagrangian import (KktParams, Spaces, block_matrix, dirichlet_dofs,
                          gradient_blocks, zero_blocks)
 from .mesh import BoundaryTag, Mesh
@@ -146,9 +146,7 @@ def _forcing(spaces: Spaces, body_force) -> np.ndarray:
     nt, nq = pts.shape[:2]
     vals = np.asarray(body_force(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2)
     loc = geo.area[:, None, None] * np.einsum("q,ql,tqa->tla", qw, qp, vals)
-    out = np.zeros((spaces.mesh.num_vertices, 2))
-    np.add.at(out, geo.tri, loc)
-    return out
+    return scatter_nodal(geo.tri, loc, spaces.mesh.num_vertices)
 
 
 def state_residual(mesh: Mesh, w: np.ndarray, state: FlowState, params,
@@ -169,27 +167,48 @@ def state_residual(mesh: Mesh, w: np.ndarray, state: FlowState, params,
 
 def factorize_flow(matrix):
     """Sparse LU with ``LU_OPTIONS`` of a flow Jacobian (the state Newton
-    matrix, its transpose or the flow block of a KKT state Jacobian); a
-    singular matrix raises a ``singular`` :class:`SolverError`."""
+    matrix or the flow block of a KKT state Jacobian); a singular matrix
+    raises a ``singular`` :class:`SolverError`."""
     try:
         return spla.splu(matrix.tocsc(), **LU_OPTIONS)
     except RuntimeError as exc:
         raise SolverError(f"flow matrix: {exc}", kind="singular") from exc
 
 
+class _FlowSolve:
+    """Solves with the LU ``lu`` of a state Jacobian, or with ``trans="T"``
+    with its transpose, the adjoint matrix."""
+
+    def __init__(self, lu, trans):
+        self.lu, self.trans = lu, trans
+
+    def __call__(self, rhs):
+        return self.lu.solve(rhs, trans=self.trans)
+
+
+def _orient(kept, trans):
+    """Make the flow factorization in the holder ``kept`` solve with
+    ``trans``; the holder keeps the only reference to it."""
+    if kept is not None and kept.solve is not None:
+        kept.solve = _FlowSolve(kept.solve.lu, trans)
+
+
 def solve_state(mesh: Mesh, w: np.ndarray, params,
                 spaces: Spaces | None = None, body_force=None,
                 dirichlet_override=None, pin_pressure=None,
-                initial=None) -> FlowState:
+                initial=None, kept=None) -> FlowState:
     """Damped Newton solve of the pulled-back stationary flow equations.
 
     ``pin_pressure`` is a (vertex, value) pair fixing the pressure level for
     fully enclosed configurations; the tunnel's open outflow needs none.  The
     flow Jacobian is factorized at the first iterate and wherever the
-    Newton loop stops reusing the last factorization for chord steps.  See
-    :func:`flowshape.newton.semismooth_newton` for globalization, reuse and
-    the stop test; a failure raises a classified :class:`SolverError` that
-    carries the residual history.
+    Newton loop stops reusing the last factorization for chord steps.
+    ``kept``, a :class:`flowshape.newton.Kept` holder, hands on a flow
+    factorization of an earlier state or adjoint solve with the same
+    boundary data, tried first as a chord step, and receives this solve's
+    last one.  See :func:`flowshape.newton.semismooth_newton` for
+    globalization, reuse and the stop test; a failure raises a classified
+    :class:`SolverError` that carries the residual history.
     """
     spaces = spaces or Spaces.build(mesh)
     _, det, _ = element_kinematics(spaces.geo_fluid, np.asarray(w, float))
@@ -215,11 +234,12 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
     def factorize(uvec, active):
         z = _state_blocks(spaces, w, uvec[:2 * nv].reshape(nv, 2),
                           uvec[2 * nv:])
-        return factorize_flow(block_matrix(
-            spaces, params, z, _STATE_ROWS, _STATE_COLS, fixed=dofs)).solve
+        return _FlowSolve(factorize_flow(block_matrix(
+            spaces, params, z, _STATE_ROWS, _STATE_COLS, fixed=dofs)), "N")
 
+    _orient(kept, "N")
     u, _ = semismooth_newton(residual, factorize, u, params.newton_tol,
-                             params.newton_max_iter, "state")
+                             params.newton_max_iter, "state", kept=kept)
     return FlowState(u[:2 * nv].reshape(nv, 2).copy(), u[2 * nv:].copy())
 
 
@@ -235,11 +255,18 @@ def dissipation(mesh: Mesh, w: np.ndarray, state: FlowState, nu: float,
 
 
 def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
-                  spaces: Spaces | None = None) -> AdjointFlowState:
+                  spaces: Spaces | None = None,
+                  kept=None) -> AdjointFlowState:
     """Linear adjoint solve at a converged state.
 
-    The matrix is the transpose of the state Jacobian; the right-hand side is
-    the derivative of the dissipation with respect to velocity and pressure.
+    The matrix A is the transpose of the state Jacobian; the right-hand side
+    g is the derivative of the dissipation with respect to velocity and
+    pressure.  The linear residual A lam - g is solved from zero by the
+    Newton routine of :func:`solve_state`: a state Jacobian's factorization
+    handed on in the :class:`flowshape.newton.Kept` holder ``kept``, solved
+    transposed, costs only chord steps where it is close enough, and the
+    transpose of A is factorized otherwise.  ``kept`` receives the
+    factorization in use.
     """
     spaces = spaces or Spaces.build(mesh)
     nv = mesh.num_vertices
@@ -250,7 +277,14 @@ def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     grad = gradient_blocks(spaces, params, z, names=("v", "p"))
     rhs = -np.concatenate([grad["v"].ravel(), grad["p"]])
     rhs[dofs] = 0.0
-    sol = factorize_flow(A).solve(rhs)
+
+    def factorize(lam, active):
+        return _FlowSolve(factorize_flow(A.T), "T")
+
+    _orient(kept, "T")
+    sol, _ = semismooth_newton(lambda lam: A @ lam - rhs, factorize,
+                               np.zeros(3 * nv), params.newton_tol,
+                               params.newton_max_iter, "adjoint", kept=kept)
     return AdjointFlowState(sol[:2 * nv].reshape(nv, 2).copy(),
                             sol[2 * nv:].copy())
 

@@ -285,11 +285,13 @@ class _StateElimination:
         self.primal = np.concatenate([self.control]
                                      + [Y for _, Y, _, _ in self.groups])
         self.read = np.concatenate([self.primal, self.multipliers])
+        own = self.control - dm.offsets["c"]
+        self.mass = dm.spaces.curve.mass[own][:, own].tocoo()  # A_cc / alpha
 
-    def factorize(self, A):
-        """Solver for ``A x = b`` by the diagonal blocks of A_y and a dense
-        LU of the reduced system; a singular one raises ``RuntimeError``."""
-        C, M, k = self.control, self.multipliers, self.control.size
+    def factorize(self, A, alpha):
+        """Solver for ``A x = b``, A being the Newton matrix at ``alpha``, by
+        the diagonal blocks of A_y and a dense LU of the reduced system; a
+        singular one raises ``RuntimeError``."""
         steps = []  # index sets, coupling and its transpose, diagonal solve
         for names, Y, L, K in self.groups:
             if names == ("b",):
@@ -300,53 +302,86 @@ class _StateElimination:
                 solve = factorize_flow(A[L][:, Y]).solve
             coupling = A[L][:, K]
             steps.append((Y, L, K, coupling, coupling.T, solve))
+        return _BlockFactor(self, A, steps, alpha)
 
-        def forward(x, rhs):
-            """x[states] = A_y^-1 (r - A_c x[control]), r[L] = ``rhs(L)``."""
-            for Y, L, K, coupling, _, solve in steps:
-                x[Y] = solve(rhs(L) - coupling @ x[K])
 
-        def backward(x, s):
-            """x[adjoints] = A_y^-T s[states]."""
-            carry = 0.0
-            for Y, L, _, _, transposed, solve in reversed(steps):
-                x[L] = solve(s[Y] - carry, trans="T")
-                carry = (transposed @ x[L])[k:]  # past the control columns
+class _BlockFactor:
+    """A Newton matrix A factorized by :class:`_StateElimination`; calling
+    it with ``rhs`` solves ``A x = rhs``.
 
-        basis = np.zeros((A.shape[0], k))
+    alpha enters A only as alpha M in the (c, c) block, and A_y carries
+    none, so :meth:`shift` moves the factorization exactly to another
+    alpha: it adds the change of alpha M to the dense reduced matrix and,
+    in place, to the matrix of the refinement pass, and factorizes the
+    reduced matrix again; the state factors, Z and Z^T H Z are kept.
+    """
+
+    def __init__(self, elimination, A, steps, alpha):
+        self.elimination, self.A, self.steps = elimination, A, steps
+        C, P = elimination.control, elimination.primal
+        k, m = C.size, elimination.multipliers.size
+        self.basis = basis = np.zeros((A.shape[0], k))
         basis[C, np.arange(k)] = 1.0
-        forward(basis, lambda L: 0.0)
-        P = self.primal
-        image = A[self.read] @ basis
-        reduced = np.zeros((k + M.size, k + M.size))
-        reduced[:k, :k] = basis[P].T @ image[:P.size]
-        reduced[k:, :k] = image[P.size:]
-        reduced[:k, k:] = image[P.size:].T
-        factor = linalg.lu_factor(reduced, check_finite=False)
-        if not np.all(np.diag(factor[0])):
+        self._forward(basis, lambda L: 0.0)
+        image = A[elimination.read] @ basis
+        self.reduced = np.zeros((k + m, k + m))
+        self.reduced[:k, :k] = basis[P].T @ image[:P.size]
+        self.reduced[k:, :k] = image[P.size:]
+        self.reduced[:k, k:] = image[P.size:].T
+        self.alpha = alpha
+        self.shift(alpha)
+
+    def shift(self, alpha):
+        """Move the factorization to ``alpha`` and factorize the reduced
+        matrix; a singular one raises ``RuntimeError``."""
+        if alpha != self.alpha:
+            C, M = self.elimination.control, self.elimination.mass
+            change, A = alpha - self.alpha, self.A
+            self.reduced[:C.size, :C.size] += change * M.toarray()
+            # A is assembled on a fixed pattern that stores every entry of M
+            where = [A.indptr[i] + np.flatnonzero(
+                A.indices[A.indptr[i]:A.indptr[i + 1]] == j)[0]
+                for i, j in zip(C[M.row], C[M.col])]
+            A.data[where] += change * M.data
+            self.alpha = alpha
+        self.factor = linalg.lu_factor(self.reduced, check_finite=False)
+        if not np.all(np.diag(self.factor[0])):
             raise RuntimeError("reduced KKT matrix is exactly singular")
 
-        def solve_once(rhs):
-            x = np.zeros_like(rhs)
-            x[self.fixed] = rhs[self.fixed]
-            forward(x, lambda L: rhs[L])
-            r = rhs - A @ x
-            sol = linalg.lu_solve(factor, np.concatenate([basis.T @ r, r[M]]),
-                                  check_finite=False)
-            x += basis @ sol[:k]
-            x[M] = sol[k:]
-            backward(x, rhs - A @ x)
-            return x
+    def _forward(self, x, rhs):
+        """x[states] = A_y^-1 (r - A_c x[control]), r[L] = ``rhs(L)``."""
+        for Y, L, K, coupling, _, solve in self.steps:
+            x[Y] = solve(rhs(L) - coupling @ x[K])
 
-        def linsolve(rhs):
-            x = solve_once(rhs)
-            return x + solve_once(rhs - A @ x)
+    def _backward(self, x, s):
+        """x[adjoints] = A_y^-T s[states]."""
+        carry, k = 0.0, self.elimination.control.size
+        for Y, L, _, _, transposed, solve in reversed(self.steps):
+            x[L] = solve(s[Y] - carry, trans="T")
+            carry = (transposed @ x[L])[k:]  # past the control columns
 
-        return linsolve
+    def _solve_once(self, rhs):
+        A, basis, M = self.A, self.basis, self.elimination.multipliers
+        k = basis.shape[1]
+        x = np.zeros_like(rhs)
+        x[self.elimination.fixed] = rhs[self.elimination.fixed]
+        self._forward(x, lambda L: rhs[L])
+        r = rhs - A @ x
+        sol = linalg.lu_solve(self.factor,
+                              np.concatenate([basis.T @ r, r[M]]),
+                              check_finite=False)
+        x += basis @ sol[:k]
+        x[M] = sol[k:]
+        self._backward(x, rhs - A @ x)
+        return x
+
+    def __call__(self, rhs):
+        x = self._solve_once(rhs)
+        return x + self._solve_once(rhs - self.A @ x)
 
 
 def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
-              spaces: Spaces | None = None, names=BLOCK_NAMES):
+              spaces: Spaces | None = None, names=BLOCK_NAMES, kept=None):
     """Damped semismooth Newton solve of the optimality system on the block
     layout ``names``; returns ``(y, residual_history)``.
 
@@ -359,8 +394,13 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
     does not reuse the last one for a chord step: the diagonal blocks of the
     state Jacobian and one dense LU of the reduced system in the control and
     the geometric multipliers (a singular factor is a ``singular`` failure).
-    See :func:`flowshape.newton.semismooth_newton` for globalization, reuse
-    and the stop test.  Raises a classified :class:`SolverError` on a
+    ``kept``, a :class:`flowshape.newton.Kept` holder, hands the last
+    factorization of an earlier solve on the same layout, mesh and
+    parameters but for alpha on to this one: it is moved exactly to
+    ``params.alpha`` and tried first as a chord step, and it receives the
+    last factorization of this solve.  See
+    :func:`flowshape.newton.semismooth_newton` for globalization, reuse and
+    the stop test.  Raises a classified :class:`SolverError` on a
     singular matrix, a stall or divergence, and ``MeshError`` on a mesh
     without an obstacle boundary, which carries no control.
     """
@@ -379,7 +419,14 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
 
     def factorize(uvec, active):
         return elimination.factorize(kkt_matrix(
-            mesh, dm.unpack(uvec, y0), params, spaces, active, names))
+            mesh, dm.unpack(uvec, y0), params, spaces, active, names),
+            params.alpha)
+
+    if kept is not None and kept.solve is not None:
+        try:
+            kept.solve.shift(params.alpha)
+        except RuntimeError:  # singular at this alpha: start afresh
+            kept.solve = kept.active = None
 
     def penalty_active(uvec):
         return penalty_active_set(spaces, uvec[wslice].reshape(-1, 2),
@@ -389,5 +436,5 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
             else f"KKT on {', '.join(dm.names)}")
     u, history = semismooth_newton(residual, factorize, u, params.newton_tol,
                                    params.newton_max_iter, what,
-                                   penalty_active)
+                                   penalty_active, kept)
     return dm.unpack(u, y0), history

@@ -59,7 +59,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .fem import (P1Geometry, CurveOperators, assemble_boundary_curve,
-                  eliminate_dirichlet)
+                  eliminate_dirichlet, scatter_nodal)
 from .mesh import BoundaryTag, Mesh, MeshError, boundary_normals
 from .transform import (element_kinematics, pushed_gradients,
                         det_penalty_gradient, det_penalty_element_hessians)
@@ -596,6 +596,7 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
     """
     want = _select(names, BLOCK_NAMES, "block name")
     nu, mu = params.nu, params.mu
+    nv = spaces.mesh.num_vertices
     zero = zero_blocks(spaces)
     out = {name: zero[name] for name in want}
     if set(want) - {"lam_w", "b", "c", "lam_b"}:
@@ -618,7 +619,7 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
         ge -= params.eta_ext * (e.G @ (np.swapaxes(e.wloc, 1, 2) @ e.Lam)
                                 + e.Lam @ e.Dw)
         ge[spaces.mesh.fluid_cells] += gw
-        np.add.at(out["w"], e.tri, ge)
+        out["w"] = scatter_nodal(e.tri, ge, nv)
         out["w"] += det_penalty_gradient(spaces.geo_ext, z["w"],
                                          params.eta_det, params.beta)
 
@@ -629,32 +630,32 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
         DwT = np.swapaxes(e.Dw, 1, 2)
         glw = -e.area[:, None, None] * (e.G @ (e.Dw + DwT))
         glw -= params.eta_ext * (e.W @ DwT)
-        np.add.at(out["lam_w"], e.tri, glw)
+        out["lam_w"] = scatter_nodal(e.tri, glw, nv)
         out["lam_w"][loop] += Mc @ z["b"]
 
     if "v" in want:
         gv = aJ[:, None, None] * (nu * (f.Mg - f.Ng)
                                   + f.lpbar[:, None, None] * g)
         gv -= J[:, None, None] * (f.gP + f.Q1)
-        np.add.at(out["v"], f.tri, gv)
+        out["v"] = scatter_nodal(f.tri, gv, nv)
 
     if "p" in want:
         gp = (aJ * f.trN / 3.0)[:, None] + mh2[:, None] * (
             f.AG @ f.ghlp[:, :, None])[:, :, 0]
-        np.add.at(out["p"], f.tri, gp)
+        out["p"] = scatter_nodal(f.tri, gp, nv)
 
     if "lam_v" in want:
         # the state momentum equation
         glv = -nu * aJ[:, None, None] * f.Mg
         glv -= (J * area)[:, None, None] * (_S12 @ f.Mv)
         glv += aJ[:, None, None] * f.pbar[:, None, None] * g
-        np.add.at(out["lam_v"], f.tri, glv)
+        out["lam_v"] = scatter_nodal(f.tri, glv, nv)
 
     if "lam_p" in want:
         # the state continuity equation with stabilization
         glp = (aJ * f.trM / 3.0)[:, None] + mh2[:, None] * (
             f.AG @ f.ghp[:, :, None])[:, :, 0]
-        np.add.at(out["lam_p"], f.tri, glp)
+        out["lam_p"] = scatter_nodal(f.tri, glp, nv)
 
     # boundary blocks on the obstacle loop
     if "b" in want:
@@ -704,6 +705,12 @@ def _w_terms(f: _FluidFrame, params, z: dict) -> SimpleNamespace:
     return SimpleNamespace(S=S, Q=Q, X=X, V=V, L=(aJ / 3.0)[:, None] * lbc)
 
 
+# the Hessian blocks that read no fluid arrays: the extension linearization
+# and the blocks of the obstacle loop
+_FRAMELESS_PAIRS = {("w", "lam_w"), ("c", "c"), ("c", "lam_b"),
+                    ("b", "lam_b"), ("b", "lam_w")}
+
+
 def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
                    pairs=None) -> dict:
     """Second-derivative blocks as CSR matrices keyed by block-name pairs.
@@ -721,22 +728,24 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
     ``pairs`` selects blocks from ``HESSIAN_PAIRS`` (None: all seventeen);
     the result holds exactly those keys, in that order, and only the
     per-element arrays they read are built: the extension frame only for
-    ("w", "w") or ("w", "lam_w"), the penalty Hessian only for ("w", "w").
+    ("w", "w") or ("w", "lam_w"), the penalty Hessian only for ("w", "w"),
+    the fluid frame for any pair but ("w", "lam_w") and those of the loop.
     An unknown pair, a reversed one included, raises ``ValueError``.
     """
     want = _select(pairs, HESSIAN_PAIRS, "Hessian block pair")
-    f = _fluid_frame(spaces, z)
     nu, mu = params.nu, params.mu
     sizes = block_sizes(spaces)
-    area, J, g, h = f.area, f.J, f.g, f.h
-    aJ = area * J
-    mh2 = mu * h * h * area
     eye = np.eye(2)
-    tJ = J[:, None, None]
+    if set(want) - _FRAMELESS_PAIRS:
+        f = _fluid_frame(spaces, z)
+        area, J, g, h = f.area, f.J, f.g, f.h
+        aJ = area * J
+        mh2 = mu * h * h * area
+        tJ = J[:, None, None]
+        fdofs = _vdofs(f.tri)
+        ftri = f.tri
 
     blocks = {}
-    fdofs = _vdofs(f.tri)
-    ftri = f.tri
     if ("w", "w") in want or ("w", "lam_w") in want:
         e = _ext_frame(spaces, z)
         edofs = _vdofs(e.tri)

@@ -5,14 +5,16 @@ the flow state and the nonlinear extension all call :func:`semismooth_newton`
 with their own residual and factorization; failures are reported as a
 classified :class:`SolverError`.  While the iteration contracts fast, a
 factorization is kept for simplified Newton (chord) steps, and the stop test
-measures the correction with the factorization in use.
+measures the correction with the factorization in use.  A :class:`Kept`
+holder hands the last factorization of one system on to the next solve of
+that system, which tries it first as a chord step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SolverError", "semismooth_newton"]
+__all__ = ["Kept", "SolverError", "semismooth_newton"]
 
 
 class SolverError(RuntimeError):
@@ -37,6 +39,22 @@ class SolverError(RuntimeError):
         self.cycling = int(cycling)
 
 
+class Kept:
+    """The last factorization of one system, handed from one Newton solve to
+    the next: ``solve`` (``rhs -> step``) and the determinant-penalty active
+    set ``active`` it was built with, both None while the holder is empty.
+
+    A driver keeps one holder per system for one call and passes it to every
+    solve of that system.  :func:`semismooth_newton` takes the factorization
+    out when it starts, so that the holder never keeps an old one alive
+    while a new one is made, and puts back the one it used last when it
+    converges; a failed solve leaves the holder empty.
+    """
+
+    def __init__(self):
+        self.solve = self.active = None
+
+
 # A damping below this floor counts as a stall: such a step leaves the
 # iterate where it is, and accepting it only spends iterations before the
 # solve fails anyway.  The converging solves of the test suite and of the
@@ -57,7 +75,7 @@ def _no_penalty(x):
 
 
 def semismooth_newton(residual, factorize, x, tol, max_iter, what,
-                      penalty_active=None):
+                      penalty_active=None, kept=None):
     """Damped semismooth Newton iteration; returns ``(x, residual_history)``.
 
     ``residual(x)`` is the flat residual and ``factorize(x, active)`` returns
@@ -89,7 +107,12 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
     on while Theta stays at most ``_CHORD_CONTRACTION`` and the active set
     at the iterate is the one the factorization was built with.  Otherwise
     the trial is discarded and the iterate takes a damped Newton step from
-    a new factorization.  ``max_iter`` counts chord iterations too.
+    a new factorization.  ``max_iter`` counts chord iterations too.  A
+    factorization handed over in the :class:`Kept` holder ``kept``, built
+    for the same system at another point, gives the first step as a chord
+    step under the same rule; where that is refused, a new factorization is
+    made at the same iterate.  On convergence the factorization in use goes
+    back into ``kept``.
 
     Convergence needs a residual norm below ``tol`` and a Newton correction
     of at most ``sqrt(tol) * (1 + |x|)``.  The residual alone weighs the
@@ -104,16 +127,25 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
     """
     penalty_active = penalty_active or _no_penalty
     history = []
-    correction = np.inf
     flipped = False  # elements switched by the last relinearization
-    chord = None  # next step with the kept factorization, built at ``built``
     r = residual(x)
+    # the factorization in use, the active set it was built with, and the
+    # next step with it, a chord step whose length is the stop test's
+    # correction
+    linsolve = built = chord = None
+    if kept is not None:  # the holder lets go of it
+        linsolve, built, kept.solve, kept.active = (kept.solve, kept.active,
+                                                    None, None)
+    if linsolve is not None:
+        chord = linsolve(-r)
+        chord = chord if np.all(np.isfinite(chord)) else None
+    correction = np.inf if chord is None else float(np.linalg.norm(chord))
     for _ in range(max_iter):
         rnorm = float(np.linalg.norm(r))
         history.append(rnorm)
         xtol = np.sqrt(tol) * (1.0 + float(np.linalg.norm(x)))
         if rnorm < tol and correction <= xtol:
-            return x, history
+            return _hand_back(kept, linsolve, built, x, history)
         here = penalty_active(x)
         if chord is not None and np.array_equal(here, built):
             trial = x + chord
@@ -141,7 +173,8 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
                                   kind="singular")
             snorm = float(np.linalg.norm(step))
             if rnorm < tol and snorm <= xtol:
-                return x, history
+                built = here if active is None else active
+                return _hand_back(kept, linsolve, built, x, history)
             scale, trial, r_trial, simplified, crossed = _line_search(
                 residual, linsolve, x, step, penalty_active, here)
             if scale is not None:
@@ -171,6 +204,13 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
     raise SolverError(
         f"{what} Newton did not converge in {max_iter} iterations: last "
         f"residual {history[-1]:.3e}", history, kind="divergence")
+
+
+def _hand_back(kept, linsolve, built, x, history):
+    """Put the factorization in use into ``kept``; the converged result."""
+    if kept is not None:
+        kept.solve, kept.active = linsolve, built
+    return x, history
 
 
 def _line_search(residual, linsolve, x, step, penalty_active, here):

@@ -7,7 +7,14 @@ that solve by a fixpoint sweep: flow state, adjoint, then the shape subsystem
 (deformation, boundary datum, control and the geometric multipliers) with the
 flow fields frozen, repeated until the control stops moving.  Both call
 :func:`flowshape.kkt.solve_kkt`: the direct driver on all eleven blocks, the
-iterative one on the seven blocks of the shape subsystem.  Sweep harnesses
+iterative one on the seven blocks of the shape subsystem.  Within one driver
+call, each solve hands its last factorization on to the next solve of the
+same system (:class:`flowshape.newton.Kept`), which tries it first as a
+chord step: the KKT factorization from level to level (moved exactly to the
+new alpha), and in the iterative driver the shape factorization from pass
+to pass and the flow factorization from each state solve to the adjoint
+solve and the next state solve.  Nothing is kept between calls, so a
+repeated call repeats its results bit for bit.  Sweep harnesses
 rerun the optimization over ranges of the extension strength or the
 determinant threshold and tabulate mesh quality and penalty activity.
 """
@@ -27,6 +34,7 @@ from .kkt import (KktParams, KktVector, barycenter_residual,
                   penalty_active_set, solve_kkt, volume_residual)
 from .lagrangian import Spaces, control_spaces
 from .mesh import Mesh, worst_quality
+from .newton import Kept
 from .transform import det_penalty
 
 __all__ = [
@@ -146,27 +154,39 @@ def run_direct(mesh: Mesh, params: KktParams,
     state = solve_state(mesh, y.w, fp, spaces)
     y.v, y.p = state.v, state.p
     t0 = time.time()
-    def advance(y, a_prev, a_next, depth):
-        try:
-            return solve_kkt(mesh, y, replace(params, alpha=a_next), spaces)
-        except SolverError as err:
-            if depth == 0 or a_prev is None or err.cycling:
-                raise
-            mid = float(np.sqrt(a_prev * a_next))
-            y_mid, _ = advance(y, a_prev, mid, depth - 1)
-            return advance(y_mid, mid, a_next, depth - 1)
-
+    factor = Kept()  # of the KKT system, through levels and bisections
     prev_alpha = None
     for k, alpha in enumerate(schedule.levels()):
         pk = replace(params, alpha=alpha)
         try:
-            y, hist = advance(y, prev_alpha, alpha, depth=5)
+            y, hist = _advance(mesh, params, spaces, factor, y, prev_alpha,
+                               alpha, depth=5)
         except SolverError as err:
             err.log = log
             raise
         log.records.append(_record(spaces, pk, y, k, k + 1, len(hist), t0))
         prev_alpha = alpha
     return y, log
+
+
+# Not nested in run_direct: a nested function that calls itself is a
+# reference cycle, which would keep the kept factorization alive after the
+# driver returns, until the garbage collector runs.
+def _advance(mesh, params, spaces, factor, y, a_prev, a_next, depth):
+    """``solve_kkt`` at alpha ``a_next`` from y, kept factorization
+    ``factor``; on a failure that is not a cycling stall, ``depth`` more
+    times approached through the geometric midpoint from ``a_prev``."""
+    try:
+        return solve_kkt(mesh, y, replace(params, alpha=a_next), spaces,
+                         kept=factor)
+    except SolverError as err:
+        if depth == 0 or a_prev is None or err.cycling:
+            raise
+        mid = float(np.sqrt(a_prev * a_next))
+        y_mid, _ = _advance(mesh, params, spaces, factor, y, a_prev, mid,
+                            depth - 1)
+        return _advance(mesh, params, spaces, factor, y_mid, mid, a_next,
+                        depth - 1)
 
 
 def run_iterative(mesh: Mesh, params: KktParams,
@@ -192,19 +212,24 @@ def run_iterative(mesh: Mesh, params: KktParams,
     y = KktVector.zeros(spaces)
     ell = 0
     state = None
+    shape_factor, flow_factor = Kept(), Kept()
     try:
         for k, alpha in enumerate(schedule.levels()):
             pk = replace(params, alpha=alpha)
             changes = []
             for _ in range(inner_cap):
-                state = solve_state(mesh, y.w, fp, spaces, initial=state)
-                adj = solve_adjoint(mesh, y.w, state, fp, spaces)
+                state = solve_state(mesh, y.w, fp, spaces, initial=state,
+                                    kept=flow_factor)
+                adj = solve_adjoint(mesh, y.w, state, fp, spaces,
+                                    kept=flow_factor)
                 y.v, y.p = state.v, state.p
                 y.lam_v, y.lam_p = adj.lam_v, adj.lam_p
                 c_old = y.c.copy()
-                y, _ = solve_kkt(mesh, y, pk, spaces, _SHAPE_BLOCKS)
+                y, hist = solve_kkt(mesh, y, pk, spaces, _SHAPE_BLOCKS,
+                                    kept=shape_factor)
                 ell += 1
-                log.records.append(_record(spaces, pk, y, k, ell, 1, t0))
+                log.records.append(_record(spaces, pk, y, k, ell, len(hist),
+                                           t0))
                 denom = np.linalg.norm(y.c)
                 change = np.linalg.norm(y.c - c_old)
                 changes.append(change)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fem import P1Geometry
+from .fem import P1Geometry, scatter_nodal
 
 __all__ = [
     "element_kinematics",
@@ -80,9 +80,7 @@ def det_penalty_gradient(geo: P1Geometry, w: np.ndarray, eta_det: float,
     gt = pushed_gradients(geo, inv)
     coeff = -beta * geo.area * plus * det  # (nt,)
     loc = coeff[:, None, None] * gt  # (nt, 3, 2)
-    out = np.zeros_like(np.asarray(w, dtype=loc.dtype))
-    np.add.at(out, geo.tri, loc)
-    return out
+    return scatter_nodal(geo.tri, loc, len(w))
 
 
 def det_penalty_element_hessians(geo: P1Geometry, w: np.ndarray, eta_det: float,

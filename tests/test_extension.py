@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import flowshape.lagrangian as lagrangian_module
 from flowshape.extension import (
     ExtensionParams,
     solve_extension,
@@ -120,6 +121,20 @@ def test_linear_extension_takes_one_factorization(circle_mesh, rng,
     solve_extension(circle_mesh, b, ExtensionParams(eta_ext=0.0),
                     spaces=spaces)
     assert len(calls) == 1
+
+
+def test_extension_solve_builds_no_fluid_arrays(circle_mesh, rng, spy):
+    """The extension solve requests only the extension blocks, and the
+    term engine builds no fluid frame for them."""
+    spaces = Spaces.build(circle_mesh)
+    b = 0.05 * rng.standard_normal((spaces.num_loop, 2))
+    hess = spy(lagrangian_module, "hessian_blocks")
+    frames = spy(lagrangian_module, "_fluid_frame")
+    solve_extension(circle_mesh, b, ExtensionParams(eta_ext=2.0),
+                    spaces=spaces)
+    assert hess and all(tuple(c["pairs"]) == (("w", "lam_w"),)
+                        for c in hess)
+    assert not frames
 
 
 def test_nonlinearity_is_quadratic_in_data(circle_mesh, rng):

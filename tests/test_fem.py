@@ -6,11 +6,32 @@ from flowshape.fem import (
     assemble_boundary_curve,
     eliminate_dirichlet,
     quadrature_triangle,
+    scatter_nodal,
 )
 from flowshape.mesh import BoundaryTag, Mesh
 from flowshape.meshgen import tunnel_mesh
 
 from conftest import unit_square_mesh
+
+
+def test_scatter_nodal_is_bitwise_add_at():
+    """The bincount scatter sums in the order of np.add.at, bit for bit,
+    for vector and scalar element contributions of magnitudes that make the
+    summation order visible."""
+    mesh = tunnel_mesh(h=0.5, n_obstacle=24)
+    tri, n = mesh.triangles, mesh.num_vertices
+    rng = np.random.default_rng(7)
+    for shape in ((len(tri), 3, 2), (len(tri), 3)):
+        loc = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        expected = np.zeros((n,) + shape[2:])
+        np.add.at(expected, tri, loc)
+        got = scatter_nodal(tri, loc, n)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        # the order matters at these magnitudes: a sorted sum differs
+        shuffled = np.zeros((n,) + shape[2:])
+        np.add.at(shuffled, tri[::-1], loc[::-1])
+        assert not np.array_equal(shuffled, expected)
 
 
 def test_quadrature_weights():

@@ -23,6 +23,7 @@ from flowshape.flow import (
 from flowshape.lagrangian import (Spaces, block_matrix, dirichlet_dofs,
                                   zero_blocks)
 from flowshape.mesh import BoundaryTag, deform_mesh
+from flowshape.newton import Kept
 
 from conftest import unit_square_mesh
 
@@ -268,6 +269,34 @@ def test_adjoint_satisfies_transposed_system(circle_mesh, rng):
     fd = (dis(u0 + h * z) - dis(u0 - h * z)) / (2 * h)
     lhs = float(z @ (At @ lam))
     assert abs(lhs + fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def test_adjoint_reuses_the_state_factorization(circle_mesh, spy):
+    """The state solve's last factorization, solved transposed, gives the
+    adjoint by chord steps alone, and the next state solve at a nearby
+    shape uses it again."""
+    params = FlowParams(nu=0.1)
+    spaces = Spaces.build(circle_mesh)
+    w = _smooth_w(circle_mesh)
+    kept = Kept()
+    state = solve_state(circle_mesh, w, params, spaces, kept=kept)
+    lu = kept.solve.lu
+    factorizations = spy(flow_module, "factorize_flow")
+    adj = solve_adjoint(circle_mesh, w, state, params, spaces, kept=kept)
+    assert not factorizations
+    assert kept.solve.lu is lu and kept.solve.trans == "T"
+    fresh = solve_adjoint(circle_mesh, w, state, params, spaces)
+    assert len(factorizations) == 1
+    for got, want in ((adj.lam_v, fresh.lam_v), (adj.lam_p, fresh.lam_p)):
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+    factorizations.clear()
+    again = solve_state(circle_mesh, 1.01 * w, params, spaces,
+                        initial=state, kept=kept)
+    assert not factorizations
+    assert kept.solve.lu is lu and kept.solve.trans == "N"
+    reference = solve_state(circle_mesh, 1.01 * w, params, spaces)
+    assert (np.abs(again.v - reference.v).max()
+            <= 1e-8 * np.abs(reference.v).max())
 
 
 def test_reduced_gradient_matches_finite_differences(circle_mesh, rng):

@@ -297,7 +297,7 @@ def test_block_elimination_matches_direct_lu(request, mesh_name, names,
     A = kkt_matrix(mesh, y, params, sp, names=names)
     rhs = -kkt_residual(mesh, y, params, sp, names=names)
 
-    step = _StateElimination(dm, dofs).factorize(A)(rhs)
+    step = _StateElimination(dm, dofs).factorize(A, alpha)(rhs)
     ref = spla.spsolve(A.tocsc(), rhs)
     ref += spla.spsolve(A.tocsc(), rhs - A @ ref)
     for name in dm.names:
@@ -305,6 +305,35 @@ def test_block_elimination_matches_direct_lu(request, mesh_name, names,
         assert (np.abs(step[s] - ref[s]).max()
                 <= 1e-9 * np.abs(ref[s]).max()), name
     assert np.linalg.norm(A @ step - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("names", [BLOCK_NAMES, _SHAPE_BLOCKS],
+                         ids=["full", "shape"])
+def test_shifted_factorization_matches_a_fresh_one(circle_mesh, spaces,
+                                                    names, rng):
+    """alpha enters the Newton matrix only as alpha M on the control, so a
+    factorization moved from one alpha to another solves like one made at
+    the second alpha at the same point."""
+    y = _random_vector(spaces, rng, w_scale=1e-3)
+    first, second = KktParams(alpha=1e-2), KktParams(alpha=1e-5)
+    dm, dofs, values = _dirichlet(spaces, first, names)
+    u = dm.pack(y)
+    u[dofs] = values
+    y = dm.unpack(u, y)
+    elimination = _StateElimination(dm, dofs)
+    shifted = elimination.factorize(
+        kkt_matrix(circle_mesh, y, first, spaces, names=names), first.alpha)
+    shifted.shift(second.alpha)
+    fresh = elimination.factorize(
+        kkt_matrix(circle_mesh, y, second, spaces, names=names),
+        second.alpha)
+    assert shifted.alpha == fresh.alpha == second.alpha
+    assert abs(shifted.A - fresh.A).max() <= 1e-15 * abs(fresh.A).max()
+    for rhs in (-kkt_residual(circle_mesh, y, second, spaces, names=names),
+                rng.standard_normal(dm.total)):
+        expected = fresh(rhs)
+        assert (np.linalg.norm(shifted(rhs) - expected)
+                <= 1e-12 * np.linalg.norm(expected))
 
 
 def _free_groups(dm, dofs):
@@ -371,7 +400,8 @@ def test_newton_factorizes_only_the_state_jacobian(circle_mesh, spaces,
     dm, dofs, _ = _dirichlet(spaces, params, names)
     with pytest.raises(RuntimeError, match="control"):
         _StateElimination(dm, dofs).factorize(
-            kkt_matrix(circle_mesh, y, params, spaces, names=names))
+            kkt_matrix(circle_mesh, y, params, spaces, names=names),
+            params.alpha)
 
 
 @pytest.mark.parametrize("mesh_name", ["circle_mesh", "holdall_mesh"])

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from flowshape.newton import SolverError, semismooth_newton
+from flowshape.newton import Kept, SolverError, semismooth_newton
 
 TOL = 1e-12
 
@@ -34,10 +34,10 @@ class _Counted:
         self.solvers.append(weakref.ref(solve))
         return solve
 
-    def solve(self, x0, max_iter=30, penalty_active=None):
+    def solve(self, x0, max_iter=30, penalty_active=None, kept=None):
         return semismooth_newton(self.residual, self.factorize,
                                  np.array(x0, float), TOL, max_iter, "test",
-                                 penalty_active)
+                                 penalty_active, kept)
 
 
 def test_fast_contraction_reuses_the_factorization():
@@ -108,3 +108,67 @@ def test_previous_solver_is_released_before_the_next_factorization():
         system.solve(np.zeros(system.b.size))
         assert len(alive_at_factorization) >= 2
         assert alive_at_factorization == [0] * len(alive_at_factorization)
+
+
+def _kept(jacobian_diagonal):
+    """A holder with a solver of the diagonal matrix ``jacobian_diagonal``
+    and an empty active set, and a weak reference to that solver."""
+    diagonal = np.asarray(jacobian_diagonal, float)
+
+    def solve(rhs):
+        return rhs / diagonal
+
+    kept = Kept()
+    kept.solve, kept.active = solve, np.zeros(0, dtype=bool)
+    return kept, weakref.ref(solve)
+
+
+def test_kept_solver_is_tried_first_and_handed_back():
+    """A kept factorization from a nearby point solves the system with
+    chord steps alone, and the holder receives it back."""
+    b = np.linspace(0.5, 1.5, 4)
+    first = _Counted(b, 0.1)
+    kept = Kept()
+    first.solve(np.zeros(4), kept=kept)
+    assert kept.solve is first.solvers[-1]()
+    assert np.array_equal(kept.active, np.zeros(0, dtype=bool))
+    second = _Counted(b * 1.01, 0.1)
+    x, history = second.solve(np.zeros(4), kept=kept)
+    assert not second.factorized
+    assert np.linalg.norm(x + 0.1 * x ** 3 - second.b) < TOL
+    assert kept.solve is first.solvers[-1]()
+
+
+def test_kept_solver_that_does_not_contract_is_refused():
+    """A kept solver whose chord step overshoots (Theta > 1) is refused:
+    the step is discarded, the solver is released, and the loop factorizes
+    at the same iterate."""
+    system = _Counted(np.linspace(0.5, 1.5, 4), 0.1)
+    kept, ref = _kept(0.3 * np.ones(4))  # steps 3.3 times too long
+    alive = []
+    factorize = system.factorize
+
+    def checking(x, active):
+        alive.append(ref() is not None)
+        return factorize(x, active)
+
+    system.factorize = checking
+    x0 = np.full(4, 0.2)
+    x, history = system.solve(x0, kept=kept)
+    assert system.factorized and np.array_equal(system.factorized[0][0], x0)
+    assert alive == [False] * len(alive)
+    r0 = x0 + 0.1 * x0 ** 3 - system.b
+    assert np.allclose(system.points[1], x0 - r0 / 0.3, rtol=0, atol=1e-14)
+    assert np.linalg.norm(x + 0.1 * x ** 3 - system.b) < TOL
+    assert kept.solve is system.solvers[-1]()
+
+
+def test_failed_solve_hands_back_nothing():
+    """A solve that fails leaves the holder empty, and it releases the
+    kept solver it was given."""
+    kept, ref = _kept(np.ones(4))
+    with pytest.raises(SolverError):
+        _Counted(np.linspace(0.5, 1.5, 4), 10.0).solve(np.zeros(4),
+                                                       max_iter=2, kept=kept)
+    assert kept.solve is None and kept.active is None
+    assert ref() is None

@@ -1,8 +1,11 @@
 """Tests for the continuation drivers and the parameter sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import flowshape.kkt as kkt_module
 import flowshape.lagrangian as lagrangian_module
 import flowshape.optimize as optimize_module
 from flowshape.extension import (ExtensionParams, solve_extension,
@@ -83,6 +86,45 @@ def test_run_iterative_staircase_and_descent(circle_mesh, spaces):
     assert np.all(np.diff(ks) >= 0)
     assert log.total_iterations == len(log.records)
     assert log.records[-1].objective < log.records[0].objective
+
+
+def test_run_iterative_logs_the_shape_iterations_and_keeps_factors(
+        circle_mesh, spaces, spy, monkeypatch):
+    """Each logged pass counts the iterations of its shape solve, chord
+    steps included, and the shape factorization handed from pass to pass
+    and level to level leaves fewer KKT factorizations than passes."""
+    histories = []
+    real = optimize_module.solve_kkt
+
+    def recording(*args, **kwargs):
+        y, history = real(*args, **kwargs)
+        histories.append(len(history))
+        return y, history
+
+    monkeypatch.setattr(optimize_module, "solve_kkt", recording)
+    assembled = spy(kkt_module, "kkt_matrix")
+    _, log = run_iterative(circle_mesh, KktParams(nu=0.05, eta_ext=1.0),
+                           ContinuationSchedule(1e-1, 0.5, 2e-2), eps=1e-2,
+                           spaces=spaces)
+    assert [r.newton_iters for r in log.records] == histories
+    assert len(log.records) >= 3 and max(histories) > 1
+    assert len(assembled) < len(log.records)
+
+
+@pytest.mark.parametrize("driver", [run_direct, run_iterative])
+def test_repeated_driver_calls_repeat_their_logs(circle_mesh, spaces,
+                                                 driver):
+    """Factorizations are kept only within one call: a second call on the
+    same ``Spaces`` gives the same log and solution bit for bit."""
+    params = KktParams(nu=0.05, eta_ext=1.0)
+    sched = ContinuationSchedule(1e-2, 0.1, 1e-4)
+    runs = [driver(circle_mesh, params, sched, spaces=spaces)
+            for _ in range(2)]
+    (y1, log1), (y2, log2) = runs
+    assert ([replace(r, wall_time=0.0) for r in log1.records]
+            == [replace(r, wall_time=0.0) for r in log2.records])
+    for name, block in y1.as_dict().items():
+        assert np.array_equal(block, getattr(y2, name)), name
 
 
 def test_run_iterative_reports_a_level_at_the_pass_cap(circle_mesh, spaces):
@@ -166,7 +208,7 @@ def test_shape_subsolve_requests_only_shape_blocks(circle_mesh, spaces, spy):
 def _fake_solve_kkt(stall_alpha, cycling, attempts):
     """A solve_kkt that converges in place, except at ``stall_alpha``."""
 
-    def solve(mesh, y, params, spaces=None, names=BLOCK_NAMES):
+    def solve(mesh, y, params, spaces=None, names=BLOCK_NAMES, kept=None):
         attempts.append(params.alpha)
         if np.isclose(params.alpha, stall_alpha, rtol=1e-12):
             raise SolverError("KKT active set cycles at residual 1.000e-05: "
