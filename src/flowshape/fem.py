@@ -101,6 +101,33 @@ class P1Geometry:
         h = np.linalg.norm(edges, axis=2).max(axis=1)
         return cls(tri, grads, 0.5 * det, h, p.mean(axis=1))
 
+    @cached_property
+    def grads_last(self) -> np.ndarray:
+        """``grads`` with the element axis last, a contiguous (3, 2, nt)."""
+        return np.ascontiguousarray(np.moveaxis(self.grads, 0, -1))
+
+    @cached_property
+    def dofs(self) -> tuple:
+        """Flat indices of the vertex dofs of each element: (3, nt) into a
+        scalar field (n,) and (3, 2, nt) into a vector field (n, 2)."""
+        tri = np.ascontiguousarray(self.tri.T)
+        return tri, 2 * tri[:, None] + np.arange(2)[:, None]
+
+    def gather(self, field) -> np.ndarray:
+        """A nodal scalar (n,) or vector (n, 2) field at the vertices of
+        each element, (3, nt) or (3, 2, nt); dtype follows ``field``."""
+        return np.take(field, self.dofs[np.ndim(field) - 1])
+
+    def scatter(self, loc, n: int) -> np.ndarray:
+        """Sum at the n vertices, float (n,) or (n, 2), of element
+        contributions ``loc`` (3, nt) or (3, 2, nt): one ``np.bincount``
+        adds each entry's contributions in the order of ``loc`` raveled,
+        local dof by local dof and within each in element order."""
+        shape = (n,) + loc.shape[1:-1]
+        return np.bincount(self.dofs[loc.ndim - 2].ravel(),
+                           loc.astype(float, copy=False).ravel(),
+                           minlength=int(np.prod(shape))).reshape(shape)
+
 
 def scatter_nodal(tri, loc, n: int) -> np.ndarray:
     """Sum of element contributions at the vertices: ``out[tri[t, l]] +=

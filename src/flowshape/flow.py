@@ -29,7 +29,7 @@ from .lagrangian import (KktParams, Spaces, block_matrix, dirichlet_dofs,
                          gradient_blocks, zero_blocks)
 from .mesh import BoundaryTag, Mesh
 from .newton import SolverError, semismooth_newton
-from .transform import element_kinematics, pushed_gradients
+from .transform import element_kinematics, kinematics, pushed_gradients
 
 __all__ = [
     "SolverError", "FlowParams", "FlowState", "AdjointFlowState",
@@ -247,11 +247,10 @@ def dissipation(mesh: Mesh, w: np.ndarray, state: FlowState, nu: float,
                 spaces: Spaces | None = None) -> float:
     """Pulled-back energy dissipation (nu/2) integral |Dv (DF)^-1|^2 det(DF)."""
     geo = (spaces or Spaces.build(mesh)).geo_fluid
-    _, J, A = element_kinematics(geo, np.asarray(w, float))
-    g = pushed_gradients(geo, A)
-    M = np.swapaxes(state.v[geo.tri], 1, 2) @ g
-    return 0.5 * nu * float(np.sum(
-        geo.area * J * np.einsum("tab,tab->t", M, M)))
+    _, J, A = kinematics(geo, np.asarray(w, float))
+    M = np.einsum("lat,lbt->abt", geo.gather(state.v),
+                  pushed_gradients(geo, A))
+    return 0.5 * nu * float(np.sum(geo.area * J * M * M))
 
 
 def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,

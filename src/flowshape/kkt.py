@@ -147,12 +147,22 @@ def kkt_residual(mesh: Mesh, y: KktVector, params: KktParams,
     """
     spaces = spaces or Spaces.build(mesh)
     dm = DofMap(spaces, names)
-    dofs, values = dirichlet_dofs(spaces, names,
-                                  velocity_dirichlet(mesh, params))
+    dofs, values = _dirichlet_table(spaces, names, params)
     grad = gradient_blocks(spaces, params, y.as_dict(), names=dm.names)
     r = dm.pack(grad)
     r[dofs] = dm.pack(y)[dofs] - values
     return r
+
+
+def _dirichlet_table(spaces: Spaces, names, params) -> tuple:
+    """Read-only Dirichlet dofs and values of a layout, kept in ``spaces``."""
+    key = ("dirichlet", tuple(names), params.delta, params.inflow)
+    if key not in spaces._patterns:
+        dofs, values = dirichlet_dofs(spaces, names, velocity_dirichlet(
+            spaces.mesh, params))
+        dofs.flags.writeable = values.flags.writeable = False
+        spaces._patterns[key] = dofs, values
+    return spaces._patterns[key]
 
 
 def kkt_matrix(mesh: Mesh, y: KktVector, params: KktParams,
@@ -169,7 +179,7 @@ def kkt_matrix(mesh: Mesh, y: KktVector, params: KktParams,
     elements) instead of {det(DF) < eta_det} at y.
     """
     spaces = spaces or Spaces.build(mesh)
-    dofs, _ = dirichlet_dofs(spaces, names, velocity_dirichlet(mesh, params))
+    dofs, _ = _dirichlet_table(spaces, names, params)
     return block_matrix(spaces, params, y.as_dict(), names, active=active,
                         fixed=dofs)
 
@@ -406,8 +416,7 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
     """
     spaces = control_spaces(mesh, spaces)
     dm = DofMap(spaces, names)
-    dofs, values = dirichlet_dofs(spaces, names,
-                                  velocity_dirichlet(mesh, params))
+    dofs, values = _dirichlet_table(spaces, names, params)
     u = dm.pack(y0)
     u[dofs] = values
     wslice = dm.block_slice("w")

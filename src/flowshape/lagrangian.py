@@ -26,12 +26,23 @@ from the one per-element frame of the extension operator.
 ``dirichlet_dofs`` gives the boundary conditions of a block layout, and so
 of every solve.
 
+Every per-element array has the element axis last, following Cuvelier,
+Japhet & Scarella ("An efficient way to assemble finite element matrices
+in vector languages", BIT 56, 2016): (2, 2, t) for (DF)^-1, M and N,
+(3, 2, t) for pushed gradients and nodal vector data, (3, t) for nodal
+scalar data, (t,) for per-element scalars and (3, 2, 3, 2, t) for the
+element matrices between vector fields.  Nodal fields are gathered by the
+flat dof indices of ``P1Geometry.dofs``, built once per ``Spaces``, and
+each contraction is a two-operand ``np.einsum`` over contiguous element
+vectors; per-element scalars broadcast against the rest as they are.
+
 Assembly follows a scatter plan, because the sparsity depends only on the
-mesh (Cuvelier, Japhet & Scarella, "An efficient way to assemble finite
-element matrices in vector languages", BIT 56, 2016).  The CSR pattern of
-each Hessian block, and the stored position of each element entry in it,
-are worked out once per ``Spaces``; a block is then one ``np.bincount`` of
-its element entries, summed in element order.  For each layout and set of
+mesh (the same reference).  The CSR pattern of each Hessian block, and the
+stored position of each element entry in it, are worked out once per
+``Spaces``; a block is then one ``np.bincount`` of its element entries.
+Gradient and Hessian blocks alike sum their element contributions in the
+order of the element array raveled: local entry by local entry, and
+within each in element order.  For each layout and set of
 constrained dofs, ``block_matrix`` builds on its first call the pattern
 of the eliminated matrix and the position of every entry of every placed
 block in it, and each later call is one indexed assignment per placed
@@ -59,10 +70,10 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .fem import (P1Geometry, CurveOperators, assemble_boundary_curve,
-                  eliminate_dirichlet, scatter_nodal)
+                  eliminate_dirichlet)
 from .mesh import BoundaryTag, Mesh, MeshError, boundary_normals
-from .transform import (element_kinematics, pushed_gradients,
-                        det_penalty_gradient, det_penalty_element_hessians)
+from .transform import (kinematics, pushed_gradients, det_penalty_gradient,
+                        det_penalty_element_hessians)
 
 __all__ = ["BLOCK_NAMES", "HESSIAN_PAIRS", "KktParams", "Spaces",
            "control_spaces", "block_sizes", "block_offsets",
@@ -148,9 +159,14 @@ class Spaces:
         return 0 if self.curve is None else len(self.curve.loop)
 
     @cached_property
+    def _fluid_cells(self):
+        """The fluid cells among the extension cells (all: a slice)."""
+        return self.mesh.fluid_cells if self.mesh.is_holdall else slice(None)
+
+    @cached_property
     def _patterns(self) -> dict:
-        """Scatter indices of the Hessian blocks and assembly plans of the
-        block layouts, each built on first use (see :func:`block_matrix`)."""
+        """Scatter indices, assembly plans (see :func:`block_matrix`) and
+        other tables that depend only on the mesh, built on first use."""
         return {}
 
 
@@ -234,7 +250,7 @@ def dirichlet_dofs(spaces: Spaces, names, velocity=None, pressure=None):
 
 
 class _FluidFrame(SimpleNamespace):
-    """Per-element arrays of the fluid terms at one point.
+    """Per-element arrays of the fluid terms at one point, element axis last.
 
     The fields set by :func:`_fluid_frame` are always built.  The
     contractions below are cached properties, built on first use, so an
@@ -243,166 +259,168 @@ class _FluidFrame(SimpleNamespace):
 
     @cached_property
     def N(self):
-        return np.swapaxes(self.lvloc, 1, 2) @ self.g
+        return np.einsum("lat,lbt->abt", self.lvloc, self.g)
 
     @cached_property
     def trN(self):
-        return self.N[:, 0, 0] + self.N[:, 1, 1]
+        return self.N[0, 0] + self.N[1, 1]
 
     @cached_property
     def gradp(self):
-        return (self.ploc[:, None, :] @ self.geo.grads)[:, 0]
+        return np.einsum("lt,lat->at", self.ploc, self.G)
 
     @cached_property
     def gradlp(self):
-        return (self.lploc[:, None, :] @ self.geo.grads)[:, 0]
+        return np.einsum("lt,lat->at", self.lploc, self.G)
 
     @cached_property
     def ghp(self):
-        return (self.A @ self.gradp[:, :, None])[:, :, 0]  # (DF)^-1 grad p
+        return np.einsum("rst,st->rt", self.A, self.gradp)  # (DF)^-1 grad p
 
     @cached_property
     def ghlp(self):
-        return (self.A @ self.gradlp[:, :, None])[:, :, 0]
+        return np.einsum("rst,st->rt", self.A, self.gradlp)
 
     @cached_property
     def MM(self):
-        return np.einsum("tab,tab->t", self.M, self.M)
+        return np.einsum("abt,abt->t", self.M, self.M)
 
     @cached_property
     def MN(self):
-        return np.einsum("tab,tab->t", self.M, self.N)
+        return np.einsum("abt,abt->t", self.M, self.N)
 
     @cached_property
     def K(self):
-        return np.swapaxes(self.M, 1, 2) @ self.M
+        return np.einsum("cat,cbt->abt", self.M, self.M)
 
     @cached_property
     def B(self):
-        MtN = np.swapaxes(self.M, 1, 2) @ self.N
-        return MtN + np.swapaxes(MtN, 1, 2)
+        MtN = np.einsum("cat,cbt->abt", self.M, self.N)
+        return MtN + MtN.transpose(1, 0, 2)
 
     @cached_property
     def Mv(self):
-        return self.vloc @ np.swapaxes(self.M, 1, 2)
+        return np.einsum("lbt,abt->lat", self.vloc, self.M)
 
     @cached_property
     def conv(self):
-        return self.area * np.einsum("tla,tla->t", _S12 @ self.Mv, self.lvloc)
+        return self.area * np.einsum("lat,lat->t", _S12_dot(self.Mv),
+                                     self.lvloc)
 
     @cached_property
     def P(self):
-        return self.area[:, None, None] * (np.swapaxes(self.vloc, 1, 2)
-                                           @ (_S12 @ self.lvloc))
+        return self.area * np.einsum("lat,lbt->abt", self.vloc,
+                                     _S12_dot(self.lvloc))
 
     @cached_property
     def R(self):
-        return self.P @ self.M
+        return np.einsum("abt,bct->act", self.P, self.M)
 
     @cached_property
     def gg(self):
-        return self.g @ np.swapaxes(self.g, 1, 2)
+        return np.einsum("lat,mat->lmt", self.g, self.g)
 
     @cached_property
     def Mg(self):
-        return self.g @ np.swapaxes(self.M, 1, 2)    # (M gt_n)[a]
+        return np.einsum("lbt,abt->lat", self.g, self.M)  # (M gt_n)[a]
 
     @cached_property
     def Ng(self):
-        return self.g @ np.swapaxes(self.N, 1, 2)
+        return np.einsum("lbt,abt->lat", self.g, self.N)
 
     @cached_property
     def MTg(self):
-        return self.g @ self.M                       # (M^T gt_m)[c]
+        return np.einsum("lat,act->lct", self.g, self.M)  # (M^T gt_m)[c]
 
     @cached_property
     def NTg(self):
-        return self.g @ self.N
+        return np.einsum("lat,act->lct", self.g, self.N)
 
     @cached_property
     def sgp(self):
-        return (self.g @ self.gradp[:, :, None])[:, :, 0]
+        return np.einsum("lat,at->lt", self.g, self.gradp)
 
     @cached_property
     def sglp(self):
-        return (self.g @ self.gradlp[:, :, None])[:, :, 0]
+        return np.einsum("lat,at->lt", self.g, self.gradlp)
 
     @cached_property
     def agp(self):
         # (DF)^-1[:, c] . ghp
-        return (self.ghp[:, None, :] @ self.A)[:, 0]
+        return np.einsum("rt,rct->ct", self.ghp, self.A)
 
     @cached_property
     def aglp(self):
-        return (self.ghlp[:, None, :] @ self.A)[:, 0]
+        return np.einsum("rt,rct->ct", self.ghlp, self.A)
 
     @cached_property
     def T(self):
-        return np.swapaxes(self.A, 1, 2) @ self.A
+        return np.einsum("rat,rbt->abt", self.A, self.A)
 
     @cached_property
     def AG(self):
-        return self.geo.grads @ np.swapaxes(self.A, 1, 2)
+        return np.einsum("lst,rst->lrt", self.G, self.A)
 
     @cached_property
     def TG(self):
-        return self.geo.grads @ np.swapaxes(self.T, 1, 2)
+        return np.einsum("lbt,abt->lat", self.G, self.T)
 
     @cached_property
     def gG(self):
-        return self.g @ np.swapaxes(self.geo.grads, 1, 2)
+        return np.einsum("lat,mat->lmt", self.g, self.G)
 
     @cached_property
     def gP(self):
-        return self.g @ self.P
-
-    @cached_property
-    def Mtlam(self):
-        return self.lvloc @ self.M
+        return np.einsum("lat,abt->lbt", self.g, self.P)
 
     @cached_property
     def Q1(self):
-        return self.area[:, None, None] * (_S12 @ self.Mtlam)
+        return self.area * _S12_dot(np.einsum("lat,abt->lbt", self.lvloc,
+                                              self.M))
 
     @cached_property
     def Q5(self):
-        gv = self.vloc @ np.swapaxes(self.g, 1, 2)
-        return self.area[:, None, None] * (_S12 @ gv)
+        return self.area * _S12_dot(np.einsum("lat,mat->lmt", self.vloc,
+                                              self.g))
+
+    @cached_property
+    def cent(self):
+        # the deformed element centroids, (2, t)
+        return self.geo.centroid.T + self.geo.gather(self.w).mean(axis=0)
+
+
+def _S12_dot(loc):
+    """_S12 applied to the local-vertex axis of a (3, ..., t) array."""
+    return (_S12 @ loc.reshape(3, -1)).reshape(loc.shape)
 
 
 def _fluid_frame(spaces: Spaces, z: dict) -> _FluidFrame:
     geo = spaces.geo_fluid
-    tri = geo.tri
-    _, J, A = element_kinematics(geo, z["w"])
-    g = pushed_gradients(geo, A)                       # (t, l, a)
-    vloc, lvloc = z["v"][tri], z["lam_v"][tri]
-    ploc, lploc = z["p"][tri], z["lam_p"][tri]
-    M = np.swapaxes(vloc, 1, 2) @ g                    # Dv (DF)^-1
+    _, J, A = kinematics(geo, z["w"])
+    g = pushed_gradients(geo, A)                       # (l, a, t)
+    vloc, ploc, lploc = (geo.gather(z[k]) for k in ("v", "p", "lam_p"))
+    M = np.einsum("lat,lbt->abt", vloc, g)             # Dv (DF)^-1
     return _FluidFrame(
-        geo=geo, tri=tri, area=geo.area, h=geo.h, J=J, A=A, g=g,
-        vloc=vloc, lvloc=lvloc, ploc=ploc, lploc=lploc, M=M,
-        trM=M[:, 0, 0] + M[:, 1, 1],
-        pbar=ploc.mean(axis=1), lpbar=lploc.mean(axis=1),
-        wbar=z["w"][tri].mean(axis=1),
-    )
+        geo=geo, area=geo.area, h=geo.h, J=J, A=A, g=g, G=geo.grads_last,
+        w=z["w"], vloc=vloc, lvloc=geo.gather(z["lam_v"]), ploc=ploc,
+        lploc=lploc, M=M, trM=M[0, 0] + M[1, 1], pbar=ploc.mean(axis=0),
+        lpbar=lploc.mean(axis=0))
 
 
 def _ext_frame(spaces: Spaces, z: dict) -> SimpleNamespace:
     """Per-element arrays of the extension pairing and the determinant
-    penalty at one point, on the extension domain; every extension term
-    of the value, the gradient and the Hessian reads them."""
+    penalty at one point on the extension domain, element axis last; every
+    extension term of the value, the gradient and the Hessian reads them."""
     geo = spaces.geo_ext
-    tri = geo.tri
-    wloc = z["w"][tri]
-    lwloc = z["lam_w"][tri]
-    Dw = np.swapaxes(wloc, 1, 2) @ geo.grads
-    Dlw = np.swapaxes(lwloc, 1, 2) @ geo.grads
-    J = (1.0 + Dw[:, 0, 0]) * (1.0 + Dw[:, 1, 1]) - Dw[:, 0, 1] * Dw[:, 1, 0]
-    Lam = geo.area[:, None, None] * (_S12 @ lwloc)    # integral of phi_n lam_w
-    W = geo.area[:, None, None] * (_S12 @ wloc)       # integral of phi_n w
-    return SimpleNamespace(geo=geo, tri=tri, area=geo.area, G=geo.grads,
-                           wloc=wloc, lwloc=lwloc, Dw=Dw, Dlw=Dlw, J=J,
-                           Lam=Lam, W=W)
+    G = geo.grads_last
+    wloc, lwloc = geo.gather(z["w"]), geo.gather(z["lam_w"])
+    Dw = np.einsum("lat,lbt->abt", wloc, G)
+    Dlw = np.einsum("lat,lbt->abt", lwloc, G)
+    J = (1.0 + Dw[0, 0]) * (1.0 + Dw[1, 1]) - Dw[0, 1] * Dw[1, 0]
+    Lam = geo.area * _S12_dot(lwloc)                  # integral of phi_n lam_w
+    W = geo.area * _S12_dot(wloc)                     # integral of phi_n w
+    return SimpleNamespace(geo=geo, area=geo.area, G=G, wloc=wloc, Dw=Dw,
+                           Dlw=Dlw, J=J, Lam=Lam, W=W)
 
 
 def _curve_mass_pair(seg_length, u, v):
@@ -421,30 +439,26 @@ def _curve_stiff_pair(seg_length, u, v):
     return np.sum(du * dv / seg_length[:, None])
 
 
-def _vdofs(tri):
-    return (2 * tri[:, :, None] + np.arange(2)[None, None, :]).reshape(len(tri), 6)
-
-
 # The dof maps of the element matrices of the Hessian blocks, by the key of
-# their cached pattern: vector ("v", _vdofs) and scalar ("s", the vertices)
-# fields on the fluid cells, vector fields on the extension cells ("ext"),
-# and the fluid vector dofs against lam_vol ("vol") and lam_bc ("bc").
-# Blocks with the same dof maps share one pattern.
+# their cached pattern: vector ("v", the (3, 2, t) flat dofs of
+# P1Geometry.dofs as (6, t)) and scalar ("s", the vertices) fields on the
+# fluid cells, vector fields on the extension cells ("ext"), and the fluid
+# vector dofs against lam_vol ("vol") and lam_bc ("bc").  Blocks with the
+# same dof maps share one pattern.
 
 
 def _block_pattern(spaces: Spaces, kind, rows, cols, shape) -> tuple:
     """CSR pattern of a Hessian block of shape ``shape`` assembled from
-    (t, R, C) element matrices whose row dofs are ``rows`` (t, R) and
-    column dofs ``cols`` (t, C): the stored position of every element
+    (R, C, t) element matrices whose row dofs are ``rows`` (R, t) and
+    column dofs ``cols`` (C, t): the stored position of every element
     entry, and the pattern's column indices and row pointer.  It depends
     only on the mesh, so it is built once per ``spaces`` and ``kind``, the
     key of the dof maps."""
     key = ("block", kind)
     if key not in spaces._patterns:
-        R, C = rows.shape[1], cols.shape[1]
         where, inverse = np.unique(
-            np.repeat(rows, C, axis=1).ravel().astype(np.int64) * shape[1]
-            + np.tile(cols, (1, R)).ravel(), return_inverse=True)
+            (rows[:, None].astype(np.int64) * shape[1] + cols).ravel(),
+            return_inverse=True)
         r, c = np.divmod(where, shape[1])
         indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(r, minlength=shape[0]))])
@@ -454,10 +468,10 @@ def _block_pattern(spaces: Spaces, kind, rows, cols, shape) -> tuple:
 
 
 def _scatter(spaces: Spaces, kind, loc, rows, cols, shape) -> sparse.csr_matrix:
-    """The sum of the element matrices ``loc``, (t, R, C) in row-major
-    order, as a CSR matrix of shape ``shape`` (see
-    :func:`_block_pattern`).  Each entry sums its element entries in
-    element order."""
+    """The sum of the element matrices ``loc``, (R, C, t) with the row and
+    column dofs possibly split as (3, 2), as a CSR matrix of shape
+    ``shape`` (see :func:`_block_pattern`).  Each entry sums its element
+    entries in the order of ``loc`` raveled."""
     inverse, indices, indptr = _block_pattern(spaces, kind, rows, cols,
                                               shape)
     return sparse.csr_matrix(
@@ -466,11 +480,11 @@ def _scatter(spaces: Spaces, kind, loc, rows, cols, shape) -> sparse.csr_matrix:
 
 
 def _symmetric_scatter(spaces: Spaces, kind, half, dofs, n) -> sparse.csr_matrix:
-    """S + S^T for the sum S of the element matrices ``half`` (t, R, R) on
-    the dofs ``dofs`` (t, R), as :func:`_scatter` gives it.
+    """S + S^T for the sum S of the element matrices ``half`` (R, R, t) on
+    the dofs ``dofs`` (R, t), as :func:`_scatter` gives it.
 
-    An entry is s_ij + s_ji, each s summed in element order, and so equals
-    its transposed entry bit for bit.
+    An entry is s_ij + s_ji, each s summed in the same order, and so
+    equals its transposed entry bit for bit.
     """
     S = _scatter(spaces, kind, half, dofs, dofs, (n, n))
     key = ("transpose", kind)
@@ -483,29 +497,24 @@ def _symmetric_scatter(spaces: Spaces, kind, half, dofs, n) -> sparse.csr_matrix
     return S
 
 
-# Element matrices (t, 6, 6) between two vector P1 fields: row dof (m, c) is
-# component c at local vertex m, column dof (n, d) likewise.
+# Element matrices (3, 2, 3, 2, t) between two vector P1 fields: row dof
+# (m, c) is component c at local vertex m, column dof (n, d) likewise.
 
 
 def _dof_outer(a, b):
-    """Entry a[m, c] b[n, d], for (t, 3, 2) arrays a and b."""
-    return np.einsum("tmc,tnd->tmcnd", a, b).reshape(-1, 6, 6)
+    """Entry a[m, c] b[n, d], for (3, 2, t) arrays a and b."""
+    return a[:, :, None, None] * b
 
 
 def _dof_swap(a, b):
-    """Entry a[m, d] b[n, c], for (t, 3, 2) arrays a and b."""
-    return np.einsum("tmd,tnc->tmcnd", a, b).reshape(-1, 6, 6)
+    """Entry a[m, d] b[n, c], for (3, 2, t) arrays a and b."""
+    return a[:, None, None] * np.swapaxes(b, 0, 1)[None, :, :, None]
 
 
 def _dof_kron(*pairs):
-    """Entry sum_k A_k[m, n] B_k[c, d] over pairs of a (t, 3, 3) A_k and a
-    (t, 2, 2) or shared (2, 2) B_k."""
-    t = len(pairs[0][0])
-    A = np.stack([a.reshape(t, 9) for a, _ in pairs], axis=2)
-    B = np.stack([np.broadcast_to(b, (t, 2, 2)).reshape(t, 4)
-                  for _, b in pairs], axis=1)
-    return ((A @ B).reshape(t, 3, 3, 2, 2).transpose(0, 1, 3, 2, 4)
-            .reshape(t, 6, 6))
+    """Entry sum_k A_k[m, n] B_k[c, d] over pairs of a (3, 3, t) A_k and a
+    (2, 2, t) or shared (2, 2, 1) B_k."""
+    return sum(a[:, None, :, None] * b[:, None] for a, b in pairs)
 
 
 # -- value ------------------------------------------------------------------------
@@ -521,24 +530,21 @@ def total_value(spaces: Spaces, params, z: dict):
     f = _fluid_frame(spaces, z)
     e = _ext_frame(spaces, z)
     nu, mu = params.nu, params.mu
-    area = f.area
+    aJ = f.area * f.J
 
-    val = 0.5 * nu * np.sum(area * f.J * f.MM)
-    val -= np.sum(nu * area * f.J * f.MN + f.J * f.conv
-                  - area * f.J * f.pbar * f.trN)
-    val += np.sum(area * f.J * f.lpbar * f.trM)
-    val += mu * np.sum(f.h * f.h * area * np.einsum("ta,ta->t", f.ghp, f.ghlp))
+    val = 0.5 * nu * np.sum(aJ * f.MM)
+    val -= np.sum(nu * aJ * f.MN + f.J * f.conv - aJ * f.pbar * f.trN)
+    val += np.sum(aJ * f.lpbar * f.trM)
+    val += mu * np.sum(f.h * f.h * f.area * f.ghp * f.ghlp)
 
     # determinant penalty over the extension domain
     plus = np.maximum(params.eta_det - e.J, 0.0)
     val += 0.5 * params.beta * np.sum(e.area * plus * plus)
 
     # extension constraint pairing
-    sym = e.Dw + np.swapaxes(e.Dw, 1, 2)
-    Dww = np.einsum("tab,tlb->tla", e.Dw, e.wloc)
-    val -= np.sum(e.area * np.einsum("tab,tab->t", sym, e.Dlw))
+    val -= np.sum(e.area * (e.Dw + np.swapaxes(e.Dw, 0, 1)) * e.Dlw)
     val -= params.eta_ext * np.sum(
-        e.area * np.einsum("lm,tla,tma->t", _S12, Dww, e.lwloc))
+        np.einsum("abt,lbt->lat", e.Dw, e.wloc) * e.Lam)
 
     # boundary pairings on the obstacle loop
     if spaces.curve is not None:
@@ -552,10 +558,8 @@ def total_value(spaces: Spaces, params, z: dict):
                                 z["lam_b"])
 
     # geometric constraints (fluid domain)
-    cent = f.geo.centroid + f.wbar
-    bary = np.einsum("t,ta->a", area * f.J, cent) - spaces.moment
-    val -= z["lam_bc"] @ bary
-    val -= z["lam_vol"][0] * np.sum(area * (f.J - 1.0))
+    val -= z["lam_bc"] @ (f.cent @ aJ - spaces.moment)
+    val -= z["lam_vol"][0] * np.sum(f.area * (f.J - 1.0))
     return val
 
 
@@ -601,7 +605,7 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
     out = {name: zero[name] for name in want}
     if set(want) - {"lam_w", "b", "c", "lam_b"}:
         f = _fluid_frame(spaces, z)
-        area, J, g, h = f.area, f.J, f.g, f.h
+        area, J, g, h, geo = f.area, f.J, f.g, f.h, f.geo
         aJ = area * J
         mh2 = mu * h * h * area
     Mc, Kc, loop = _obstacle_loop(spaces)
@@ -613,13 +617,15 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
         # gradient on the extension domain, where the fluid cells sit at
         # mesh.fluid_cells (all cells on a mesh without a holdall)
         wt = _w_terms(f, params, z)
-        gw = wt.S[:, None, None] * g - g @ wt.Q - wt.V - wt.L[:, None, :]
-        ge = -e.area[:, None, None] * (e.G @ (e.Dlw
-                                              + np.swapaxes(e.Dlw, 1, 2)))
-        ge -= params.eta_ext * (e.G @ (np.swapaxes(e.wloc, 1, 2) @ e.Lam)
-                                + e.Lam @ e.Dw)
-        ge[spaces.mesh.fluid_cells] += gw
-        out["w"] = scatter_nodal(e.tri, ge, nv)
+        gw = wt.S * g - np.einsum("lat,act->lct", g, wt.Q) - wt.V - wt.L
+        ge = -e.area * np.einsum("lat,act->lct", e.G,
+                                 e.Dlw + np.swapaxes(e.Dlw, 0, 1))
+        ge -= params.eta_ext * (
+            np.einsum("lat,act->lct", e.G,
+                      np.einsum("lat,lct->act", e.wloc, e.Lam))
+            + np.einsum("lat,act->lct", e.Lam, e.Dw))
+        ge[..., spaces._fluid_cells] += gw
+        out["w"] = e.geo.scatter(ge, nv)
         out["w"] += det_penalty_gradient(spaces.geo_ext, z["w"],
                                          params.eta_det, params.beta)
 
@@ -627,52 +633,45 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
         # the extension equation: minus the symmetrized-gradient form and
         # the advection eta_ext (Dw w), tested with each hat function over
         # the extension domain, plus the boundary load M b on the loop
-        DwT = np.swapaxes(e.Dw, 1, 2)
-        glw = -e.area[:, None, None] * (e.G @ (e.Dw + DwT))
-        glw -= params.eta_ext * (e.W @ DwT)
-        out["lam_w"] = scatter_nodal(e.tri, glw, nv)
+        glw = -e.area * np.einsum("lat,act->lct", e.G,
+                                  e.Dw + np.swapaxes(e.Dw, 0, 1))
+        glw -= params.eta_ext * np.einsum("lat,cat->lct", e.W, e.Dw)
+        out["lam_w"] = e.geo.scatter(glw, nv)
         out["lam_w"][loop] += Mc @ z["b"]
 
     if "v" in want:
-        gv = aJ[:, None, None] * (nu * (f.Mg - f.Ng)
-                                  + f.lpbar[:, None, None] * g)
-        gv -= J[:, None, None] * (f.gP + f.Q1)
-        out["v"] = scatter_nodal(f.tri, gv, nv)
+        gv = aJ * (nu * (f.Mg - f.Ng) + f.lpbar * g) - J * (f.gP + f.Q1)
+        out["v"] = geo.scatter(gv, nv)
 
     if "p" in want:
-        gp = (aJ * f.trN / 3.0)[:, None] + mh2[:, None] * (
-            f.AG @ f.ghlp[:, :, None])[:, :, 0]
-        out["p"] = scatter_nodal(f.tri, gp, nv)
+        gp = aJ * f.trN / 3.0 + mh2 * np.einsum("lrt,rt->lt", f.AG, f.ghlp)
+        out["p"] = geo.scatter(gp, nv)
 
     if "lam_v" in want:
         # the state momentum equation
-        glv = -nu * aJ[:, None, None] * f.Mg
-        glv -= (J * area)[:, None, None] * (_S12 @ f.Mv)
-        glv += aJ[:, None, None] * f.pbar[:, None, None] * g
-        out["lam_v"] = scatter_nodal(f.tri, glv, nv)
+        glv = aJ * (f.pbar * g - nu * f.Mg - _S12_dot(f.Mv))
+        out["lam_v"] = geo.scatter(glv, nv)
 
     if "lam_p" in want:
         # the state continuity equation with stabilization
-        glp = (aJ * f.trM / 3.0)[:, None] + mh2[:, None] * (
-            f.AG @ f.ghp[:, :, None])[:, :, 0]
-        out["lam_p"] = scatter_nodal(f.tri, glp, nv)
+        glp = aJ * f.trM / 3.0 + mh2 * np.einsum("lrt,rt->lt", f.AG, f.ghp)
+        out["lam_p"] = geo.scatter(glp, nv)
 
     # boundary blocks on the obstacle loop
     if "b" in want:
-        out["b"] = Mc @ z["lam_w"][loop] - (Mc + Kc) @ z["lam_b"]
+        out["b"] = Mc @ (z["lam_w"][loop] - z["lam_b"]) - Kc @ z["lam_b"]
     if "c" in want:
         out["c"] = params.alpha * (Mc @ z["c"]) + np.einsum(
             "ma,ma->m", spaces.normals, Mc @ z["lam_b"])
     if "lam_b" in want:
-        out["lam_b"] = -(Mc + Kc) @ z["b"] + Mc @ (
-            z["c"][:, None] * spaces.normals)
+        out["lam_b"] = Mc @ (z["c"][:, None] * spaces.normals - z["b"]) - (
+            Kc @ z["b"])
 
     # geometric constraint residuals
     if "lam_vol" in want:
         out["lam_vol"] = -np.array([np.sum(area * (J - 1.0))])
     if "lam_bc" in want:
-        cent = f.geo.centroid + f.wbar
-        out["lam_bc"] = -(np.einsum("t,ta->a", aJ, cent) - spaces.moment)
+        out["lam_bc"] = -(f.cent @ aJ - spaces.moment)
     return out
 
 
@@ -692,17 +691,13 @@ def _w_terms(f: _FluidFrame, params, z: dict) -> SimpleNamespace:
     nu = params.nu
     aJ = f.area * f.J
     lbc = z["lam_bc"]
-    lbcw = (f.geo.centroid + f.wbar) @ lbc
     S = aJ * (0.5 * nu * f.MM - nu * f.MN + f.pbar * f.trN + f.lpbar * f.trM
-              - lbcw - z["lam_vol"][0]) - f.J * f.conv
-    X = (nu * aJ)[:, None, None] * (f.K - f.B)
-    Q = X + aJ[:, None, None] * (f.pbar[:, None, None] * f.N
-                                 + f.lpbar[:, None, None] * f.M)
-    Q -= f.J[:, None, None] * f.R
+              - lbc @ f.cent - z["lam_vol"][0]) - f.J * f.conv
+    X = nu * aJ * (f.K - f.B)
+    Q = X + aJ * (f.pbar * f.N + f.lpbar * f.M) - f.J * f.R
     mh2 = params.mu * f.h * f.h * f.area
-    V = mh2[:, None, None] * (f.sgp[:, :, None] * f.aglp[:, None, :]
-                              + f.sglp[:, :, None] * f.agp[:, None, :])
-    return SimpleNamespace(S=S, Q=Q, X=X, V=V, L=(aJ / 3.0)[:, None] * lbc)
+    V = mh2 * (f.sgp[:, None] * f.aglp + f.sglp[:, None] * f.agp)
+    return SimpleNamespace(S=S, Q=Q, X=X, V=V, L=aJ / 3.0 * lbc[:, None])
 
 
 # the Hessian blocks that read no fluid arrays: the extension linearization
@@ -717,7 +712,7 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
 
     A block's pattern is every position that an element touches, zeros
     included, so it depends only on the mesh; each entry sums its element
-    entries in element order (see :func:`block_matrix`).  Only one
+    entries in the order the module docstring states.  Only one
     triangle of the block structure is produced; the assembled system
     matrix places each off-diagonal block together with its transpose.  The
     penalty contribution uses the generalized derivative with the active set
@@ -735,20 +730,19 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
     want = _select(pairs, HESSIAN_PAIRS, "Hessian block pair")
     nu, mu = params.nu, params.mu
     sizes = block_sizes(spaces)
-    eye = np.eye(2)
+    eye = np.eye(2)[:, :, None]
     if set(want) - _FRAMELESS_PAIRS:
         f = _fluid_frame(spaces, z)
         area, J, g, h = f.area, f.J, f.g, f.h
         aJ = area * J
         mh2 = mu * h * h * area
-        tJ = J[:, None, None]
-        fdofs = _vdofs(f.tri)
-        ftri = f.tri
+        ftri, fdofs = f.geo.dofs
+        fdofs = fdofs.reshape(6, -1)
 
     blocks = {}
     if ("w", "w") in want or ("w", "lam_w") in want:
         e = _ext_frame(spaces, z)
-        edofs = _vdofs(e.tri)
+        edofs = e.geo.dofs[1].reshape(6, -1)
 
     # -- (w, w): every J-carrying term plus stabilization, advection, penalty
     if ("w", "w") in want:
@@ -758,62 +752,54 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
         #   + mh2 (gt_m . grad p) (gt_n . grad lam_p) T[c, d]
         # plus the transpose of the last two lines.  K holds half of it.
         wt = _w_terms(f, params, z)
-        Y = g @ wt.Q
-        half_Sg = 0.5 * wt.S[:, None, None] * g
-        K = _dof_outer(g, half_Sg - Y - wt.L[:, None, :])
+        Y = np.einsum("lat,act->lct", g, wt.Q)
+        half_Sg = 0.5 * wt.S * g
+        K = _dof_outer(g, half_Sg - Y - wt.L)
         K += _dof_swap(g, Y + wt.V - half_Sg)
         K += _dof_kron((0.5 * f.gg, wt.X),
-                       (mh2[:, None, None] * f.sgp[:, :, None]
-                        * f.sglp[:, None, :], f.T))
+                       (mh2 * f.sgp[:, None] * f.sglp, f.T))
         # half of the extension pairing's advection and of the penalty, on
         # the extension domain, whose cells include the fluid cells at
         # mesh.fluid_cells; the assembled half plus its transpose is exactly
         # symmetric, whatever order the sparse sum takes
         Ke = _dof_swap(e.G, -params.eta_ext * e.Lam)
-        Ke += 0.5 * det_penalty_element_hessians(
-            spaces.geo_ext, z["w"], params.eta_det, params.beta, active)
-        Ke[spaces.mesh.fluid_cells] += K
+        Ke += 0.5 * np.moveaxis(det_penalty_element_hessians(
+            spaces.geo_ext, z["w"], params.eta_det, params.beta, active),
+            0, -1).reshape(Ke.shape)
+        Ke[..., spaces._fluid_cells] += K
         blocks[("w", "w")] = _symmetric_scatter(
             spaces, "ext", Ke, edofs, sizes["w"])
 
     # -- (w, v)
     if ("w", "v") in want:
-        Da = aJ[:, None, None] * (nu * (f.Mg - f.Ng)
-                                  + f.lpbar[:, None, None] * g)
-        Hwv = _dof_outer(g, Da - tJ * (f.gP + f.Q1))
-        Hwv -= _dof_swap(Da - tJ * f.gP, g)
-        Hwv += _dof_swap(tJ * g, f.Q1)
-        Hwv -= _dof_kron((f.gg, (nu * aJ)[:, None, None]
-                          * np.swapaxes(f.M - f.N, 1, 2)))
+        Da = aJ * (nu * (f.Mg - f.Ng) + f.lpbar * g)
+        Hwv = _dof_outer(g, Da - J * (f.gP + f.Q1))
+        Hwv -= _dof_swap(Da - J * f.gP, g)
+        Hwv += _dof_swap(J * g, f.Q1)
+        Hwv -= _dof_kron((f.gg, nu * aJ * np.swapaxes(f.M - f.N, 0, 1)))
         blocks[("w", "v")] = _scatter(spaces, "vv", Hwv, fdofs, fdofs,
                                       (sizes["w"], sizes["v"]))
 
     # -- (w, lam_v)
     if ("w", "lam_v") in want:
-        Fa = aJ[:, None, None] * (f.pbar[:, None, None] * g - nu * f.Mg)
-        Q3 = area[:, None, None] * (_S12 @ f.Mv)
-        Hwl = _dof_outer(g, Fa - tJ * Q3) - _dof_swap(Fa, g)
-        Hwl += _dof_kron(((nu * aJ)[:, None, None] * f.gg
-                          + tJ * np.swapaxes(f.Q5, 1, 2),
-                          np.swapaxes(f.M, 1, 2)))
+        Fa = aJ * (f.pbar * g - nu * f.Mg)
+        Hwl = _dof_outer(g, Fa - aJ * _S12_dot(f.Mv)) - _dof_swap(Fa, g)
+        Hwl += _dof_kron((nu * aJ * f.gg + J * np.swapaxes(f.Q5, 0, 1),
+                          np.swapaxes(f.M, 0, 1)))
         blocks[("w", "lam_v")] = _scatter(spaces, "vv", Hwl, fdofs,
                                           fdofs, (sizes["w"], sizes["lam_v"]))
 
     # -- (w, p) and (w, lam_p)
     if ("w", "p") in want:
-        Hwp = ((aJ[:, None, None] / 3.0)
-               * (f.trN[:, None, None] * g - f.NTg))[:, :, :, None]
-        Hwp = Hwp - mh2[:, None, None, None] * (
-            f.gG[:, :, None, :] * f.aglp[:, None, :, None]
-            + f.sglp[:, :, None, None] * np.swapaxes(f.TG, 1, 2)[:, None])
+        Hwp = (aJ / 3.0 * (f.trN * g - f.NTg))[:, :, None] - mh2 * (
+            f.gG[:, None] * f.aglp[:, None]
+            + f.sglp[:, None, None] * np.swapaxes(f.TG, 0, 1))
         blocks[("w", "p")] = _scatter(spaces, "vs", Hwp, fdofs, ftri,
                                       (sizes["w"], sizes["p"]))
     if ("w", "lam_p") in want:
-        Hwlp = ((aJ[:, None, None] / 3.0)
-                * (f.trM[:, None, None] * g - f.MTg))[:, :, :, None]
-        Hwlp = Hwlp - mh2[:, None, None, None] * (
-            f.gG[:, :, None, :] * f.agp[:, None, :, None]
-            + f.sgp[:, :, None, None] * np.swapaxes(f.TG, 1, 2)[:, None])
+        Hwlp = (aJ / 3.0 * (f.trM * g - f.MTg))[:, :, None] - mh2 * (
+            f.gG[:, None] * f.agp[:, None]
+            + f.sgp[:, None, None] * np.swapaxes(f.TG, 0, 1))
         blocks[("w", "lam_p")] = _scatter(spaces, "vs", Hwlp, fdofs,
                                           ftri, (sizes["w"], sizes["lam_p"]))
 
@@ -823,80 +809,79 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
     if ("w", "lam_w") in want:
         # entry (m, c), (n, a): -area G_m[a] G_n[c] - eta_ext Dw[a, c] area
         # S12[m, n] - delta_ca K[m, n]
-        eta, G, earea = params.eta_ext, e.G, e.area[:, None, None]
-        K = earea * (G @ np.swapaxes(G, 1, 2)) + eta * (
-            G @ np.swapaxes(e.W, 1, 2))
+        eta, G, earea = params.eta_ext, e.G, e.area
+        K = (earea * np.einsum("lat,mat->lmt", G, G)
+             + eta * np.einsum("lat,mat->lmt", G, e.W))
         Hwlw = -_dof_swap(earea * G, G) - _dof_kron(
-            (eta * earea * _S12, np.swapaxes(e.Dw, 1, 2)), (K, eye))
+            (eta * earea * _S12[:, :, None], np.swapaxes(e.Dw, 0, 1)),
+            (K, eye))
         blocks[("w", "lam_w")] = _scatter(spaces, "ext", Hwlw, edofs, edofs,
                                           (sizes["w"], sizes["lam_w"]))
 
     # -- (w, lam_vol) and (w, lam_bc)
     if ("w", "lam_vol") in want:
         blocks[("w", "lam_vol")] = _scatter(
-            spaces, "vol", -(aJ[:, None, None] * g), fdofs,
-            np.zeros((len(ftri), 1), dtype=int), (sizes["w"], 1))
+            spaces, "vol", -(aJ * g), fdofs,
+            np.zeros((1, fdofs.shape[1]), dtype=int), (sizes["w"], 1))
     if ("w", "lam_bc") in want:
-        cent = f.geo.centroid + f.wbar
-        Hwbc = -(area[:, None, None, None]
-                 * (np.einsum("t,tmc,d->tmcd", J, g, np.ones(2))
-                    * cent[:, None, None, :]
-                    + (J[:, None, None, None] / 3.0) * eye[None, None, :, :]))
-        bccols = np.broadcast_to(np.arange(2)[None, :], (len(ftri), 2)).copy()
+        Hwbc = -aJ * (g[:, :, None] * f.cent + eye / 3.0)
+        bccols = np.broadcast_to(np.arange(2)[:, None], (2, fdofs.shape[1]))
         blocks[("w", "lam_bc")] = _scatter(spaces, "bc", Hwbc,
                                            fdofs, bccols, (sizes["w"], 2))
 
     # -- (v, v), (v, lam_v), (v, lam_p), (p, lam_v), (p, lam_p)
     if ("v", "v") in want:
-        Lamv = area[:, None, None] * (_S12 @ f.lvloc)
-        Hvv = _dof_kron(((nu * aJ)[:, None, None] * f.gg, eye))
-        Hvv -= _dof_swap(tJ * g, Lamv) + _dof_swap(Lamv, tJ * g)
+        Lamv = area * _S12_dot(f.lvloc)
+        Hvv = _dof_kron((nu * aJ * f.gg, eye))
+        Hvv -= _dof_swap(J * g, Lamv) + _dof_swap(Lamv, J * g)
         blocks[("v", "v")] = _scatter(spaces, "vv", Hvv, fdofs, fdofs,
                                       (sizes["v"], sizes["v"]))
     if ("v", "lam_v") in want:
-        Hvlv = -_dof_kron(((nu * aJ)[:, None, None] * f.gg
-                           + tJ * np.swapaxes(f.Q5, 1, 2), eye),
-                          ((J * area)[:, None, None] * _S12,
-                           np.swapaxes(f.M, 1, 2)))
+        Hvlv = -_dof_kron((nu * aJ * f.gg + J * np.swapaxes(f.Q5, 0, 1), eye),
+                          (aJ * _S12[:, :, None], np.swapaxes(f.M, 0, 1)))
         blocks[("v", "lam_v")] = _scatter(spaces, "vv", Hvlv, fdofs,
                                           fdofs, (sizes["v"], sizes["lam_v"]))
     if ("v", "lam_p") in want:
-        Hvlp = np.repeat(((aJ[:, None, None] / 3.0) * g)[:, :, :, None], 3,
-                         axis=3)
+        Hvlp = np.repeat((aJ / 3.0 * g)[:, :, None], 3, axis=2)
         blocks[("v", "lam_p")] = _scatter(spaces, "vs", Hvlp, fdofs,
                                           ftri, (sizes["v"], sizes["lam_p"]))
     if ("p", "lam_v") in want:
-        Hplv = np.repeat(((aJ[:, None, None] / 3.0) * g)[:, None, :, :], 3,
-                         axis=1)
+        Hplv = np.repeat((aJ / 3.0 * g)[None], 3, axis=0)
         blocks[("p", "lam_v")] = _scatter(spaces, "sv", Hplv, ftri,
                                           fdofs, (sizes["p"], sizes["lam_v"]))
     if ("p", "lam_p") in want:
-        Hplp = mh2[:, None, None] * (f.AG @ np.swapaxes(f.AG, 1, 2))
+        Hplp = mh2 * np.einsum("lrt,mrt->lmt", f.AG, f.AG)
         blocks[("p", "lam_p")] = _scatter(spaces, "ss", Hplp, ftri,
                                           ftri, (sizes["p"], sizes["lam_p"]))
 
     # -- boundary blocks on the obstacle loop
+    if ("c", "c") in want:
+        blocks[("c", "c")] = params.alpha * _obstacle_loop(spaces)[0]
+    if ("loop",) not in spaces._patterns:
+        spaces._patterns[("loop",)] = _loop_blocks(spaces, sizes)
+    blocks.update((k, v.copy()) for k, v in spaces._patterns[("loop",)].items()
+                  if k in want)
+    return {k: blocks[k].tocsr() for k in want}
+
+
+def _loop_blocks(spaces: Spaces, sizes) -> dict:
+    """The Hessian blocks of the obstacle loop that do not scale with
+    alpha: constants of the mesh, built once per ``spaces``."""
     Mc, Kc, loop = _obstacle_loop(spaces)
     m = spaces.num_loop
     Mcoo = Mc.tocoo()
-    if ("c", "c") in want:
-        blocks[("c", "c")] = params.alpha * Mc
-    if ("c", "lam_b") in want:
-        lb_cols = 2 * Mcoo.col[:, None] + np.arange(2)[None, :]
-        vals = Mcoo.data[:, None] * spaces.normals[Mcoo.row]
-        blocks[("c", "lam_b")] = sparse.coo_matrix(
-            (vals.ravel(), (np.repeat(Mcoo.row, 2), lb_cols.ravel())),
-            shape=(m, 2 * m))
-    if ("b", "lam_b") in want:
-        blocks[("b", "lam_b")] = -sparse.kron(
-            (Mc + Kc), sparse.identity(2, format="csr"), format="csr")
-    if ("b", "lam_w") in want:
-        lw_cols = 2 * loop[Mcoo.col][:, None] + np.arange(2)[None, :]
-        b_rows = 2 * Mcoo.row[:, None] + np.arange(2)[None, :]
-        blocks[("b", "lam_w")] = sparse.coo_matrix(
-            (np.repeat(Mcoo.data, 2), (b_rows.ravel(), lw_cols.ravel())),
-            shape=(2 * m, sizes["lam_w"]))
-    return {k: blocks[k].tocsr() for k in want}
+    lb_cols = 2 * Mcoo.col[:, None] + np.arange(2)[None, :]
+    vals = Mcoo.data[:, None] * spaces.normals[Mcoo.row]
+    lw_cols = 2 * loop[Mcoo.col][:, None] + np.arange(2)[None, :]
+    b_rows = 2 * Mcoo.row[:, None] + np.arange(2)[None, :]
+    return {("c", "lam_b"): sparse.csr_matrix(
+                (vals.ravel(), (np.repeat(Mcoo.row, 2), lb_cols.ravel())),
+                shape=(m, 2 * m)),
+            ("b", "lam_b"): -sparse.kron(
+                (Mc + Kc), sparse.identity(2, format="csr"), format="csr"),
+            ("b", "lam_w"): sparse.csr_matrix(
+                (np.repeat(Mcoo.data, 2), (b_rows.ravel(), lw_cols.ravel())),
+                shape=(2 * m, sizes["lam_w"]))}
 
 
 def block_matrix(spaces: Spaces, params, z: dict, rows, cols=None,

@@ -256,19 +256,20 @@ def quality_sweep(mesh: Mesh, params: KktParams, eta_ext_values,
 
     Returns rows (eta_ext, worst_quality); a failed point stores NaN and the
     sweep continues.  ``csv_path`` additionally writes the table with header
-    ``eta_ext,worst_quality``.
+    ``eta_ext,worst_quality``.  A negative value raises before any run.
     """
     spaces = spaces or Spaces.build(mesh)
+    etas = [float(eta) for eta in eta_ext_values]
+    if min(etas, default=0.0) < 0.0:
+        raise ValueError("eta_ext values must be >= 0")
     rows = []
-    for eta in eta_ext_values:
-        if eta < 0.0:
-            raise ValueError("eta_ext values must be >= 0")
+    for eta in etas:
         try:
-            y, _ = run_direct(mesh, replace(params, eta_ext=float(eta)),
+            y, _ = run_direct(mesh, replace(params, eta_ext=eta),
                               schedule, spaces)
-            rows.append((float(eta), worst_quality(mesh, y.w)))
+            rows.append((eta, worst_quality(mesh, y.w)))
         except SolverError:
-            rows.append((float(eta), float("nan")))
+            rows.append((eta, float("nan")))
     if csv_path is not None:
         _write_csv(csv_path, ["eta_ext", "worst_quality"],
                    [(f"{eta:.6g}", f"{q:.10g}") for eta, q in rows])
@@ -284,18 +285,20 @@ def det_sweep(mesh: Mesh, params: KktParams, eta_det_values,
     A point is ``active`` when the smallest element determinant at the
     optimum lies below its eta_det.  The deformed obstacle polyline of each
     successful point is exported next to the table when ``output_dir`` is
-    given.  Returns rows (eta_det, active, path).
+    given.  Returns rows (eta_det, active, path).  A value that
+    ``KktParams`` rejects raises before any run.
     """
     spaces = spaces or Spaces.build(mesh)
+    points = [replace(params, eta_det=float(eta)) for eta in eta_det_values]
     rows = []
-    for eta in eta_det_values:
+    for point in points:
+        eta = point.eta_det
         try:
-            y, _ = run_direct(mesh, replace(params, eta_det=float(eta)),
-                              schedule, spaces)
+            y, _ = run_direct(mesh, point, schedule, spaces)
         except SolverError:
-            rows.append((float(eta), "failed", ""))
+            rows.append((eta, "failed", ""))
             continue
-        active = penalty_active_set(spaces, y.w, float(eta)).any()
+        active = penalty_active_set(spaces, y.w, eta).any()
         path = ""
         if output_dir is not None:
             loop = spaces.curve.loop
@@ -303,7 +306,7 @@ def det_sweep(mesh: Mesh, params: KktParams, eta_det_values,
             path = str(Path(output_dir) / f"shape_eta_det_{eta:g}.csv")
             _write_csv(path, ["x", "y"],
                        [(f"{x:.10g}", f"{yv:.10g}") for x, yv in pts])
-        rows.append((float(eta), bool(active), path))
+        rows.append((eta, bool(active), path))
     if csv_path is not None:
         _write_csv(csv_path, ["eta_det", "active", "path"],
                    [(f"{eta:.6g}", str(active).lower(), path)

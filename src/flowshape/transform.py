@@ -5,15 +5,19 @@ constant per triangle.  The determinant penalty keeps det(DF) above a bound
 eta_det; its first derivative is semismooth through the positive part, and an
 element of the generalized second derivative uses the active-set indicator
 {det(DF) < eta_det}.
+
+Everything is computed with the element axis last; the functions with
+``element`` in their name return views with the element axis first.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fem import P1Geometry, scatter_nodal
+from .fem import P1Geometry
 
 __all__ = [
+    "kinematics",
     "element_kinematics",
     "pushed_gradients",
     "det_penalty",
@@ -24,43 +28,48 @@ __all__ = [
 
 def displacement_gradient(geo: P1Geometry, w: np.ndarray) -> np.ndarray:
     """Constant per-element Jacobian Dw, shape (nt, 2, 2); Dw_ab = d w_a / d x_b."""
-    return np.swapaxes(w[geo.tri], 1, 2) @ geo.grads
+    return np.moveaxis(np.einsum("lat,lbt->abt", geo.gather(w),
+                                 geo.grads_last), -1, 0)
 
 
-def element_kinematics(geo: P1Geometry, w: np.ndarray):
-    """Batched (DF, det, DFinv) for all triangles of the geometry.
+def kinematics(geo: P1Geometry, w: np.ndarray):
+    """Batched (DF, det, DFinv) for all triangles of the geometry, element
+    axis last: (2, 2, nt), (nt,) and (2, 2, nt).
 
     Determinants may be non-positive; the inverse is computed wherever the
-    determinant is nonzero (callers decide how to react).  Dtype follows w so
-    extended-precision evaluation is possible.
+    determinant is nonzero, and is the adjugate where it is zero (callers
+    decide how to react).  Dtype follows w so extended-precision evaluation
+    is possible.
     """
-    Dw = displacement_gradient(geo, w)
-    DF = Dw.copy()
-    DF[:, 0, 0] += 1.0
-    DF[:, 1, 1] += 1.0
-    det = DF[:, 0, 0] * DF[:, 1, 1] - DF[:, 0, 1] * DF[:, 1, 0]
-    inv = np.empty_like(DF)
+    DF = np.einsum("lat,lbt->abt", geo.gather(w), geo.grads_last)
+    DF[0, 0] += 1.0
+    DF[1, 1] += 1.0
+    det = DF[0, 0] * DF[1, 1] - DF[0, 1] * DF[1, 0]
     safe = np.where(det != 0.0, det, 1.0)
-    inv[:, 0, 0] = DF[:, 1, 1] / safe
-    inv[:, 1, 1] = DF[:, 0, 0] / safe
-    inv[:, 0, 1] = -DF[:, 0, 1] / safe
-    inv[:, 1, 0] = -DF[:, 1, 0] / safe
+    inv = np.array([[DF[1, 1], -DF[0, 1]], [-DF[1, 0], DF[0, 0]]]) / safe
     return DF, det, inv
 
 
+def element_kinematics(geo: P1Geometry, w: np.ndarray):
+    """:func:`kinematics` as views with the element axis first."""
+    DF, det, inv = kinematics(geo, w)
+    return np.moveaxis(DF, -1, 0), det, np.moveaxis(inv, -1, 0)
+
+
 def pushed_gradients(geo: P1Geometry, DFinv: np.ndarray) -> np.ndarray:
-    """(DF)^-T-transformed hat gradients gt[t, l] = DFinv^T grads[t, l].
+    """(DF)^-T-transformed hat gradients gt[l, :, t] = DFinv^T grads[t, l]
+    for a (2, 2, nt) ``DFinv``, as (3, 2, nt).
 
     These satisfy (Dv DFinv)_ab = sum_l v_l[a] gt_l[b] for nodal fields v.
     """
-    return geo.grads @ DFinv
+    return np.einsum("lbt,bat->lat", geo.grads_last, DFinv)
 
 
 # -- determinant penalty ----------------------------------------------------------
 
 
 def _penalty_parts(geo: P1Geometry, w, eta_det):
-    _, det, inv = element_kinematics(geo, w)
+    _, det, inv = kinematics(geo, w)
     gap = eta_det - det
     plus = np.maximum(gap, 0.0)
     active = gap > 0.0  # ties (equality) treated as inactive
@@ -77,16 +86,15 @@ def det_penalty_gradient(geo: P1Geometry, w: np.ndarray, eta_det: float,
                          beta: float) -> np.ndarray:
     """Gradient of det_penalty with respect to the nodal displacement, (nv, 2)."""
     det, inv, plus, _ = _penalty_parts(geo, w, eta_det)
-    gt = pushed_gradients(geo, inv)
     coeff = -beta * geo.area * plus * det  # (nt,)
-    loc = coeff[:, None, None] * gt  # (nt, 3, 2)
-    return scatter_nodal(geo.tri, loc, len(w))
+    return geo.scatter(coeff * pushed_gradients(geo, inv), len(w))
 
 
 def det_penalty_element_hessians(geo: P1Geometry, w: np.ndarray, eta_det: float,
                                  beta: float, active=None) -> np.ndarray:
     """Element matrices (nt, 6, 6) of the penalty's generalized second
     derivative; row and column dof (l, a) is component a at local vertex l.
+    The result is a view of a contiguous (6, 6, nt) array.
 
     Per element, with gt the pushed gradients, J the determinant and chi the
     active indicator:
@@ -103,9 +111,8 @@ def det_penalty_element_hessians(geo: P1Geometry, w: np.ndarray, eta_det: float,
     det, inv, plus, chi = _penalty_parts(geo, w, eta_det)
     active = chi if active is None else np.asarray(active, dtype=bool)
     gt = pushed_gradients(geo, inv)
-    outer = np.einsum("tla,tmc->tlamc", gt, gt)
+    outer = gt[:, :, None, None] * gt                 # (l, a, m, c, nt)
     coeff1 = beta * geo.area * active * det * det
     coeff2 = beta * geo.area * plus * det
-    H = ((coeff1 - coeff2)[:, None, None, None, None] * outer
-         + coeff2[:, None, None, None, None] * outer.transpose(0, 1, 4, 3, 2))
-    return H.reshape(-1, 6, 6)
+    H = (coeff1 - coeff2) * outer + coeff2 * outer.transpose(0, 3, 2, 1, 4)
+    return np.moveaxis(H.reshape(6, 6, -1), -1, 0)

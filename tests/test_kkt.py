@@ -180,6 +180,28 @@ def test_lagrangian_value_finite(circle_mesh, spaces, rng):
     assert np.isfinite(val)
 
 
+@pytest.mark.parametrize("names", [BLOCK_NAMES, _SHAPE_BLOCKS])
+def test_tables_kept_in_spaces_do_not_keep_it_alive(circle_mesh, rng, names):
+    """What the residual, the matrix and the engine keep in a ``Spaces``
+    refers to no ``Spaces``: a dropped one is freed at once, without the
+    cycle collector, so a continuation per mesh does not pile them up."""
+    import gc
+    import weakref
+
+    sp = Spaces.build(circle_mesh)
+    y = _random_vector(sp, rng)
+    kkt_residual(circle_mesh, y, KktParams(), sp, names)
+    kkt_matrix(circle_mesh, y, KktParams(), sp, names=names)
+    assert sp._patterns
+    ref = weakref.ref(sp)
+    gc.disable()
+    try:
+        del sp
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_solve_kkt_large_alpha_keeps_shape_fixed(circle_mesh, spaces):
     """With a huge control cost the optimum is the unperturbed shape."""
     params = KktParams(alpha=1e6, nu=0.05)

@@ -186,6 +186,21 @@ def test_det_sweep_csv_and_shapes(circle_mesh, spaces, tmp_path):
     assert lines[2].split(",")[1] == "true"
 
 
+@pytest.mark.parametrize("sweep, values", [
+    (quality_sweep, [0.5, 1.0, -1.0]),
+    (det_sweep, [5e-2, 0.9, -1e-2]),
+    (det_sweep, [5e-2, 0.0]),
+])
+def test_sweeps_reject_a_bad_value_before_any_run(circle_mesh, spaces, spy,
+                                                  sweep, values):
+    """A bad value anywhere in the list raises before the first point's
+    optimization, so no finished point is lost."""
+    runs = spy(optimize_module, "run_direct")
+    with pytest.raises(ValueError):
+        sweep(circle_mesh, KktParams(nu=0.05), values, spaces=spaces)
+    assert runs == []
+
+
 def test_shape_subsolve_requests_only_shape_blocks(circle_mesh, spaces, spy):
     """The shape subsystem of the iterative driver must not fall back to the
     full Hessian."""

@@ -174,3 +174,24 @@ def test_every_keyword_has_a_caller():
                                or (i is not None
                                    and i < positions.get(name, 0)))]
     assert not unused, unused
+
+
+def test_engine_einsums_take_two_operands_and_no_optimize():
+    """The term engine and the transformation contract two operands at a
+    time over contiguous element vectors: an ``einsum`` of three or more
+    operands, or one with ``optimize=``, is many times slower on these
+    small per-element shapes."""
+    slow = []
+    for name in ("lagrangian.py", "transform.py"):
+        path = Path(flowshape.__file__).parent / name
+        for node, scope in _calls(ast.parse(path.read_text())):
+            if getattr(node.func, "attr", getattr(node.func, "id", None)) \
+                    != "einsum":
+                continue
+            where = f"{name}:{node.lineno} in {scope}"
+            if len(node.args) > 3 or any(isinstance(a, ast.Starred)
+                                         for a in node.args):
+                slow.append(f"{where}: {len(node.args) - 1} operands")
+            if any(k.arg == "optimize" for k in node.keywords):
+                slow.append(f"{where}: optimize=")
+    assert not slow, slow

@@ -198,3 +198,25 @@ def test_penalty_hessian_fd_mixed(circle_mesh, rng):
     fd = (gp - gm) / (2 * step)
     if np.all(far):
         assert np.abs(fd - act).max() < 1e-5 * max(1.0, np.abs(act).max())
+
+
+def test_collapsed_element_has_det_zero_and_a_finite_inverse(square_mesh):
+    """An element collapsed onto a line has det(DF) exactly 0; its inverse
+    is the finite adjugate, computed without a division by zero.
+
+    On the unit-square mesh every hat gradient is exact in binary, and so
+    is the displacement of one vertex by -g / |g|^2 (g its hat gradient)
+    onto the opposite edge, which makes det(DF) = 1 + w . g exactly 0."""
+    import warnings
+
+    geo = P1Geometry.build(square_mesh)
+    g = geo.grads[0, 2]
+    w = np.zeros_like(square_mesh.vertices)
+    w[geo.tri[0, 2]] = -g / (g @ g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        DF, det, inv = element_kinematics(geo, w)
+    assert det[0] == 0.0
+    assert np.all(np.isfinite(inv[0]))
+    assert np.array_equal(inv[0], [[DF[0, 1, 1], -DF[0, 0, 1]],
+                                   [-DF[0, 1, 0], DF[0, 0, 0]]])
