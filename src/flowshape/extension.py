@@ -11,9 +11,7 @@ zero recovers a plain linear-elastic-style extension.  The residual and its
 derivative come from the term engine: the lam_w block of
 :func:`flowshape.lagrangian.gradient_blocks` and the (lam_w, w) block of
 :func:`flowshape.lagrangian.block_matrix`.  The nonlinear solve is the
-damped Newton method of :mod:`flowshape.newton`, which stops when the
-residual norm is below ``newton_tol`` and the Newton correction is at most
-``sqrt(newton_tol) * (1 + |w|)``.
+damped Newton method of :mod:`flowshape.newton`, with its stop test.
 """
 
 from __future__ import annotations
@@ -34,11 +32,8 @@ __all__ = ["ExtensionParams", "solve_laplace_beltrami", "solve_extension"]
 
 @dataclass(frozen=True)
 class ExtensionParams:
-    """Advection strength and Newton controls of the extension solve.
-
-    The solve stops when the residual norm is below newton_tol and the
-    Newton correction is at most sqrt(newton_tol) * (1 + |w|).
-    """
+    """Advection strength and Newton controls of the extension solve
+    (tolerance of the stop test of :mod:`flowshape.newton` and budget)."""
 
     eta_ext: float = 1.0
     newton_tol: float = 1e-10

@@ -19,7 +19,6 @@ from .mesh import Mesh, MeshError, obstacle_loop
 __all__ = [
     "quadrature_triangle",
     "P1Geometry",
-    "scatter_nodal",
     "CurveOperators",
     "assemble_boundary_curve",
     "eliminate_dirichlet",
@@ -127,24 +126,6 @@ class P1Geometry:
         return np.bincount(self.dofs[loc.ndim - 2].ravel(),
                            loc.astype(float, copy=False).ravel(),
                            minlength=int(np.prod(shape))).reshape(shape)
-
-
-def scatter_nodal(tri, loc, n: int) -> np.ndarray:
-    """Sum of element contributions at the vertices: ``out[tri[t, l]] +=
-    loc[t, l]`` over the elements t and their local vertices l, for a
-    (t, 3) or (t, 3, d) ``loc``; the result is float, (n,) or (n, d).
-
-    One ``np.bincount`` over the flattened dofs adds the contributions to
-    each entry one by one in element order, from zero, so for float ``loc``
-    the result is bit for bit that of ``np.add.at`` into zeros, at a
-    fraction of its cost.  Extended-precision contributions are rounded to
-    float first.
-    """
-    shape = loc.shape[2:]
-    width = int(np.prod(shape, dtype=int))
-    dofs = (tri[:, :, None] * width + np.arange(width)).ravel()
-    return np.bincount(dofs, loc.astype(float, copy=False).ravel(),
-                       minlength=n * width).reshape((n,) + shape)
 
 
 # -- curve operators on the obstacle polyline -------------------------------------

@@ -8,10 +8,9 @@ adjoint-multiplier gradient of the functional, its Jacobian is the transpose
 pairing of the corresponding second-derivative blocks, and the adjoint matrix
 is the transpose of the state Jacobian at the converged state.  Equal-order
 P1-P1 velocity/pressure is stabilized by the element-wise pressure term with
-coefficient mu and the longest reference edge as length scale.  The state
-is solved by the damped Newton method of :mod:`flowshape.newton`; it stops
-when the residual norm is below ``newton_tol`` and the Newton correction is
-at most ``sqrt(newton_tol) * (1 + |u|)``.  The boundary conditions of both
+coefficient mu and the longest reference edge as length scale.  State and
+adjoint are solved by the damped Newton method of :mod:`flowshape.newton`,
+with its stop test and hand-on rule.  The boundary conditions of both
 solves are the Dirichlet table :func:`flowshape.lagrangian.dirichlet_dofs`
 of the layouts ``(v, p)`` and ``(lam_v, lam_p)``, with the velocity data of
 :func:`velocity_dirichlet`.
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fem import LU_OPTIONS, quadrature_triangle, scatter_nodal
+from .fem import LU_OPTIONS, quadrature_triangle
 from .lagrangian import (KktParams, Spaces, block_matrix, dirichlet_dofs,
                          gradient_blocks, zero_blocks)
 from .mesh import BoundaryTag, Mesh
@@ -40,11 +39,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Viscosity, stabilization and Newton controls of the flow solves.
-
-    The state solve stops when the residual norm is below newton_tol and
-    the Newton correction is at most sqrt(newton_tol) * (1 + |u|).
-    """
+    """Viscosity, stabilization and Newton controls of the flow solves
+    (tolerance of the stop test of :mod:`flowshape.newton` and budget)."""
 
     nu: float = 0.01
     mu: float = 0.1
@@ -145,8 +141,8 @@ def _forcing(spaces: Spaces, body_force) -> np.ndarray:
     pts = np.einsum("ql,tlx->tqx", qp, spaces.mesh.vertices[geo.tri])
     nt, nq = pts.shape[:2]
     vals = np.asarray(body_force(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq, 2)
-    loc = geo.area[:, None, None] * np.einsum("q,ql,tqa->tla", qw, qp, vals)
-    return scatter_nodal(geo.tri, loc, spaces.mesh.num_vertices)
+    loc = geo.area * np.einsum("q,ql,tqa->lat", qw, qp, vals)
+    return geo.scatter(loc, spaces.mesh.num_vertices)
 
 
 def state_residual(mesh: Mesh, w: np.ndarray, state: FlowState, params,
@@ -203,12 +199,11 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
     fully enclosed configurations; the tunnel's open outflow needs none.  The
     flow Jacobian is factorized at the first iterate and wherever the
     Newton loop stops reusing the last factorization for chord steps.
-    ``kept``, a :class:`flowshape.newton.Kept` holder, hands on a flow
-    factorization of an earlier state or adjoint solve with the same
-    boundary data, tried first as a chord step, and receives this solve's
-    last one.  See :func:`flowshape.newton.semismooth_newton` for
-    globalization, reuse and the stop test; a failure raises a classified
-    :class:`SolverError` that carries the residual history.
+    ``kept`` is a :class:`flowshape.newton.Kept` holder of the flow
+    factorization, shared with the state and adjoint solves of the same
+    boundary data.  :mod:`flowshape.newton` states the stop test and the
+    hand-on rule; a failure raises a classified :class:`SolverError` that
+    carries the residual history.
     """
     spaces = spaces or Spaces.build(mesh)
     _, det, _ = element_kinematics(spaces.geo_fluid, np.asarray(w, float))
@@ -261,11 +256,10 @@ def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     The matrix A is the transpose of the state Jacobian; the right-hand side
     g is the derivative of the dissipation with respect to velocity and
     pressure.  The linear residual A lam - g is solved from zero by the
-    Newton routine of :func:`solve_state`: a state Jacobian's factorization
-    handed on in the :class:`flowshape.newton.Kept` holder ``kept``, solved
-    transposed, costs only chord steps where it is close enough, and the
-    transpose of A is factorized otherwise.  ``kept`` receives the
-    factorization in use.
+    Newton routine of :func:`solve_state`.  A state Jacobian's
+    factorization in the holder ``kept`` is solved transposed, by the
+    hand-on rule of :mod:`flowshape.newton`; the transpose of A is
+    factorized where it is refused.
     """
     spaces = spaces or Spaces.build(mesh)
     nv = mesh.num_vertices

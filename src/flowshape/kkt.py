@@ -7,11 +7,9 @@ multipliers ``lam_vol`` (volume) and ``lam_bc`` (barycenter).  Residual and
 matrix come from the term engine in :mod:`flowshape.lagrangian`, and so
 do the boundary conditions (:func:`flowshape.lagrangian.dirichlet_dofs`);
 this module adds the degree-of-freedom bookkeeping and solves the system
-with the damped semismooth Newton method of :mod:`flowshape.newton` (the
-determinant penalty makes the map piecewise smooth, with an active-set
-generalized derivative).  A solve stops when the residual norm is below
-``newton_tol`` and the Newton correction is at most
-``sqrt(newton_tol) * (1 + |u|)``.
+with the damped semismooth Newton method of :mod:`flowshape.newton`, with
+its stop test and hand-on rule (the determinant penalty makes the map
+piecewise smooth, with an active-set generalized derivative).
 
 Only the control is free: ``w``, ``b`` and ``(v, p)`` are states, each fixed
 by its own equation (extension, Laplace-Beltrami, flow).  A Newton step is
@@ -27,6 +25,7 @@ whose flow fields are held fixed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,9 +36,8 @@ import scipy.sparse.linalg as spla
 from .fem import LU_OPTIONS
 from .flow import factorize_flow, velocity_dirichlet
 from .lagrangian import (BLOCK_NAMES, KktParams, Spaces, block_matrix,
-                         block_offsets, block_sizes, control_spaces,
-                         dirichlet_dofs, gradient_blocks, total_value,
-                         zero_blocks)
+                         block_offsets, control_spaces, dirichlet_dofs,
+                         gradient_blocks, total_value, zero_blocks)
 from .mesh import Mesh
 from .newton import semismooth_newton
 from .transform import element_kinematics
@@ -83,7 +81,8 @@ class DofMap:
     def __init__(self, spaces: Spaces, names=BLOCK_NAMES):
         self.spaces = spaces
         self.names = tuple(names)
-        self.sizes = block_sizes(spaces)
+        self.sizes = {name: math.prod(spaces.block_shapes[name])
+                      for name in self.names}
         self.offsets, self.total = block_offsets(spaces, self.names)
 
     def block_slice(self, name: str) -> slice:
@@ -101,9 +100,9 @@ class DofMap:
                ) -> KktVector:
         """The blocks of the layout read from ``vec``; a layout of fewer
         than eleven blocks takes the others from ``frozen``."""
-        zero = zero_blocks(self.spaces)
+        shapes = self.spaces.block_shapes
         blocks = {name: vec[self.block_slice(name)].reshape(
-            zero[name].shape).copy() for name in self.names}
+            shapes[name]).copy() for name in self.names}
         return (KktVector(**blocks) if frozen is None
                 else replace(frozen, **blocks))
 
@@ -404,13 +403,11 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
     does not reuse the last one for a chord step: the diagonal blocks of the
     state Jacobian and one dense LU of the reduced system in the control and
     the geometric multipliers (a singular factor is a ``singular`` failure).
-    ``kept``, a :class:`flowshape.newton.Kept` holder, hands the last
-    factorization of an earlier solve on the same layout, mesh and
-    parameters but for alpha on to this one: it is moved exactly to
-    ``params.alpha`` and tried first as a chord step, and it receives the
-    last factorization of this solve.  See
-    :func:`flowshape.newton.semismooth_newton` for globalization, reuse and
-    the stop test.  Raises a classified :class:`SolverError` on a
+    ``kept`` is a :class:`flowshape.newton.Kept` holder shared by the solves
+    on the same layout, mesh and parameters but for alpha; a factorization
+    it hands on is first moved exactly to ``params.alpha``.
+    :mod:`flowshape.newton` states the stop test and the hand-on rule.
+    Raises a classified :class:`SolverError` on a
     singular matrix, a stall or divergence, and ``MeshError`` on a mesh
     without an obstacle boundary, which carries no control.
     """

@@ -22,7 +22,10 @@ sparse matrix; the KKT matrix, the shape subsystem's matrix, the flow
 state and adjoint matrices and the extension Jacobian are all built through
 it.  The residuals of the solves are gradient blocks likewise: the extension
 equation is the lam_w block, and its Jacobian the (w, lam_w) pair, both
-from the one per-element frame of the extension operator.
+from the one per-element frame of the extension operator.  The
+determinant penalty's gradient and generalized Hessian are terms here
+too; they read det(DF) and the pushed gradients of that frame, which
+builds them from its own Dw on first use.
 ``dirichlet_dofs`` gives the boundary conditions of a block layout, and so
 of every solve.
 
@@ -62,6 +65,7 @@ exchange of the two dofs, which the assembled matrix inherits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -72,11 +76,10 @@ import scipy.sparse as sparse
 from .fem import (P1Geometry, CurveOperators, assemble_boundary_curve,
                   eliminate_dirichlet)
 from .mesh import BoundaryTag, Mesh, MeshError, boundary_normals
-from .transform import (kinematics, pushed_gradients, det_penalty_gradient,
-                        det_penalty_element_hessians)
+from .transform import deformation, kinematics, pushed_gradients
 
 __all__ = ["BLOCK_NAMES", "HESSIAN_PAIRS", "KktParams", "Spaces",
-           "control_spaces", "block_sizes", "block_offsets",
+           "control_spaces", "block_offsets",
            "dirichlet_dofs", "zero_blocks", "total_value",
            "gradient_blocks", "hessian_blocks", "block_matrix"]
 
@@ -101,9 +104,9 @@ class KktParams:
 
     alpha weights the control cost, beta the determinant penalty with
     threshold eta_det, eta_ext is the advection weight of the nonlinear
-    extension, and delta scales the inflow profile.  A Newton solve stops
-    when the residual norm is below newton_tol and the Newton correction is
-    at most sqrt(newton_tol) * (1 + |u|).
+    extension, and delta scales the inflow profile.  newton_tol and
+    newton_max_iter are the stop test's tolerance and the iteration budget
+    of the Newton solve (:mod:`flowshape.newton`).
     """
 
     alpha: float = 1e-2
@@ -159,6 +162,14 @@ class Spaces:
         return 0 if self.curve is None else len(self.curve.loop)
 
     @cached_property
+    def block_shapes(self) -> dict:
+        """The shape of each of the eleven blocks, by name."""
+        vec, scalar = (self.mesh.num_vertices, 2), (self.mesh.num_vertices,)
+        loop, loop_scalar = (self.num_loop, 2), (self.num_loop,)
+        return dict(zip(BLOCK_NAMES, (vec, vec, scalar, loop, loop_scalar,
+                                      vec, vec, scalar, loop, (1,), (2,))))
+
+    @cached_property
     def _fluid_cells(self):
         """The fluid cells among the extension cells (all: a slice)."""
         return self.mesh.fluid_cells if self.mesh.is_holdall else slice(None)
@@ -182,25 +193,15 @@ def control_spaces(mesh: Mesh, spaces: Spaces | None = None) -> Spaces:
 
 
 def zero_blocks(spaces: Spaces, dtype=float) -> dict:
-    nv = spaces.mesh.num_vertices
-    m = spaces.num_loop
-    return {"w": np.zeros((nv, 2), dtype), "v": np.zeros((nv, 2), dtype),
-            "p": np.zeros(nv, dtype), "b": np.zeros((m, 2), dtype),
-            "c": np.zeros(m, dtype), "lam_w": np.zeros((nv, 2), dtype),
-            "lam_v": np.zeros((nv, 2), dtype), "lam_p": np.zeros(nv, dtype),
-            "lam_b": np.zeros((m, 2), dtype), "lam_vol": np.zeros(1, dtype),
-            "lam_bc": np.zeros(2, dtype)}
-
-
-def block_sizes(spaces: Spaces) -> dict:
-    return {name: block.size for name, block in zero_blocks(spaces).items()}
+    return {name: np.zeros(shape, dtype)
+            for name, shape in spaces.block_shapes.items()}
 
 
 def block_offsets(spaces: Spaces, names) -> tuple:
     """Start of each block in a flat vector that holds the blocks ``names``
     in that order, and the vector's length."""
-    sizes = block_sizes(spaces)
-    starts = np.cumsum([0] + [sizes[name] for name in names])
+    starts = np.cumsum(
+        [0] + [math.prod(spaces.block_shapes[name]) for name in names])
     return dict(zip(names, starts[:-1].tolist())), int(starts[-1])
 
 
@@ -407,20 +408,36 @@ def _fluid_frame(spaces: Spaces, z: dict) -> _FluidFrame:
         lpbar=lploc.mean(axis=0))
 
 
-def _ext_frame(spaces: Spaces, z: dict) -> SimpleNamespace:
+class _ExtFrame(SimpleNamespace):
     """Per-element arrays of the extension pairing and the determinant
     penalty at one point on the extension domain, element axis last; every
-    extension term of the value, the gradient and the Hessian reads them."""
+    extension term of the value, the gradient and the Hessian reads them.
+    det(DF) ``J`` and the pushed gradients ``g`` follow from Dw on first use.
+    """
+
+    @cached_property
+    def _deformation(self):
+        return deformation(self.Dw)
+
+    @property
+    def J(self):
+        return self._deformation[1]
+
+    @cached_property
+    def g(self):
+        return pushed_gradients(self.geo, self._deformation[2])
+
+
+def _ext_frame(spaces: Spaces, z: dict) -> _ExtFrame:
     geo = spaces.geo_ext
     G = geo.grads_last
     wloc, lwloc = geo.gather(z["w"]), geo.gather(z["lam_w"])
-    Dw = np.einsum("lat,lbt->abt", wloc, G)
-    Dlw = np.einsum("lat,lbt->abt", lwloc, G)
-    J = (1.0 + Dw[0, 0]) * (1.0 + Dw[1, 1]) - Dw[0, 1] * Dw[1, 0]
-    Lam = geo.area * _S12_dot(lwloc)                  # integral of phi_n lam_w
-    W = geo.area * _S12_dot(wloc)                     # integral of phi_n w
-    return SimpleNamespace(geo=geo, area=geo.area, G=G, wloc=wloc, Dw=Dw,
-                           Dlw=Dlw, J=J, Lam=Lam, W=W)
+    return _ExtFrame(
+        geo=geo, area=geo.area, G=G, wloc=wloc,
+        Dw=np.einsum("lat,lbt->abt", wloc, G),
+        Dlw=np.einsum("lat,lbt->abt", lwloc, G),
+        Lam=geo.area * _S12_dot(lwloc),               # integral of phi_n lam_w
+        W=geo.area * _S12_dot(wloc))                  # integral of phi_n w
 
 
 def _curve_mass_pair(seg_length, u, v):
@@ -594,15 +611,15 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
 
     ``names`` selects blocks from ``BLOCK_NAMES`` (None: all eleven); the
     result holds exactly those keys, in that order, and only what they read
-    is evaluated: the extension frame only for "w" or "lam_w", the penalty
-    gradient only for "w", the fluid frame for any block but "lam_w" and the
-    boundary blocks.  An unknown name raises ``ValueError``.
+    is evaluated: the extension frame only for "w" or "lam_w", with det(DF)
+    and the pushed gradients of the penalty only for "w", the fluid frame
+    for any block but "lam_w" and the boundary blocks.  An unknown name
+    raises ``ValueError``.
     """
     want = _select(names, BLOCK_NAMES, "block name")
     nu, mu = params.nu, params.mu
     nv = spaces.mesh.num_vertices
-    zero = zero_blocks(spaces)
-    out = {name: zero[name] for name in want}
+    out = {}
     if set(want) - {"lam_w", "b", "c", "lam_b"}:
         f = _fluid_frame(spaces, z)
         area, J, g, h, geo = f.area, f.J, f.g, f.h, f.geo
@@ -626,8 +643,10 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
             + np.einsum("lat,act->lct", e.Lam, e.Dw))
         ge[..., spaces._fluid_cells] += gw
         out["w"] = e.geo.scatter(ge, nv)
-        out["w"] += det_penalty_gradient(spaces.geo_ext, z["w"],
-                                         params.eta_det, params.beta)
+        # the determinant penalty: -beta area (eta_det - J)_+ J gt_m[c]
+        plus = np.maximum(params.eta_det - e.J, 0.0)
+        out["w"] += e.geo.scatter(
+            -params.beta * e.area * plus * e.J * e.g, nv)
 
     if "lam_w" in want:
         # the extension equation: minus the symmetrized-gradient form and
@@ -672,7 +691,7 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
         out["lam_vol"] = -np.array([np.sum(area * (J - 1.0))])
     if "lam_bc" in want:
         out["lam_bc"] = -(f.cent @ aJ - spaces.moment)
-    return out
+    return {name: out[name] for name in want}
 
 
 # -- Hessian ----------------------------------------------------------------------
@@ -723,13 +742,15 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
     ``pairs`` selects blocks from ``HESSIAN_PAIRS`` (None: all seventeen);
     the result holds exactly those keys, in that order, and only the
     per-element arrays they read are built: the extension frame only for
-    ("w", "w") or ("w", "lam_w"), the penalty Hessian only for ("w", "w"),
-    the fluid frame for any pair but ("w", "lam_w") and those of the loop.
+    ("w", "w") or ("w", "lam_w"), with det(DF) and the pushed gradients of
+    the penalty only for ("w", "w"), the fluid frame for any pair but
+    ("w", "lam_w") and those of the loop.
     An unknown pair, a reversed one included, raises ``ValueError``.
     """
     want = _select(pairs, HESSIAN_PAIRS, "Hessian block pair")
     nu, mu = params.nu, params.mu
-    sizes = block_sizes(spaces)
+    sizes = {name: math.prod(shape)
+             for name, shape in spaces.block_shapes.items()}
     eye = np.eye(2)[:, :, None]
     if set(want) - _FRAMELESS_PAIRS:
         f = _fluid_frame(spaces, z)
@@ -746,6 +767,23 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
 
     # -- (w, w): every J-carrying term plus stabilization, advection, penalty
     if ("w", "w") in want:
+        # half of the extension pairing's advection and of the penalty, on
+        # the extension domain, whose cells include the fluid cells at
+        # mesh.fluid_cells; the assembled half plus its transpose is exactly
+        # symmetric, whatever order the sparse sum takes.  With chi the
+        # active indicator, the penalty's generalized second derivative is
+        #   beta area [chi J^2 gt_m[c] gt_n[d]
+        #              - (eta_det - J)_+ J (gt_m[c] gt_n[d] - gt_m[d] gt_n[c])]
+        # This half comes before the fluid half: the other way round, the
+        # frame's arrays are allocated among the fluid temporaries, and the
+        # block page-faulted on every call in a measured process.
+        Ke = _dof_swap(e.G, -params.eta_ext * e.Lam)
+        plus = np.maximum(params.eta_det - e.J, 0.0)
+        chi = plus > 0.0 if active is None else np.asarray(active, dtype=bool)
+        c1 = params.beta * e.area * chi * e.J * e.J
+        c2 = params.beta * e.area * plus * e.J
+        outer = _dof_outer(e.g, e.g)
+        Ke += 0.5 * ((c1 - c2) * outer + c2 * outer.transpose(0, 3, 2, 1, 4))
         # With Y = gt Q, the second derivative of the terms of _w_terms is
         #   S (gt_m[c] gt_n[d] - gt_m[d] gt_n[c]) + X[c, d] (gt_m . gt_n)
         #   - gt_m[c] (Y + L)[n, d] + gt_m[d] (Y + V)[n, c]
@@ -758,14 +796,6 @@ def hessian_blocks(spaces: Spaces, params, z: dict, active=None,
         K += _dof_swap(g, Y + wt.V - half_Sg)
         K += _dof_kron((0.5 * f.gg, wt.X),
                        (mh2 * f.sgp[:, None] * f.sglp, f.T))
-        # half of the extension pairing's advection and of the penalty, on
-        # the extension domain, whose cells include the fluid cells at
-        # mesh.fluid_cells; the assembled half plus its transpose is exactly
-        # symmetric, whatever order the sparse sum takes
-        Ke = _dof_swap(e.G, -params.eta_ext * e.Lam)
-        Ke += 0.5 * np.moveaxis(det_penalty_element_hessians(
-            spaces.geo_ext, z["w"], params.eta_det, params.beta, active),
-            0, -1).reshape(Ke.shape)
         Ke[..., spaces._fluid_cells] += K
         blocks[("w", "w")] = _symmetric_scatter(
             spaces, "ext", Ke, edofs, sizes["w"])

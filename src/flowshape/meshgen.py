@@ -136,7 +136,7 @@ def tunnel_mesh(
     areas = signed_areas(points, simplices)
     simplices[areas < 0] = simplices[areas < 0][:, ::-1]
 
-    segments, tags = _classify_boundary(points, simplices, inside, a, b)
+    segments, tags = _classify_boundary(points, simplices, inside)
     obstacle_cells = np.nonzero(inside)[0] if holdall else np.empty(0, dtype=int)
     return Mesh(points, simplices, segments, tags, obstacle_cells)
 
@@ -199,34 +199,33 @@ def _smooth(points, n_fixed, rounds, a, b, inside_mask, clearance):
     return pts
 
 
-def _classify_boundary(points, simplices, inside, a, b):
+def _classify_boundary(points, simplices, inside):
+    """Boundary segments (i, j), i < j, and their tags.
+
+    A segment is an edge of one triangle, tagged by the side of the box it
+    lies on or else as the obstacle (the hole of a fluid-only mesh), or an
+    edge between an obstacle and a fluid triangle of a holdall.  Segments
+    come in the order of their first occurrence among the triangles' edges
+    (i, j), (j, k), (k, i).
+    """
     x0, x1, y0, y1 = BOX
-    edge_count: dict[tuple, list] = {}
-    for t, (i, j, k) in enumerate(simplices):
-        for e in ((i, j), (j, k), (k, i)):
-            key = (min(e), max(e))
-            edge_count.setdefault(key, []).append(t)
-    segments, tags = [], []
-    for (i, j), tris in edge_count.items():
-        if len(tris) == 1:
-            seg_tag = _outer_tag(points[i], points[j], x0, x1, y0, y1)
-            if seg_tag is None:
-                seg_tag = BoundaryTag.OBSTACLE  # hole boundary (fluid-only mode)
-            segments.append((i, j))
-            tags.append(seg_tag)
-        elif len(tris) == 2 and inside[tris[0]] != inside[tris[1]]:
-            segments.append((i, j))
-            tags.append(BoundaryTag.OBSTACLE)
-    return np.asarray(segments, dtype=int), np.asarray(tags, dtype=object)
+    edges = np.sort(simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, first, inverse, counts = np.unique(
+        edges[:, 0] * len(points) + edges[:, 1], return_index=True,
+        return_inverse=True, return_counts=True)
+    n_inside = np.bincount(inverse.ravel(), np.repeat(inside, 3))
+    single = counts == 1
+    keep = single | ((counts == 2) & (n_inside == 1))
+    order = np.argsort(first[keep])
+    single, segments = single[keep][order], edges[first[keep][order]]
+    p, q = points[segments[:, 0]], points[segments[:, 1]]
 
+    def on(axis, value):
+        return (np.abs(p[:, axis] - value) < 1e-9) & (
+            np.abs(q[:, axis] - value) < 1e-9)
 
-def _outer_tag(p, q, x0, x1, y0, y1, tol=1e-9):
-    if abs(p[0] - x0) < tol and abs(q[0] - x0) < tol:
-        return BoundaryTag.INFLOW
-    if abs(p[0] - x1) < tol and abs(q[0] - x1) < tol:
-        return BoundaryTag.OUTFLOW
-    if (abs(p[1] - y0) < tol and abs(q[1] - y0) < tol) or (
-        abs(p[1] - y1) < tol and abs(q[1] - y1) < tol
-    ):
-        return BoundaryTag.WALL
-    return None
+    side = np.select([on(0, x0), on(0, x1), on(1, y0) | on(1, y1)], [0, 1, 2],
+                     3)
+    tags = np.array([BoundaryTag.INFLOW, BoundaryTag.OUTFLOW, BoundaryTag.WALL,
+                     BoundaryTag.OBSTACLE], dtype=object)
+    return segments.astype(int), tags[np.where(single, side, 3)]

@@ -1,13 +1,24 @@
 """Damped semismooth Newton method shared by every nonlinear solve.
 
 The coupled optimality system, the shape subsystem of the iterative driver,
-the flow state and the nonlinear extension all call :func:`semismooth_newton`
-with their own residual and factorization; failures are reported as a
-classified :class:`SolverError`.  While the iteration contracts fast, a
-factorization is kept for simplified Newton (chord) steps, and the stop test
-measures the correction with the factorization in use.  A :class:`Kept`
-holder hands the last factorization of one system on to the next solve of
-that system, which tries it first as a chord step.
+the flow state and adjoint and the nonlinear extension all call
+:func:`semismooth_newton` with their own residual and factorization;
+failures are reported as a classified :class:`SolverError`.  The other
+modules refer to the two rules of every solve stated here.
+
+Stop test: the residual norm is below ``tol`` (``newton_tol``) and the
+Newton correction is at most ``sqrt(tol) * (1 + |x|)``.  The residual
+alone weighs the control rows with alpha, so at small alpha it still
+admits control errors of order ``tol / alpha``; at quadratic convergence a
+relative correction of ``sqrt(tol)`` leaves one of order ``tol``.  After a
+full or chord step the correction is the simplified step of the
+factorization in use, so a converging solve costs no extra factorization.
+
+Hand-on rule: a :class:`Kept` holder hands the last factorization of one
+system on to the next solve of that system, within one driver call.  That
+solve tries it first as a chord step and factorizes anew at the same
+iterate where it is refused; on convergence it puts the factorization it
+used last back, and a failed solve leaves the holder empty.
 """
 
 from __future__ import annotations
@@ -45,10 +56,9 @@ class Kept:
     set ``active`` it was built with, both None while the holder is empty.
 
     A driver keeps one holder per system for one call and passes it to every
-    solve of that system.  :func:`semismooth_newton` takes the factorization
-    out when it starts, so that the holder never keeps an old one alive
-    while a new one is made, and puts back the one it used last when it
-    converges; a failed solve leaves the holder empty.
+    solve of that system (the hand-on rule of the module docstring).
+    :func:`semismooth_newton` takes the factorization out when it starts,
+    so that the holder never keeps an old one alive while a new one is made.
     """
 
     def __init__(self):
@@ -107,23 +117,10 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
     on while Theta stays at most ``_CHORD_CONTRACTION`` and the active set
     at the iterate is the one the factorization was built with.  Otherwise
     the trial is discarded and the iterate takes a damped Newton step from
-    a new factorization.  ``max_iter`` counts chord iterations too.  A
-    factorization handed over in the :class:`Kept` holder ``kept``, built
-    for the same system at another point, gives the first step as a chord
-    step under the same rule; where that is refused, a new factorization is
-    made at the same iterate.  On convergence the factorization in use goes
-    back into ``kept``.
-
-    Convergence needs a residual norm below ``tol`` and a Newton correction
-    of at most ``sqrt(tol) * (1 + |x|)``.  The residual alone weighs the
-    control rows with alpha, so at small alpha a residual below ``tol``
-    still admits control errors of order ``tol / alpha``; at quadratic
-    convergence, a relative correction of ``sqrt(tol)`` leaves one of order
-    ``tol``.  After a full or chord step the simplified step at the new
-    iterate, with the factorization in use, serves as that correction, so a
-    converging solve costs no extra factorization.  The residual is
-    evaluated once per iterate: the residual at the accepted trial point is
-    that of the next iterate.
+    a new factorization.  ``max_iter`` counts chord iterations too.
+    ``kept`` and the stop test follow the module docstring.  The residual
+    is evaluated once per iterate: the residual at the accepted trial point
+    is that of the next iterate.
     """
     penalty_active = penalty_active or _no_penalty
     history = []

@@ -8,11 +8,10 @@ that solve by a fixpoint sweep: flow state, adjoint, then the shape subsystem
 flow fields frozen, repeated until the control stops moving.  Both call
 :func:`flowshape.kkt.solve_kkt`: the direct driver on all eleven blocks, the
 iterative one on the seven blocks of the shape subsystem.  Within one driver
-call, each solve hands its last factorization on to the next solve of the
-same system (:class:`flowshape.newton.Kept`), which tries it first as a
-chord step: the KKT factorization from level to level (moved exactly to the
-new alpha), and in the iterative driver the shape factorization from pass
-to pass and the flow factorization from each state solve to the adjoint
+call, factorizations are handed on by the rule of :mod:`flowshape.newton`:
+the KKT factorization from level to level (moved exactly to the new
+alpha), and in the iterative driver the shape factorization from pass to
+pass and the flow factorization from each state solve to the adjoint
 solve and the next state solve.  Nothing is kept between calls, so a
 repeated call repeats its results bit for bit.  Sweep harnesses
 rerun the optimization over ranges of the extension strength or the

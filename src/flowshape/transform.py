@@ -2,9 +2,9 @@
 
 For P1 displacements the Jacobian DF = I + Dw, its determinant and inverse are
 constant per triangle.  The determinant penalty keeps det(DF) above a bound
-eta_det; its first derivative is semismooth through the positive part, and an
-element of the generalized second derivative uses the active-set indicator
-{det(DF) < eta_det}.
+eta_det; its value is here, and its derivatives are terms of the engine
+:mod:`flowshape.lagrangian`, which reads det(DF) and (DF)^-1 from
+:func:`deformation` of its own Dw.
 
 Everything is computed with the element axis last; the functions with
 ``element`` in their name return views with the element axis first.
@@ -17,12 +17,11 @@ import numpy as np
 from .fem import P1Geometry
 
 __all__ = [
+    "deformation",
     "kinematics",
     "element_kinematics",
     "pushed_gradients",
     "det_penalty",
-    "det_penalty_gradient",
-    "det_penalty_element_hessians",
 ]
 
 
@@ -32,22 +31,29 @@ def displacement_gradient(geo: P1Geometry, w: np.ndarray) -> np.ndarray:
                                  geo.grads_last), -1, 0)
 
 
-def kinematics(geo: P1Geometry, w: np.ndarray):
-    """Batched (DF, det, DFinv) for all triangles of the geometry, element
-    axis last: (2, 2, nt), (nt,) and (2, 2, nt).
+def deformation(Dw: np.ndarray):
+    """(DF, det, DFinv) of the displacement gradients ``Dw`` (2, 2, nt):
+    (2, 2, nt), (nt,) and (2, 2, nt).
 
     Determinants may be non-positive; the inverse is computed wherever the
     determinant is nonzero, and is the adjugate where it is zero (callers
-    decide how to react).  Dtype follows w so extended-precision evaluation
+    decide how to react).  Dtype follows Dw so extended-precision evaluation
     is possible.
     """
-    DF = np.einsum("lat,lbt->abt", geo.gather(w), geo.grads_last)
+    DF = Dw.copy()
     DF[0, 0] += 1.0
     DF[1, 1] += 1.0
     det = DF[0, 0] * DF[1, 1] - DF[0, 1] * DF[1, 0]
     safe = np.where(det != 0.0, det, 1.0)
     inv = np.array([[DF[1, 1], -DF[0, 1]], [-DF[1, 0], DF[0, 0]]]) / safe
     return DF, det, inv
+
+
+def kinematics(geo: P1Geometry, w: np.ndarray):
+    """:func:`deformation` of the nodal displacement w (n, 2) on all
+    triangles of the geometry, element axis last."""
+    return deformation(np.einsum("lat,lbt->abt", geo.gather(w),
+                                 geo.grads_last))
 
 
 def element_kinematics(geo: P1Geometry, w: np.ndarray):
@@ -65,54 +71,7 @@ def pushed_gradients(geo: P1Geometry, DFinv: np.ndarray) -> np.ndarray:
     return np.einsum("lbt,bat->lat", geo.grads_last, DFinv)
 
 
-# -- determinant penalty ----------------------------------------------------------
-
-
-def _penalty_parts(geo: P1Geometry, w, eta_det):
-    _, det, inv = kinematics(geo, w)
-    gap = eta_det - det
-    plus = np.maximum(gap, 0.0)
-    active = gap > 0.0  # ties (equality) treated as inactive
-    return det, inv, plus, active
-
-
 def det_penalty(geo: P1Geometry, w: np.ndarray, eta_det: float, beta: float) -> float:
     """(beta/2) * integral of ((eta_det - det DF)_+)^2 over the geometry cells."""
-    _, _, plus, _ = _penalty_parts(geo, w, eta_det)
+    plus = np.maximum(eta_det - kinematics(geo, w)[1], 0.0)
     return 0.5 * beta * float(np.sum(geo.area * plus * plus))
-
-
-def det_penalty_gradient(geo: P1Geometry, w: np.ndarray, eta_det: float,
-                         beta: float) -> np.ndarray:
-    """Gradient of det_penalty with respect to the nodal displacement, (nv, 2)."""
-    det, inv, plus, _ = _penalty_parts(geo, w, eta_det)
-    coeff = -beta * geo.area * plus * det  # (nt,)
-    return geo.scatter(coeff * pushed_gradients(geo, inv), len(w))
-
-
-def det_penalty_element_hessians(geo: P1Geometry, w: np.ndarray, eta_det: float,
-                                 beta: float, active=None) -> np.ndarray:
-    """Element matrices (nt, 6, 6) of the penalty's generalized second
-    derivative; row and column dof (l, a) is component a at local vertex l.
-    The result is a view of a contiguous (6, 6, nt) array.
-
-    Per element, with gt the pushed gradients, J the determinant and chi the
-    active indicator:
-
-        H[(l,a),(m,c)] = beta*area*[ chi J^2 gt_l[a] gt_m[c]
-                                     - (eta-J)_+ J (gt_l[a] gt_m[c] - gt_l[c] gt_m[a]) ]
-
-    chi defaults to {J < eta_det}; an explicit boolean ``active`` selects
-    another element of the generalized derivative.  Where an element's J
-    sits on eta_det, the one that matches the one-sided derivative along a
-    step is chi taken at a point just along that step.  Each matrix is
-    exactly symmetric.
-    """
-    det, inv, plus, chi = _penalty_parts(geo, w, eta_det)
-    active = chi if active is None else np.asarray(active, dtype=bool)
-    gt = pushed_gradients(geo, inv)
-    outer = gt[:, :, None, None] * gt                 # (l, a, m, c, nt)
-    coeff1 = beta * geo.area * active * det * det
-    coeff2 = beta * geo.area * plus * det
-    H = (coeff1 - coeff2) * outer + coeff2 * outer.transpose(0, 3, 2, 1, 4)
-    return np.moveaxis(H.reshape(6, 6, -1), -1, 0)

@@ -6,7 +6,6 @@ from flowshape.fem import (
     assemble_boundary_curve,
     eliminate_dirichlet,
     quadrature_triangle,
-    scatter_nodal,
 )
 from flowshape.mesh import BoundaryTag, Mesh
 from flowshape.meshgen import tunnel_mesh
@@ -14,23 +13,27 @@ from flowshape.meshgen import tunnel_mesh
 from conftest import unit_square_mesh
 
 
-def test_scatter_nodal_is_bitwise_add_at():
-    """The bincount scatter sums in the order of np.add.at, bit for bit,
-    for vector and scalar element contributions of magnitudes that make the
+def test_scatter_is_bitwise_add_at():
+    """P1Geometry.scatter sums in its documented order -- local dof by local
+    dof, within each in element order -- bit for bit as np.add.at does, for
+    vector and scalar element contributions of magnitudes that make the
     summation order visible."""
     mesh = tunnel_mesh(h=0.5, n_obstacle=24)
-    tri, n = mesh.triangles, mesh.num_vertices
+    geo = P1Geometry.build(mesh)
+    nt, n = len(geo.tri), mesh.num_vertices
     rng = np.random.default_rng(7)
-    for shape in ((len(tri), 3, 2), (len(tri), 3)):
+    for shape in ((3, 2, nt), (3, nt)):
         loc = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
-        expected = np.zeros((n,) + shape[2:])
-        np.add.at(expected, tri, loc)
-        got = scatter_nodal(tri, loc, n)
+        # (3, nt, ...) contributions in the documented order
+        ordered = np.moveaxis(loc, -1, 1)
+        expected = np.zeros((n,) + shape[1:-1])
+        np.add.at(expected, geo.tri.T, ordered)
+        got = geo.scatter(loc, n)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
         # the order matters at these magnitudes: a sorted sum differs
-        shuffled = np.zeros((n,) + shape[2:])
-        np.add.at(shuffled, tri[::-1], loc[::-1])
+        shuffled = np.zeros((n,) + shape[1:-1])
+        np.add.at(shuffled, geo.tri.T[::-1, ::-1], ordered[::-1, ::-1])
         assert not np.array_equal(shuffled, expected)
 
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sparse
 
 from flowshape import lagrangian as lagrangian_module
-from flowshape.fem import eliminate_dirichlet
+from flowshape.fem import P1Geometry, eliminate_dirichlet
 from flowshape.flow import velocity_dirichlet
 from flowshape.kkt import DofMap, KktParams
 from flowshape.lagrangian import (BLOCK_NAMES, HESSIAN_PAIRS, Spaces,
@@ -300,6 +300,29 @@ def test_selected_gradient_blocks_equal_full_evaluation(request, mesh_name,
         assert list(sel) == expected
         for name, block in sel.items():
             assert np.array_equal(block, full[name]), name
+
+
+def test_penalty_reads_the_extension_frame(holdall_mesh, params, spy):
+    """The w gradient and the (w, w) block gather w on the extension domain
+    once, for the extension frame, whose det(DF) and pushed gradients the
+    determinant penalty reads; the lam_w residual builds neither."""
+    sp = Spaces.build(holdall_mesh)
+    z = random_point(sp, seed=5)
+    gathers = spy(P1Geometry, "gather")
+
+    def ext_gathers_of_w():
+        count = sum(c["self"] is sp.geo_ext and c["field"] is z["w"]
+                    for c in gathers)
+        gathers.clear()
+        return count
+
+    gradient_blocks(sp, params, z, names=("w",))
+    assert ext_gathers_of_w() == 1
+    hessian_blocks(sp, params, z, pairs=(("w", "w"),))
+    assert ext_gathers_of_w() == 1
+    frames = spy(lagrangian_module, "deformation")
+    gradient_blocks(sp, params, z, names=("lam_w",))
+    assert ext_gathers_of_w() == 1 and not frames
 
 
 def test_unknown_blocks_are_rejected(spaces, params):

@@ -297,3 +297,70 @@ def test_open_obstacle_rejected(circle_mesh):
             circle_mesh.boundary_segments,
             tags,
         )
+
+
+# -- generated meshes -------------------------------------------------------------
+
+
+def _edge_loop_boundary(mesh):
+    """Boundary segments and tags of ``mesh`` by one dict pass over the
+    triangles' edges (i, j), (j, k), (k, i): each edge of one triangle,
+    tagged by the box side it lies on (x = -7 inflow, x = 7 outflow,
+    y = +-3 wall) or else as the obstacle, and each edge between an
+    obstacle and a fluid triangle; in the order of first occurrence."""
+    inside = np.zeros(len(mesh.triangles), dtype=bool)
+    inside[mesh.obstacle_cells] = True
+    edges = {}
+    for t, (i, j, k) in enumerate(mesh.triangles):
+        for e in ((i, j), (j, k), (k, i)):
+            edges.setdefault((min(e), max(e)), []).append(t)
+    sides = ((0, -7.0, BoundaryTag.INFLOW), (0, 7.0, BoundaryTag.OUTFLOW),
+             (1, -3.0, BoundaryTag.WALL), (1, 3.0, BoundaryTag.WALL))
+    segments, tags = [], []
+    for (i, j), tris in edges.items():
+        p, q = mesh.vertices[i], mesh.vertices[j]
+        if len(tris) == 1:
+            tag = next((tag for axis, x, tag in sides
+                        if abs(p[axis] - x) < 1e-9 and abs(q[axis] - x) < 1e-9),
+                       BoundaryTag.OBSTACLE)
+        elif len(tris) == 2 and inside[tris[0]] != inside[tris[1]]:
+            tag = BoundaryTag.OBSTACLE
+        else:
+            continue
+        segments.append((i, j))
+        tags.append(tag)
+    return np.array(segments), tags
+
+
+def _mesh_digest(mesh) -> str:
+    import hashlib
+
+    h = hashlib.sha256()
+    for a in (mesh.vertices, mesh.triangles, mesh.boundary_segments):
+        h.update(np.ascontiguousarray(a, a.dtype.newbyteorder("<")).tobytes())
+    h.update(" ".join(t.value for t in mesh.segment_tags).encode())
+    return h.hexdigest()[:16]
+
+
+# The fixture meshes and the seed-0 meshes of the benchmark workloads
+# (perfbench/workloads.py), whose reference values (perfbench/reference.json)
+# rest on these exact vertices, triangles, segments and tags.
+PINNED_MESHES = [
+    (dict(h=0.5, n_obstacle=64), "20318bab088fc8e1"),
+    (dict(h=0.35, n_obstacle=96), "1152ec2fb28f6dc5"),
+    (dict(h=0.5, n_obstacle=64, holdall=True), "5bd2f2b12a376b9b"),
+    (dict(h=0.35, n_obstacle=48, n_rings=3), "53e07c24d10e3975"),
+    (dict(h=0.175, n_obstacle=48, n_rings=3), "272fd7991d0cd88b"),
+    (dict(h=0.35, n_obstacle=48, n_rings=3, semi_axes=(0.35, 0.7)),
+     "2923f4b52fa5c45f"),
+]
+
+
+@pytest.mark.parametrize("keywords, digest", PINNED_MESHES,
+                         ids=[str(i) for i in range(len(PINNED_MESHES))])
+def test_tunnel_mesh_is_pinned(keywords, digest):
+    mesh = tunnel_mesh(**keywords)
+    segments, tags = _edge_loop_boundary(mesh)
+    assert np.array_equal(mesh.boundary_segments, segments)
+    assert list(mesh.segment_tags) == tags
+    assert _mesh_digest(mesh) == digest

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from flowshape.fem import P1Geometry
-from flowshape.transform import (
-    det_penalty,
-    det_penalty_gradient,
-    det_penalty_element_hessians,
-    element_kinematics,
-)
+from flowshape.lagrangian import (KktParams, Spaces, gradient_blocks,
+                                  hessian_blocks, zero_blocks)
+from flowshape.transform import det_penalty, element_kinematics
 
 
 def linear_field(mesh, mat):
@@ -92,13 +89,37 @@ def test_volume_transport(circle_mesh, rng):
 
 
 # -- penalty ----------------------------------------------------------------------
+#
+# The penalty's derivatives are terms of the engine.  Where every block but w
+# is zero, every other term of the w gradient and of the (w, w) block
+# vanishes, so there they are the derivatives of det_penalty: the gradient
+# bit for bit, the Hessian up to the order of its sums.
+
+
+def _penalty_point(spaces, w, eta, beta):
+    z = zero_blocks(spaces)
+    z["w"] = w
+    return KktParams(eta_det=eta, beta=beta), z
+
+
+def penalty_gradient(spaces, w, eta, beta):
+    """The engine's w gradient at ``w``, every other block zero, (nv, 2)."""
+    params, z = _penalty_point(spaces, w, eta, beta)
+    return gradient_blocks(spaces, params, z, names=("w",))["w"]
+
+
+def penalty_hessian(spaces, w, eta, beta):
+    """The engine's (w, w) block at ``w``, every other block zero."""
+    params, z = _penalty_point(spaces, w, eta, beta)
+    return hessian_blocks(spaces, params, z, pairs=(("w", "w"),))[("w", "w")]
 
 
 def test_penalty_inactive(circle_mesh):
-    geo = P1Geometry.build(circle_mesh)
+    spaces = Spaces.build(circle_mesh)
+    geo = spaces.geo_ext
     w = np.zeros_like(circle_mesh.vertices)
     assert det_penalty(geo, w, 0.9, 7.0) == 0.0
-    assert np.all(det_penalty_gradient(geo, w, 0.9, 7.0) == 0.0)
+    assert np.all(penalty_gradient(spaces, w, 0.9, 7.0) == 0.0)
 
 
 def test_penalty_uniform_compression(circle_mesh):
@@ -122,8 +143,9 @@ def test_penalty_matches_loop_oracle(circle_mesh, rng):
     assert abs(val - oracle) <= 1e-13 * max(1.0, abs(oracle))
 
 
-def _fd_gradient_check(geo, w, eta, beta, rng, steps=(1e-5, 1e-6)):
-    g = det_penalty_gradient(geo, w, eta, beta)
+def _fd_gradient_check(spaces, w, eta, beta, rng, steps=(1e-5, 1e-6)):
+    geo = spaces.geo_ext
+    g = penalty_gradient(spaces, w, eta, beta)
     d = rng.standard_normal(w.shape)
     exact = float(np.sum(g * d))
     errs = []
@@ -135,17 +157,18 @@ def _fd_gradient_check(geo, w, eta, beta, rng, steps=(1e-5, 1e-6)):
 
 
 def test_penalty_gradient_fd(circle_mesh, rng):
-    geo = P1Geometry.build(circle_mesh)
+    spaces = Spaces.build(circle_mesh)
     w = -0.3 * circle_mesh.vertices  # det = 0.49: fully active for eta = 0.6
-    exact, errs = _fd_gradient_check(geo, w, 0.6, 2.0, rng)
+    exact, errs = _fd_gradient_check(spaces, w, 0.6, 2.0, rng)
     assert errs[0] < 1e-6 * max(1.0, abs(exact))
 
 
 def test_penalty_gradient_one_sided_at_kink(circle_mesh, rng):
-    geo = P1Geometry.build(circle_mesh)
+    spaces = Spaces.build(circle_mesh)
+    geo = spaces.geo_ext
     w = np.zeros_like(circle_mesh.vertices)  # det = 1 = eta exactly: at the kink
     eta, beta = 1.0, 2.0
-    g = det_penalty_gradient(geo, w, eta, beta)
+    g = penalty_gradient(spaces, w, eta, beta)
     assert np.all(g == 0.0)  # ties inactive
     d = rng.standard_normal(w.shape)
     h = 1e-6
@@ -154,47 +177,45 @@ def test_penalty_gradient_one_sided_at_kink(circle_mesh, rng):
     assert abs(fd) < 1e-3
 
 
-def hessian_action(geo, w, d, eta, beta):
+def hessian_action(spaces, w, d, eta, beta):
     """Generalized second derivative of the penalty applied to d, (nv, 2)."""
-    H = det_penalty_element_hessians(geo, w, eta, beta)
-    out = np.zeros_like(w)
-    np.add.at(out, geo.tri, (H @ d[geo.tri].reshape(-1, 6, 1)).reshape(-1, 3, 2))
-    return out
+    H = penalty_hessian(spaces, w, eta, beta)
+    return (H @ d.ravel()).reshape(w.shape)
 
 
 def test_penalty_hessian_fd_fully_active(circle_mesh, rng):
-    geo = P1Geometry.build(circle_mesh)
+    spaces = Spaces.build(circle_mesh)
     w = -0.3 * circle_mesh.vertices
     eta, beta = 0.6, 2.0
     d = rng.standard_normal(w.shape)
-    act = hessian_action(geo, w, d, eta, beta)
+    act = hessian_action(spaces, w, d, eta, beta)
     h = 1e-6
-    gp = det_penalty_gradient(geo, w + h * d, eta, beta)
-    gm = det_penalty_gradient(geo, w - h * d, eta, beta)
+    gp = penalty_gradient(spaces, w + h * d, eta, beta)
+    gm = penalty_gradient(spaces, w - h * d, eta, beta)
     fd = (gp - gm) / (2 * h)
     assert np.abs(fd - act).max() < 1e-6 * max(1.0, np.abs(act).max())
 
 
 def test_penalty_hessian_inactive_zero(circle_mesh, rng):
-    geo = P1Geometry.build(circle_mesh)
+    spaces = Spaces.build(circle_mesh)
     w = np.zeros_like(circle_mesh.vertices)
-    H = det_penalty_element_hessians(geo, w, 0.5, 2.0)
-    assert np.abs(H).max() == 0.0
+    H = penalty_hessian(spaces, w, 0.5, 2.0)
+    assert np.abs(H.data).max() == 0.0
 
 
 def test_penalty_hessian_fd_mixed(circle_mesh, rng):
-    geo = P1Geometry.build(circle_mesh)
+    spaces = Spaces.build(circle_mesh)
     # random displacement: some elements active, some not
     w = 0.08 * rng.standard_normal(circle_mesh.vertices.shape)
     eta, beta = 1.0, 2.0
-    _, det, _ = element_kinematics(geo, w)
+    _, det, _ = element_kinematics(spaces.geo_ext, w)
     step = 1e-6
     # mask out elements near the kink
     far = np.abs(det - eta) > 10 * step
     d = rng.standard_normal(w.shape)
-    act = hessian_action(geo, w, d, eta, beta)
-    gp = det_penalty_gradient(geo, w + step * d, eta, beta)
-    gm = det_penalty_gradient(geo, w - step * d, eta, beta)
+    act = hessian_action(spaces, w, d, eta, beta)
+    gp = penalty_gradient(spaces, w + step * d, eta, beta)
+    gm = penalty_gradient(spaces, w - step * d, eta, beta)
     fd = (gp - gm) / (2 * step)
     if np.all(far):
         assert np.abs(fd - act).max() < 1e-5 * max(1.0, np.abs(act).max())
