@@ -164,6 +164,16 @@ def _dirichlet_table(spaces: Spaces, names, params) -> tuple:
     return spaces._patterns[key]
 
 
+def _state_elimination(spaces: Spaces, names, params) -> "_StateElimination":
+    """The :class:`_StateElimination` of a layout, kept in ``spaces`` beside
+    its Dirichlet table; it refers to no ``Spaces``."""
+    key = ("elimination", tuple(names), params.delta, params.inflow)
+    if key not in spaces._patterns:
+        dofs, _ = _dirichlet_table(spaces, names, params)
+        spaces._patterns[key] = _StateElimination(DofMap(spaces, names), dofs)
+    return spaces._patterns[key]
+
+
 def kkt_matrix(mesh: Mesh, y: KktVector, params: KktParams,
                spaces: Spaces | None = None, active=None,
                names=BLOCK_NAMES) -> sparse.csr_matrix:
@@ -421,7 +431,7 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
     def residual(uvec):
         return kkt_residual(mesh, dm.unpack(uvec, y0), params, spaces, names)
 
-    elimination = _StateElimination(dm, dofs)
+    elimination = _state_elimination(spaces, names, params)
 
     def factorize(uvec, active):
         return elimination.factorize(kkt_matrix(

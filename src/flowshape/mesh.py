@@ -142,32 +142,44 @@ class Mesh:
         ):
             raise MeshError("boundary segment vertex index out of range")
         # every boundary segment must be an edge of the triangulation
-        edge_set = set()
-        for t in self.triangles:
-            for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                edge_set.add((min(a, b), max(a, b)))
-        for i, (a, b) in enumerate(self.boundary_segments):
-            if (min(a, b), max(a, b)) not in edge_set:
-                raise MeshError(f"boundary segment {i} is not a triangle edge")
+        near = self.triangles[_triangles_near(self.triangles, self.boundary_segments, nv)]
+        off = np.flatnonzero(~np.isin(_edge_keys(self.boundary_segments, nv),
+                                      _edge_keys(_triangle_edges(near), nv)))
+        if len(off):
+            raise MeshError(f"boundary segment {off[0]} is not a triangle edge")
         # obstacle boundary must form one closed polyline
         obs = self.segments_with_tag(BoundaryTag.OBSTACLE)
         if len(obs):
-            counts: dict[int, int] = {}
-            for a, b in obs:
-                counts[a] = counts.get(a, 0) + 1
-                counts[b] = counts.get(b, 0) + 1
-            open_vertices = [v for v, c in counts.items() if c != 2]
-            if open_vertices:
+            ends = obs.ravel()
+            open_ends = np.flatnonzero(np.bincount(ends)[ends] != 2)
+            if len(open_ends):
                 raise MeshError(
-                    f"obstacle boundary is not a closed polyline (vertex {open_vertices[0]})"
+                    f"obstacle boundary is not a closed polyline (vertex {ends[open_ends[0]]})"
                 )
             obstacle_loop(self)  # raises if disconnected into several loops
         # obstacle tag never touches the outer boundary groups
-        obs_verts = set(np.unique(obs).tolist())
-        outer_verts = set(self.outer_boundary_vertices().tolist())
-        touching = obs_verts & outer_verts
-        if touching:
-            raise MeshError(f"obstacle boundary touches outer boundary at vertex {min(touching)}")
+        touching = np.intersect1d(obs, self.outer_boundary_vertices())
+        if len(touching):
+            raise MeshError(f"obstacle boundary touches outer boundary at vertex {touching[0]}")
+
+
+def _triangle_edges(triangles: np.ndarray) -> np.ndarray:
+    """The edges (a, b), (b, c), (c, a) of every triangle, in that order."""
+    return triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+
+
+def _triangles_near(triangles: np.ndarray, vertices: np.ndarray, nv: int) -> np.ndarray:
+    """Indices of the triangles with two or more of ``vertices``, in order:
+    the only ones that can have an edge between two of them."""
+    on = np.zeros(nv, dtype=bool)
+    on[vertices] = True
+    return np.flatnonzero(on[triangles].sum(axis=1) >= 2)
+
+
+def _edge_keys(edges: np.ndarray, nv: int) -> np.ndarray:
+    """Key i * nv + j, i < j, of every undirected edge (i, j) or (j, i)."""
+    edges = np.sort(edges, axis=1)
+    return edges[:, 0] * nv + edges[:, 1]
 
 
 def signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -382,7 +394,6 @@ def obstacle_loop(mesh: Mesh) -> np.ndarray:
 def _segment_outward_normals(mesh: Mesh, loop: np.ndarray) -> np.ndarray:
     """Unit normal per loop segment pointing out of the fluid domain."""
     verts = mesh.vertices
-    nseg = len(loop)
     nxt = np.roll(loop, -1)
     tang = verts[nxt] - verts[loop]
     lengths = np.linalg.norm(tang, axis=1)
@@ -390,23 +401,23 @@ def _segment_outward_normals(mesh: Mesh, loop: np.ndarray) -> np.ndarray:
         raise MeshError(f"degenerate obstacle segment {int(np.argmin(lengths))}")
     tang = tang / lengths[:, None]
     normals = np.column_stack([tang[:, 1], -tang[:, 0]])
-    # fix sign per segment using the adjacent fluid triangle
-    fluid = set(mesh.fluid_cells.tolist())
-    edge_to_tri: dict[tuple, int] = {}
-    for t, (a, b, c) in enumerate(mesh.triangles):
-        if t not in fluid:
-            continue
-        for e in ((a, b), (b, c), (c, a)):
-            edge_to_tri[(min(e), max(e))] = t
-    for s in range(nseg):
-        a, b = int(loop[s]), int(nxt[s])
-        t = edge_to_tri.get((min(a, b), max(a, b)))
-        if t is None:
-            raise MeshError(f"obstacle segment ({a},{b}) has no adjacent fluid triangle")
-        centroid = verts[mesh.triangles[t]].mean(axis=0)
-        mid = 0.5 * (verts[a] + verts[b])
-        if np.dot(normals[s], centroid - mid) > 0.0:
-            normals[s] = -normals[s]
+    # fix sign per segment using the adjacent fluid triangle, the last one
+    # in the order of the triangles' edges (a, b), (b, c), (c, a)
+    nv, fluid = mesh.num_vertices, mesh.fluid_cells
+    fluid = fluid[_triangles_near(mesh.triangles[fluid], loop, nv)]
+    keys = _edge_keys(_triangle_edges(mesh.triangles[fluid]), nv)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    want = _edge_keys(np.column_stack([loop, nxt]), nv)
+    found = np.isin(want, keys)
+    if not found.all():
+        s = int(np.argmin(found))
+        raise MeshError(f"obstacle segment ({loop[s]},{nxt[s]}) has no adjacent fluid triangle")
+    last = order[np.searchsorted(keys, want, side="right") - 1]
+    centroids = verts[mesh.triangles[fluid[last // 3]]].mean(axis=1)
+    mids = 0.5 * (verts[loop] + verts[nxt])
+    flip = np.sum(normals * (centroids - mids), axis=1) > 0.0
+    normals[flip] = -normals[flip]
     return normals
 
 

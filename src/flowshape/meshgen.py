@@ -159,11 +159,9 @@ def _ellipse_distance(p: np.ndarray, a: float, b: float) -> np.ndarray:
 def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
     from scipy.spatial import cKDTree
 
-    tree = cKDTree(points)
-    pairs = tree.query_pairs(tol)
-    drop = set(max(i, j) for i, j in pairs)
+    pairs = cKDTree(points).query_pairs(tol, output_type="ndarray")
     mask = np.ones(len(points), dtype=bool)
-    mask[list(drop)] = False
+    mask[pairs.max(axis=1)] = False
     return points[mask]
 
 
@@ -176,16 +174,15 @@ def _smooth(points, n_fixed, rounds, a, b, inside_mask, clearance):
     pts = points.copy()
     n = len(pts)
     for _ in range(rounds):
-        tri = Delaunay(pts)
-        acc = np.zeros_like(pts)
-        cnt = np.zeros(n)
-        for e in ((0, 1), (1, 2), (2, 0)):
-            i, j = tri.simplices[:, e[0]], tri.simplices[:, e[1]]
-            np.add.at(acc, i, pts[j])
-            np.add.at(acc, j, pts[i])
-            np.add.at(cnt, i, 1.0)
-            np.add.at(cnt, j, 1.0)
-        new = acc / np.maximum(cnt, 1.0)[:, None]
+        simplices = Delaunay(pts).simplices
+        # each vertex sums its neighbours over the directed edges (0,1),
+        # (1,0), (1,2), (2,1), (2,0), (0,2) of the triangles, in this order:
+        # the generated meshes, pinned to the bit, rest on it
+        to = simplices[:, [0, 1, 1, 2, 2, 0]].T.ravel()
+        fro = simplices[:, [1, 0, 2, 1, 0, 2]].T.ravel()
+        cnt = np.bincount(to, minlength=n)
+        new = np.column_stack([np.bincount(to, pts[fro, k], minlength=n)
+                               for k in (0, 1)]) / np.maximum(cnt, 1.0)[:, None]
         pts[n_fixed:] = 0.5 * (pts[n_fixed:] + new[n_fixed:])
         q = np.sqrt((pts[:, 0] / a) ** 2 + (pts[:, 1] / b) ** 2)
         qmin = 1.0 + clearance / min(a, b)

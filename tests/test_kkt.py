@@ -499,3 +499,39 @@ def test_block_factors_fill_less_than_the_whole_state_jacobian(
               + spla.splu(A[Lw][:, Yw].tocsc(), **LU_OPTIONS).nnz
               + spla.splu(A[Lf][:, Yf].tocsc(), **LU_OPTIONS).nnz)
     assert blocks < spla.splu(A_y, **LU_OPTIONS).nnz
+
+
+@pytest.mark.parametrize("names", [BLOCK_NAMES, _SHAPE_BLOCKS],
+                         ids=["full", "shape"])
+def test_state_elimination_is_built_once_per_layout(circle_mesh, names,
+                                                    monkeypatch):
+    """Every Newton solve on a layout of one ``Spaces`` shares one block
+    elimination, kept there beside the layout's Dirichlet table; it refers
+    to no ``Spaces``, so a dropped one is freed without the cycle
+    collector."""
+    import gc
+    import weakref
+
+    built = []
+
+    class Counted(_StateElimination):
+        def __init__(self, *args):
+            built.append(names)
+            super().__init__(*args)
+
+    monkeypatch.setattr(kkt, "_StateElimination", Counted)
+    sp = Spaces.build(circle_mesh)
+    params = KktParams(alpha=1e6, nu=0.05)
+    y0 = KktVector.zeros(sp)
+    state = solve_state(circle_mesh, y0.w, FlowParams(nu=0.05), spaces=sp)
+    y0.v, y0.p = state.v, state.p
+    y, _ = solve_kkt(circle_mesh, y0, params, sp, names)
+    solve_kkt(circle_mesh, y, replace(params, alpha=1e5), sp, names)
+    assert built == [names]
+    ref = weakref.ref(sp)
+    gc.disable()
+    try:
+        del sp
+        assert ref() is None
+    finally:
+        gc.enable()

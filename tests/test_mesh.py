@@ -290,13 +290,119 @@ def test_open_obstacle_rejected(circle_mesh):
     tags = circle_mesh.segment_tags.copy()
     idx = np.nonzero(tags == BoundaryTag.OBSTACLE)[0][0]
     tags[idx] = BoundaryTag.WALL
-    with pytest.raises(MeshError):
+    assert circle_mesh.boundary_segments[idx].tolist() == [1, 2]
+    # of the two open ends, 2 comes first among the obstacle segments
+    with pytest.raises(MeshError, match=r"^obstacle boundary is not a closed "
+                                        r"polyline \(vertex 2\)$"):
         Mesh(
             circle_mesh.vertices,
             circle_mesh.triangles,
             circle_mesh.boundary_segments,
             tags,
         )
+
+
+# -- validation errors, each with its first offending index ----------------------
+
+
+def _square_ring():
+    """A fluid ring between the box [-1, 2]^2 and the unit square obstacle:
+    vertices, triangles, segments and tags, the obstacle loop 4, 5, 6, 7."""
+    verts = np.array([[-1.0, -1.0], [2.0, -1.0], [2.0, 2.0], [-1.0, 2.0],
+                      [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    tris = np.array([[0, 1, 5], [0, 5, 4], [1, 2, 6], [1, 6, 5],
+                     [2, 3, 7], [2, 7, 6], [3, 0, 4], [3, 4, 7]])
+    segs = np.array([[0, 1], [1, 2], [2, 3], [3, 0],
+                     [4, 5], [5, 6], [6, 7], [7, 4]])
+    tags = np.array([BoundaryTag.INFLOW, BoundaryTag.WALL, BoundaryTag.OUTFLOW,
+                     BoundaryTag.WALL] + [BoundaryTag.OBSTACLE] * 4,
+                    dtype=object)
+    return verts, tris, segs, tags
+
+
+def test_square_ring_is_valid():
+    m = Mesh(*_square_ring())
+    assert obstacle_loop(m).tolist() == [4, 5, 6, 7]
+
+
+def test_triangle_index_out_of_range_rejected():
+    verts, tris, segs, tags = _square_ring()
+    for bad in (8, -1):
+        tris[5, 1] = bad
+        with pytest.raises(MeshError,
+                           match="^triangle vertex index out of range$"):
+            Mesh(verts, tris, segs, tags)
+
+
+def test_inverted_triangle_rejected_with_first_index():
+    verts, tris, segs, tags = _square_ring()
+    tris[[3, 6]] = tris[[3, 6]][:, ::-1]
+    with pytest.raises(MeshError,
+                       match=r"^non-positive signed area in triangle 3$"):
+        Mesh(verts, tris, segs, tags)
+
+
+def test_segment_index_out_of_range_rejected():
+    verts, tris, segs, tags = _square_ring()
+    for bad in (8, -1):
+        segs[2, 0] = bad
+        with pytest.raises(MeshError, match="^boundary segment vertex index "
+                                            "out of range$"):
+            Mesh(verts, tris, segs, tags)
+
+
+def test_segment_off_the_triangulation_rejected_with_first_index():
+    verts, tris, segs, tags = _square_ring()
+    segs[1] = [2, 1]   # reversed, still an edge
+    segs[6] = [4, 6]   # across the obstacle
+    segs[7] = [1, 3]   # across the fluid
+    with pytest.raises(MeshError,
+                       match=r"^boundary segment 6 is not a triangle edge$"):
+        Mesh(verts, tris, segs, tags)
+
+
+def test_open_obstacle_rejected_at_its_first_open_vertex():
+    verts, tris, segs, tags = _square_ring()
+    tags[4] = BoundaryTag.WALL   # drop (4, 5) from the loop
+    # the obstacle vertices in order of appearance: 5, 6, 7, 4; 5 and 4 open
+    with pytest.raises(MeshError, match=r"^obstacle boundary is not a closed "
+                                        r"polyline \(vertex 5\)$"):
+        Mesh(verts, tris, segs, tags)
+
+
+def test_obstacle_of_several_loops_rejected():
+    verts, tris, segs, _ = _square_ring()
+    tags = np.array([BoundaryTag.OBSTACLE] * 8, dtype=object)
+    with pytest.raises(MeshError, match="^obstacle polyline has several "
+                                        "loops$"):
+        Mesh(verts, tris, segs, tags)
+
+
+def test_obstacle_touching_outer_boundary_rejected_at_least_vertex():
+    verts, tris, segs, tags = _square_ring()
+    segs = np.vstack([segs, [[1, 5], [0, 4]]])
+    tags = np.concatenate([tags, np.array([BoundaryTag.INFLOW,
+                                           BoundaryTag.WALL], dtype=object)])
+    with pytest.raises(MeshError, match="^obstacle boundary touches outer "
+                                        "boundary at vertex 4$"):
+        Mesh(verts, tris, segs, tags)
+
+
+def test_degenerate_obstacle_segment_rejected_with_its_loop_index():
+    m = Mesh(*_square_ring())
+    verts = m.vertices.copy()
+    verts[6] = verts[5]   # only the normals see it: the areas are checked
+    object.__setattr__(m, "vertices", verts)
+    with pytest.raises(MeshError, match="^degenerate obstacle segment 1$"):
+        boundary_normals(m)
+
+
+def test_obstacle_segment_without_fluid_triangle_rejected():
+    verts, tris, segs, tags = _square_ring()
+    m = Mesh(verts, tris, segs, tags, obstacle_cells=[3])   # (1, 6, 5)
+    with pytest.raises(MeshError, match=r"^obstacle segment \(5,6\) has no "
+                                        r"adjacent fluid triangle$"):
+        boundary_normals(m)
 
 
 # -- generated meshes -------------------------------------------------------------
@@ -364,3 +470,24 @@ def test_tunnel_mesh_is_pinned(keywords, digest):
     assert np.array_equal(mesh.boundary_segments, segments)
     assert list(mesh.segment_tags) == tags
     assert _mesh_digest(mesh) == digest
+
+
+def _normals_digest(normals) -> str:
+    import hashlib
+
+    return hashlib.sha256(np.ascontiguousarray(
+        normals, normals.dtype.newbyteorder("<")).tobytes()).hexdigest()[:16]
+
+
+# The obstacle normals of the PINNED_MESHES, in the same order: the flow's
+# slip condition and the boundary control rest on these exact bits.
+PINNED_NORMALS = ["415f6c529ba65048", "c4539a2cf87c572a", "0e936a9f32c6fec1",
+                  "59fc6e2e798467a8", "18762a568973afbf", "b659ea8861cd20b7"]
+
+
+@pytest.mark.parametrize("keywords, digest",
+                         [(k, d) for (k, _), d in zip(PINNED_MESHES,
+                                                      PINNED_NORMALS)],
+                         ids=[str(i) for i in range(len(PINNED_MESHES))])
+def test_boundary_normals_are_pinned(keywords, digest):
+    assert _normals_digest(boundary_normals(tunnel_mesh(**keywords))) == digest
