@@ -12,12 +12,12 @@ from .config import ConfigError, RunConfig, parse_config
 from .extension import (ExtensionParams, solve_extension,
                         solve_laplace_beltrami)
 from .flow import (AdjointFlowState, FlowParams, FlowState, SolverError,
-                   dissipation, inflow_profile, reduced_gradient,
-                   solve_adjoint, solve_state, state_residual)
+                   dissipation, reduced_gradient, solve_adjoint, solve_state,
+                   state_residual)
 from .kkt import (DofMap, KktParams, KktVector, barycenter_residual,
                   gradient_fd_slopes, kkt_matrix, kkt_residual, solve_kkt,
                   volume_residual)
-from .lagrangian import Spaces
+from .lagrangian import Spaces, inflow_profile
 from .mesh import (BoundaryTag, Mesh, MeshError, boundary_normals,
                    deform_mesh, element_qualities, load_msh, obstacle_loop,
                    worst_quality, write_msh, write_vtk)

@@ -22,22 +22,24 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .fem import LU_OPTIONS
-from .lagrangian import (KktParams, Spaces, block_matrix, control_spaces,
-                         dirichlet_dofs, gradient_blocks, zero_blocks)
+from .lagrangian import (DofMap, KktParams, Spaces, block_matrix,
+                         control_spaces, dirichlet_dofs, gradient_blocks,
+                         zero_blocks)
 from .mesh import Mesh
 from .newton import semismooth_newton
 
 __all__ = ["ExtensionParams", "solve_laplace_beltrami", "solve_extension"]
 
+# tolerance of the stop test of :mod:`flowshape.newton` and iteration budget
+# of an extension solve
+_NEWTON_TOL, _NEWTON_MAX_ITER = 1e-10, 30
+
 
 @dataclass(frozen=True)
 class ExtensionParams:
-    """Advection strength and Newton controls of the extension solve
-    (tolerance of the stop test of :mod:`flowshape.newton` and budget)."""
+    """Advection strength of the extension solve."""
 
     eta_ext: float = 1.0
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 30
 
     def __post_init__(self):
         if self.eta_ext < 0.0:
@@ -73,25 +75,23 @@ def solve_extension(mesh: Mesh, b: np.ndarray, params: ExtensionParams,
     boundary raises ``MeshError``.
     """
     spaces = control_spaces(mesh, spaces)
-    nv = mesh.num_vertices
-    fixed, _ = dirichlet_dofs(spaces, ("w",))
+    dm, rows = DofMap(spaces, ("w",)), DofMap(spaces, ("lam_w",))
+    fixed, _ = dirichlet_dofs(spaces, dm.names)
     engine = KktParams(eta_ext=params.eta_ext)
     z = zero_blocks(spaces)
     z["b"] = np.asarray(b, dtype=float)
 
     def residual(x):
-        z["w"] = x.reshape(nv, 2)
-        r = gradient_blocks(spaces, engine, z, names=("lam_w",))["lam_w"]
-        r = r.ravel()
+        z.update(dm.blocks(x))
+        r = rows.pack(gradient_blocks(spaces, engine, z, names=rows.names))
         r[fixed] = 0.0
         return r
 
     def factorize(x, active):
-        z["w"] = x.reshape(nv, 2)
-        A = block_matrix(spaces, engine, z, ("lam_w",), ("w",), fixed=fixed)
+        z.update(dm.blocks(x))
+        A = block_matrix(spaces, engine, z, rows.names, dm.names, fixed=fixed)
         return spla.splu(A.tocsc(), **LU_OPTIONS).solve
 
-    w, _ = semismooth_newton(residual, factorize, np.zeros(2 * nv),
-                             params.newton_tol, params.newton_max_iter,
-                             "extension")
-    return w.reshape(nv, 2)
+    w, _ = semismooth_newton(residual, factorize, np.zeros(dm.total),
+                             _NEWTON_TOL, _NEWTON_MAX_ITER, "extension")
+    return dm.blocks(w)["w"]

@@ -10,30 +10,32 @@ is the transpose of the state Jacobian at the converged state.  Equal-order
 P1-P1 velocity/pressure is stabilized by the element-wise pressure term with
 coefficient mu and the longest reference edge as length scale.  State and
 adjoint are solved by the damped Newton method of :mod:`flowshape.newton`,
-with its stop test and hand-on rule.  The boundary conditions of both
-solves are the Dirichlet table :func:`flowshape.lagrangian.dirichlet_dofs`
-of the layouts ``(v, p)`` and ``(lam_v, lam_p)``, with the velocity data of
-:func:`velocity_dirichlet`.
+with its stop test and hand-on rule.  Both solves are posed on block
+layouts of the term engine, ``(v, p)`` and ``(lam_v, lam_p)``: their
+unknowns are packed and read by :class:`flowshape.lagrangian.DofMap`, and
+their boundary conditions are the layouts' Dirichlet tables
+(:func:`flowshape.lagrangian.dirichlet_dofs`), built once per ``Spaces``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .fem import LU_OPTIONS, quadrature_triangle
-from .lagrangian import (KktParams, Spaces, block_matrix, dirichlet_dofs,
-                         gradient_blocks, zero_blocks)
-from .mesh import BoundaryTag, Mesh
+from .lagrangian import (DofMap, KktParams, Spaces, block_matrix,
+                         dirichlet_dofs, gradient_blocks, zero_blocks)
+from .mesh import Mesh
 from .newton import SolverError, semismooth_newton
 from .transform import element_kinematics, kinematics, pushed_gradients
 
 __all__ = [
     "SolverError", "FlowParams", "FlowState", "AdjointFlowState",
-    "inflow_profile", "velocity_dirichlet", "state_residual", "solve_state",
-    "dissipation", "solve_adjoint", "reduced_gradient", "factorize_flow",
+    "state_residual", "solve_state", "dissipation", "solve_adjoint",
+    "reduced_gradient", "factorize_flow",
 ]
 
 
@@ -70,57 +72,6 @@ class AdjointFlowState:
     lam_p: np.ndarray
 
 
-def inflow_profile(x, delta: float, kind: str = "paper-cosine") -> np.ndarray:
-    """Inflow velocity at the points x, (n, 2).
-
-    ``paper-cosine`` is (cos(2 pi |x| / delta), 0); ``parabolic`` is the
-    clamped channel profile (max(0, 1 - (2 y / delta)^2), 0) with delta as
-    the channel height.
-    """
-    pts = np.asarray(x, dtype=float)
-    out = np.zeros_like(pts)
-    if kind == "paper-cosine":
-        r = np.linalg.norm(pts, axis=1)
-        out[:, 0] = np.cos(2.0 * np.pi * r / delta)
-    elif kind == "parabolic":
-        out[:, 0] = np.maximum(0.0, 1.0 - (2.0 * pts[:, 1] / delta) ** 2)
-    else:
-        raise ValueError(f"unknown inflow profile {kind!r}")
-    return out
-
-
-def _tag_vertices(mesh: Mesh, *tags) -> np.ndarray:
-    segs = [mesh.vertices_with_tag(t).reshape(-1) for t in tags]
-    return np.unique(np.concatenate(segs)) if segs else np.empty(0, dtype=int)
-
-
-def velocity_dirichlet(mesh: Mesh, params, override=None):
-    """Constrained velocity vertices and their values.
-
-    Inflow vertices carry the profile, wall and obstacle vertices carry zero;
-    a vertex on both (tunnel corner) is treated as wall.  ``override`` replaces
-    the rule by a callable x -> velocity applied on the whole outer boundary
-    and the obstacle (used by manufactured-solution runs).  The adjoint
-    velocity vanishes on the same vertices
-    (:func:`flowshape.lagrangian.dirichlet_dofs`).
-    """
-    if override is not None:
-        verts = np.unique(np.concatenate(
-            [mesh.outer_boundary_vertices(),
-             _tag_vertices(mesh, BoundaryTag.OBSTACLE)]))
-        return verts, np.asarray([override(x) for x in mesh.vertices[verts]],
-                                 dtype=float)
-    v_in = _tag_vertices(mesh, BoundaryTag.INFLOW)
-    v_zero = _tag_vertices(mesh, BoundaryTag.WALL, BoundaryTag.OBSTACLE)
-    verts = np.concatenate([v_in, v_zero])
-    vals = np.zeros((len(verts), 2))
-    vals[:len(v_in)] = inflow_profile(mesh.vertices[v_in], params.delta,
-                                      params.inflow)
-    # wall wins at shared corners
-    keep = np.concatenate([~np.isin(v_in, v_zero), np.ones(len(v_zero), bool)])
-    return verts[keep], vals[keep]
-
-
 # block layouts of the adjoint and the state unknowns, the rows and columns
 # of the state Jacobian (the adjoint matrix is its transpose); their Hessian
 # blocks read only nu and mu, so the flow parameters go to the engine as
@@ -147,18 +98,16 @@ def _forcing(spaces: Spaces, body_force) -> np.ndarray:
 
 def state_residual(mesh: Mesh, w: np.ndarray, state: FlowState, params,
                    spaces: Spaces | None = None, body_force=None) -> np.ndarray:
-    """Weak residual of momentum and stabilized continuity, concatenated.
-
-    Layout: 2*nv velocity entries (vertex-major) followed by nv pressure
-    entries.  Dirichlet rows are not altered here.
+    """Weak residual of momentum and stabilized continuity, packed in the
+    layout ``(lam_v, lam_p)``: 2*nv velocity entries (vertex-major) followed
+    by nv pressure entries.  Dirichlet rows are not altered here.
     """
     spaces = spaces or Spaces.build(mesh)
     z = _state_blocks(spaces, w, state.v, state.p)
-    grad = gradient_blocks(spaces, params, z, names=("lam_v", "lam_p"))
-    rv = grad["lam_v"]
+    grad = gradient_blocks(spaces, params, z, names=_STATE_ROWS)
     if body_force is not None:
-        rv = rv + _forcing(spaces, body_force)
-    return np.concatenate([rv.ravel(), grad["lam_p"]])
+        grad["lam_v"] = grad["lam_v"] + _forcing(spaces, body_force)
+    return DofMap(spaces, _STATE_ROWS).pack(grad)
 
 
 def factorize_flow(matrix):
@@ -171,22 +120,12 @@ def factorize_flow(matrix):
         raise SolverError(f"flow matrix: {exc}", kind="singular") from exc
 
 
-class _FlowSolve:
-    """Solves with the LU ``lu`` of a state Jacobian, or with ``trans="T"``
-    with its transpose, the adjoint matrix."""
-
-    def __init__(self, lu, trans):
-        self.lu, self.trans = lu, trans
-
-    def __call__(self, rhs):
-        return self.lu.solve(rhs, trans=self.trans)
-
-
 def _orient(kept, trans):
-    """Make the flow factorization in the holder ``kept`` solve with
-    ``trans``; the holder keeps the only reference to it."""
+    """Make the flow factorization in the holder ``kept`` (a ``partial`` of
+    an LU's ``solve``) solve with ``trans``; the holder keeps the only
+    reference to it."""
     if kept is not None and kept.solve is not None:
-        kept.solve = _FlowSolve(kept.solve.lu, trans)
+        kept.solve = partial(kept.solve.func, trans=trans)
 
 
 def solve_state(mesh: Mesh, w: np.ndarray, params,
@@ -195,9 +134,11 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
                 initial=None, kept=None) -> FlowState:
     """Damped Newton solve of the pulled-back stationary flow equations.
 
-    ``pin_pressure`` is a (vertex, value) pair fixing the pressure level for
-    fully enclosed configurations; the tunnel's open outflow needs none.  The
-    flow Jacobian is factorized at the first iterate and wherever the
+    ``pin_pressure`` is a (vertex, value) tuple fixing the pressure level for
+    fully enclosed configurations; the tunnel's open outflow needs none.
+    It and the callable ``dirichlet_override`` are keys of the Dirichlet
+    table kept in ``spaces`` (:func:`flowshape.lagrangian.dirichlet_dofs`).
+    The flow Jacobian is factorized at the first iterate and wherever the
     Newton loop stops reusing the last factorization for chord steps.
     ``kept`` is a :class:`flowshape.newton.Kept` holder of the flow
     factorization, shared with the state and adjoint solves of the same
@@ -210,32 +151,28 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
     if np.any(det <= 0.0):
         import warnings
         warnings.warn("non-positive det(DF); state solve attempted anyway")
-    nv = mesh.num_vertices
-    dofs, values = dirichlet_dofs(
-        spaces, _STATE_COLS,
-        velocity_dirichlet(mesh, params, dirichlet_override), pin_pressure)
-    u = np.zeros(3 * nv)
-    if initial is not None:
-        u[:2 * nv] = initial.v.ravel()
-        u[2 * nv:] = initial.p
+    dm = DofMap(spaces, _STATE_COLS)
+    dofs, values = dirichlet_dofs(spaces, _STATE_COLS, params,
+                                  dirichlet_override, pin_pressure)
+    u = np.zeros(dm.total) if initial is None else dm.pack(initial)
     u[dofs] = values
 
     def residual(uvec):
-        st = FlowState(uvec[:2 * nv].reshape(nv, 2), uvec[2 * nv:])
-        r = state_residual(mesh, w, st, params, spaces, body_force)
+        r = state_residual(mesh, w, FlowState(**dm.blocks(uvec)), params,
+                           spaces, body_force)
         r[dofs] = 0.0
         return r
 
     def factorize(uvec, active):
-        z = _state_blocks(spaces, w, uvec[:2 * nv].reshape(nv, 2),
-                          uvec[2 * nv:])
-        return _FlowSolve(factorize_flow(block_matrix(
-            spaces, params, z, _STATE_ROWS, _STATE_COLS, fixed=dofs)), "N")
+        z = _state_blocks(spaces, w, **dm.blocks(uvec))
+        return partial(factorize_flow(block_matrix(
+            spaces, params, z, _STATE_ROWS, _STATE_COLS, fixed=dofs)).solve,
+            trans="N")
 
     _orient(kept, "N")
     u, _ = semismooth_newton(residual, factorize, u, params.newton_tol,
                              params.newton_max_iter, "state", kept=kept)
-    return FlowState(u[:2 * nv].reshape(nv, 2).copy(), u[2 * nv:].copy())
+    return FlowState(**dm.blocks(u))
 
 
 def dissipation(mesh: Mesh, w: np.ndarray, state: FlowState, nu: float,
@@ -262,24 +199,22 @@ def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     factorized where it is refused.
     """
     spaces = spaces or Spaces.build(mesh)
-    nv = mesh.num_vertices
+    dm = DofMap(spaces, _STATE_ROWS)
     z = _state_blocks(spaces, w, state.v, state.p)
-    dofs, _ = dirichlet_dofs(spaces, _STATE_ROWS,
-                             velocity_dirichlet(mesh, params))
+    dofs, _ = dirichlet_dofs(spaces, _STATE_ROWS, params)
     A = block_matrix(spaces, params, z, _STATE_COLS, _STATE_ROWS, fixed=dofs)
-    grad = gradient_blocks(spaces, params, z, names=("v", "p"))
-    rhs = -np.concatenate([grad["v"].ravel(), grad["p"]])
+    grad = gradient_blocks(spaces, params, z, names=_STATE_COLS)
+    rhs = -DofMap(spaces, _STATE_COLS).pack(grad)
     rhs[dofs] = 0.0
 
     def factorize(lam, active):
-        return _FlowSolve(factorize_flow(A.T), "T")
+        return partial(factorize_flow(A.T).solve, trans="T")
 
     _orient(kept, "T")
     sol, _ = semismooth_newton(lambda lam: A @ lam - rhs, factorize,
-                               np.zeros(3 * nv), params.newton_tol,
+                               np.zeros(dm.total), params.newton_tol,
                                params.newton_max_iter, "adjoint", kept=kept)
-    return AdjointFlowState(sol[:2 * nv].reshape(nv, 2).copy(),
-                            sol[2 * nv:].copy())
+    return AdjointFlowState(**dm.blocks(sol))
 
 
 def reduced_gradient(mesh: Mesh, w: np.ndarray, state: FlowState,

@@ -4,11 +4,12 @@ The unknown is one long vector holding eleven blocks: the deformation ``w``,
 flow state ``v, p``, Neumann datum ``b`` of the extension, boundary control
 ``c``, their adjoints ``lam_w, lam_v, lam_p, lam_b``, and the two geometric
 multipliers ``lam_vol`` (volume) and ``lam_bc`` (barycenter).  Residual and
-matrix come from the term engine in :mod:`flowshape.lagrangian`, and so
-do the boundary conditions (:func:`flowshape.lagrangian.dirichlet_dofs`);
-this module adds the degree-of-freedom bookkeeping and solves the system
-with the damped semismooth Newton method of :mod:`flowshape.newton`, with
-its stop test and hand-on rule (the determinant penalty makes the map
+matrix come from the term engine in :mod:`flowshape.lagrangian`, and so do
+the layout's packing (:class:`DofMap`, which this module re-exports) and
+its cached boundary conditions
+(:func:`flowshape.lagrangian.dirichlet_dofs`).  This module solves the
+system with the damped semismooth Newton method of :mod:`flowshape.newton`,
+with its stop test and hand-on rule (the determinant penalty makes the map
 piecewise smooth, with an active-set generalized derivative).
 
 Only the control is free: ``w``, ``b`` and ``(v, p)`` are states, each fixed
@@ -25,19 +26,16 @@ whose flow fields are held fixed.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-
 import numpy as np
 import scipy.linalg as linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .fem import LU_OPTIONS
-from .flow import factorize_flow, velocity_dirichlet
-from .lagrangian import (BLOCK_NAMES, KktParams, Spaces, block_matrix,
-                         block_offsets, control_spaces, dirichlet_dofs,
-                         gradient_blocks, total_value, zero_blocks)
+from .flow import factorize_flow
+from .lagrangian import (BLOCK_NAMES, DofMap, KktParams, KktVector, Spaces,
+                         block_matrix, control_spaces, dirichlet_dofs,
+                         gradient_blocks, total_value)
 from .mesh import Mesh
 from .newton import semismooth_newton
 from .transform import element_kinematics
@@ -48,63 +46,7 @@ __all__ = [
     "kkt_residual", "kkt_matrix", "gradient_fd_slopes", "solve_kkt",
 ]
 
-
-@dataclass
-class KktVector:
-    """All eleven solution blocks, vertex-based fields in (n, 2) or (n,)."""
-
-    w: np.ndarray
-    v: np.ndarray
-    p: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    lam_w: np.ndarray
-    lam_v: np.ndarray
-    lam_p: np.ndarray
-    lam_b: np.ndarray
-    lam_vol: np.ndarray
-    lam_bc: np.ndarray
-
-    @classmethod
-    def zeros(cls, spaces: Spaces) -> "KktVector":
-        return cls(**zero_blocks(spaces))
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in BLOCK_NAMES}
-
-
-class DofMap:
-    """Flat packing of a block layout: the blocks ``names`` (default: all
-    eleven) in that order, at the offsets that
-    :func:`flowshape.lagrangian.block_matrix` gives the same layout."""
-
-    def __init__(self, spaces: Spaces, names=BLOCK_NAMES):
-        self.spaces = spaces
-        self.names = tuple(names)
-        self.sizes = {name: math.prod(spaces.block_shapes[name])
-                      for name in self.names}
-        self.offsets, self.total = block_offsets(spaces, self.names)
-
-    def block_slice(self, name: str) -> slice:
-        off = self.offsets[name]
-        return slice(off, off + self.sizes[name])
-
-    def pack(self, y) -> np.ndarray:
-        data = y.as_dict() if isinstance(y, KktVector) else y
-        out = np.zeros(self.total)
-        for name in self.names:
-            out[self.block_slice(name)] = np.ravel(data[name])
-        return out
-
-    def unpack(self, vec: np.ndarray, frozen: KktVector | None = None
-               ) -> KktVector:
-        """The blocks of the layout read from ``vec``; a layout of fewer
-        than eleven blocks takes the others from ``frozen``."""
-        shapes = self.spaces.block_shapes
-        blocks = {name: vec[self.block_slice(name)].reshape(
-            shapes[name]).copy() for name in self.names}
-        return (KktVector(**blocks) if frozen is None
-                else replace(frozen, **blocks))
+_NEWTON_MAX_ITER = 60  # the iteration budget of a KKT solve
 
 
 def volume_residual(mesh: Mesh, w: np.ndarray,
@@ -146,22 +88,11 @@ def kkt_residual(mesh: Mesh, y: KktVector, params: KktParams,
     """
     spaces = spaces or Spaces.build(mesh)
     dm = DofMap(spaces, names)
-    dofs, values = _dirichlet_table(spaces, names, params)
+    dofs, values = dirichlet_dofs(spaces, names, params)
     grad = gradient_blocks(spaces, params, y.as_dict(), names=dm.names)
     r = dm.pack(grad)
     r[dofs] = dm.pack(y)[dofs] - values
     return r
-
-
-def _dirichlet_table(spaces: Spaces, names, params) -> tuple:
-    """Read-only Dirichlet dofs and values of a layout, kept in ``spaces``."""
-    key = ("dirichlet", tuple(names), params.delta, params.inflow)
-    if key not in spaces._patterns:
-        dofs, values = dirichlet_dofs(spaces, names, velocity_dirichlet(
-            spaces.mesh, params))
-        dofs.flags.writeable = values.flags.writeable = False
-        spaces._patterns[key] = dofs, values
-    return spaces._patterns[key]
 
 
 def _state_elimination(spaces: Spaces, names, params) -> "_StateElimination":
@@ -169,7 +100,7 @@ def _state_elimination(spaces: Spaces, names, params) -> "_StateElimination":
     its Dirichlet table; it refers to no ``Spaces``."""
     key = ("elimination", tuple(names), params.delta, params.inflow)
     if key not in spaces._patterns:
-        dofs, _ = _dirichlet_table(spaces, names, params)
+        dofs, _ = dirichlet_dofs(spaces, names, params)
         spaces._patterns[key] = _StateElimination(DofMap(spaces, names), dofs)
     return spaces._patterns[key]
 
@@ -188,7 +119,7 @@ def kkt_matrix(mesh: Mesh, y: KktVector, params: KktParams,
     elements) instead of {det(DF) < eta_det} at y.
     """
     spaces = spaces or Spaces.build(mesh)
-    dofs, _ = _dirichlet_table(spaces, names, params)
+    dofs, _ = dirichlet_dofs(spaces, names, params)
     return block_matrix(spaces, params, y.as_dict(), names, active=active,
                         fixed=dofs)
 
@@ -423,7 +354,7 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
     """
     spaces = control_spaces(mesh, spaces)
     dm = DofMap(spaces, names)
-    dofs, values = _dirichlet_table(spaces, names, params)
+    dofs, values = dirichlet_dofs(spaces, names, params)
     u = dm.pack(y0)
     u[dofs] = values
     wslice = dm.block_slice("w")
@@ -451,6 +382,6 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
     what = ("KKT" if dm.names == BLOCK_NAMES
             else f"KKT on {', '.join(dm.names)}")
     u, history = semismooth_newton(residual, factorize, u, params.newton_tol,
-                                   params.newton_max_iter, what,
-                                   penalty_active, kept)
+                                   _NEWTON_MAX_ITER, what, penalty_active,
+                                   kept)
     return dm.unpack(u, y0), history

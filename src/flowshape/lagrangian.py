@@ -26,8 +26,10 @@ from the one per-element frame of the extension operator.  The
 determinant penalty's gradient and generalized Hessian are terms here
 too; they read det(DF) and the pushed gradients of that frame, which
 builds them from its own Dw on first use.
-``dirichlet_dofs`` gives the boundary conditions of a block layout, and so
-of every solve.
+A block layout and its boundary conditions are kept here too, for every
+solve: ``DofMap`` packs a layout's blocks into one flat vector and reads
+them back, and ``dirichlet_dofs`` is its table of constrained dofs and
+values, with the velocity data built here, once per ``Spaces``.
 
 Every per-element array has the element axis last, following Cuvelier,
 Japhet & Scarella ("An efficient way to assemble finite element matrices
@@ -66,7 +68,7 @@ exchange of the two dofs, which the assembled matrix inherits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -79,8 +81,8 @@ from .mesh import BoundaryTag, Mesh, MeshError, boundary_normals
 from .transform import deformation, kinematics, pushed_gradients
 
 __all__ = ["BLOCK_NAMES", "HESSIAN_PAIRS", "KktParams", "Spaces",
-           "control_spaces", "block_offsets",
-           "dirichlet_dofs", "zero_blocks", "total_value",
+           "KktVector", "DofMap", "control_spaces", "inflow_profile",
+           "velocity_dirichlet", "dirichlet_dofs", "zero_blocks", "total_value",
            "gradient_blocks", "hessian_blocks", "block_matrix"]
 
 # integral of phi_l phi_m over a triangle is area * S12[l, m]
@@ -104,9 +106,8 @@ class KktParams:
 
     alpha weights the control cost, beta the determinant penalty with
     threshold eta_det, eta_ext is the advection weight of the nonlinear
-    extension, and delta scales the inflow profile.  newton_tol and
-    newton_max_iter are the stop test's tolerance and the iteration budget
-    of the Newton solve (:mod:`flowshape.newton`).
+    extension, and delta scales the inflow profile.  newton_tol is the
+    tolerance of the Newton solve's stop test (:mod:`flowshape.newton`).
     """
 
     alpha: float = 1e-2
@@ -118,7 +119,6 @@ class KktParams:
     delta: float = 6.0
     inflow: str = "paper-cosine"
     newton_tol: float = 1e-9
-    newton_max_iter: int = 60
 
     def __post_init__(self):
         if self.alpha <= 0.0:
@@ -197,27 +197,145 @@ def zero_blocks(spaces: Spaces, dtype=float) -> dict:
             for name, shape in spaces.block_shapes.items()}
 
 
-def block_offsets(spaces: Spaces, names) -> tuple:
-    """Start of each block in a flat vector that holds the blocks ``names``
-    in that order, and the vector's length."""
-    starts = np.cumsum(
-        [0] + [math.prod(spaces.block_shapes[name]) for name in names])
-    return dict(zip(names, starts[:-1].tolist())), int(starts[-1])
+@dataclass
+class KktVector:
+    """All eleven solution blocks, vertex-based fields in (n, 2) or (n,)."""
+
+    w: np.ndarray
+    v: np.ndarray
+    p: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    lam_w: np.ndarray
+    lam_v: np.ndarray
+    lam_p: np.ndarray
+    lam_b: np.ndarray
+    lam_vol: np.ndarray
+    lam_bc: np.ndarray
+
+    @classmethod
+    def zeros(cls, spaces: Spaces) -> "KktVector":
+        return cls(**zero_blocks(spaces))
+
+    def as_dict(self) -> dict:
+        return {name: getattr(self, name) for name in BLOCK_NAMES}
 
 
-def dirichlet_dofs(spaces: Spaces, names, velocity=None, pressure=None):
+class DofMap:
+    """Flat packing of a block layout: the blocks ``names`` (default: all
+    eleven) in that order, ``offsets[name]`` being where each starts and
+    ``total`` the length of the flat vector."""
+
+    def __init__(self, spaces: Spaces, names=BLOCK_NAMES):
+        self.spaces = spaces
+        self.names = tuple(names)
+        self.sizes = {name: math.prod(spaces.block_shapes[name])
+                      for name in self.names}
+        starts = np.cumsum([0] + list(self.sizes.values()))
+        self.offsets = dict(zip(self.names, starts[:-1].tolist()))
+        self.total = int(starts[-1])
+
+    def block_slice(self, name: str) -> slice:
+        off = self.offsets[name]
+        return slice(off, off + self.sizes[name])
+
+    def pack(self, y) -> np.ndarray:
+        """The flat vector of the layout's blocks of ``y``, a dict or a
+        dataclass of blocks such as :class:`KktVector`."""
+        data = y if isinstance(y, dict) else vars(y)
+        out = np.zeros(self.total)
+        for name in self.names:
+            out[self.block_slice(name)] = np.ravel(data[name])
+        return out
+
+    def blocks(self, vec: np.ndarray) -> dict:
+        """The blocks of the layout read from ``vec``, copied, in their
+        shapes."""
+        shapes = self.spaces.block_shapes
+        return {name: vec[self.block_slice(name)].reshape(shapes[name]).copy()
+                for name in self.names}
+
+    def unpack(self, vec: np.ndarray, frozen: KktVector | None = None
+               ) -> KktVector:
+        """The blocks of the layout read from ``vec``; a layout of fewer
+        than eleven blocks takes the others from ``frozen``."""
+        blocks = self.blocks(vec)
+        return (KktVector(**blocks) if frozen is None
+                else replace(frozen, **blocks))
+
+
+def inflow_profile(x, delta: float, kind: str = "paper-cosine") -> np.ndarray:
+    """Inflow velocity at the points x, (n, 2).
+
+    ``paper-cosine`` is (cos(2 pi |x| / delta), 0); ``parabolic`` is the
+    clamped channel profile (max(0, 1 - (2 y / delta)^2), 0) with delta as
+    the channel height.
+    """
+    pts = np.asarray(x, dtype=float)
+    out = np.zeros_like(pts)
+    if kind == "paper-cosine":
+        r = np.linalg.norm(pts, axis=1)
+        out[:, 0] = np.cos(2.0 * np.pi * r / delta)
+    elif kind == "parabolic":
+        out[:, 0] = np.maximum(0.0, 1.0 - (2.0 * pts[:, 1] / delta) ** 2)
+    else:
+        raise ValueError(f"unknown inflow profile {kind!r}")
+    return out
+
+
+def _tag_vertices(mesh: Mesh, *tags) -> np.ndarray:
+    segs = [mesh.vertices_with_tag(t).reshape(-1) for t in tags]
+    return np.unique(np.concatenate(segs)) if segs else np.empty(0, dtype=int)
+
+
+def velocity_dirichlet(mesh: Mesh, params, override=None):
+    """Constrained velocity vertices and their values.
+
+    Inflow vertices carry the profile of ``params.delta`` and
+    ``params.inflow``, wall and obstacle vertices carry zero; a vertex on
+    both (tunnel corner) is treated as wall.  ``override`` replaces the
+    rule by a callable x -> velocity applied on the whole outer boundary
+    and the obstacle (used by manufactured-solution runs).
+    """
+    if override is not None:
+        verts = np.unique(np.concatenate(
+            [mesh.outer_boundary_vertices(),
+             _tag_vertices(mesh, BoundaryTag.OBSTACLE)]))
+        return verts, np.asarray([override(x) for x in mesh.vertices[verts]],
+                                 dtype=float)
+    v_in = _tag_vertices(mesh, BoundaryTag.INFLOW)
+    v_zero = _tag_vertices(mesh, BoundaryTag.WALL, BoundaryTag.OBSTACLE)
+    verts = np.concatenate([v_in, v_zero])
+    vals = np.zeros((len(verts), 2))
+    vals[:len(v_in)] = inflow_profile(mesh.vertices[v_in], params.delta,
+                                      params.inflow)
+    # wall wins at shared corners
+    keep = np.concatenate([~np.isin(v_in, v_zero), np.ones(len(v_zero), bool)])
+    return verts[keep], vals[keep]
+
+
+def dirichlet_dofs(spaces: Spaces, names, params=None, override=None,
+                   pressure=None):
     """Constrained flat dofs, and their values, of the block layout ``names``.
 
     The deformation and its adjoint vanish on the outer boundary.  The
-    velocity takes the data ``velocity``, a pair (vertices, (n, 2) values),
-    and its adjoint vanishes there; ``pressure``, an optional (vertex,
-    value) pair, pins the pressure likewise.  On a holdall mesh every flow
-    field vanishes at the obstacle-interior vertices.  Conditions on blocks
-    outside the layout are left out, so ``velocity`` is needed only by a
-    layout with a velocity block.
+    velocity takes the data of :func:`velocity_dirichlet` at ``params``
+    and ``override``, and its adjoint vanishes there; ``pressure``, an
+    optional (vertex, value) tuple, pins the pressure likewise.  On a
+    holdall mesh every flow field vanishes at the obstacle-interior
+    vertices.  Conditions on blocks outside the layout are left out, so
+    ``params`` is needed only by a layout with a velocity block.
+
+    The table is built once per ``spaces``, layout, inflow data,
+    ``override`` and ``pressure``, and kept there read-only.
     """
+    key = ("dirichlet", tuple(names),
+           None if params is None else (params.delta, params.inflow),
+           override, pressure)
+    if key in spaces._patterns:
+        return spaces._patterns[key]
     mesh = spaces.mesh
-    offsets, _ = block_offsets(spaces, names)
+    offsets = DofMap(spaces, names).offsets
     dofs, values = [], []
 
     def add(name, verts, vals):
@@ -232,7 +350,7 @@ def dirichlet_dofs(spaces: Spaces, names, velocity=None, pressure=None):
     for name in ("w", "lam_w"):
         add(name, outer, np.zeros((len(outer), 2)))
     if "v" in offsets or "lam_v" in offsets:
-        verts, vals = velocity
+        verts, vals = velocity_dirichlet(mesh, params, override)
         add("v", verts, vals)
         add("lam_v", verts, np.zeros_like(vals))
     pins = mesh.obstacle_interior_vertices()
@@ -244,7 +362,11 @@ def dirichlet_dofs(spaces: Spaces, names, velocity=None, pressure=None):
         vertex, value = pressure
         add("p", [vertex], [value])
         add("lam_p", [vertex], [0.0])
-    return np.concatenate(dofs), np.concatenate(values)
+    table = np.concatenate(dofs), np.concatenate(values)
+    for array in table:
+        array.flags.writeable = False
+    spaces._patterns[key] = table
+    return table
 
 
 # -- per-element working arrays ---------------------------------------------------
@@ -920,8 +1042,8 @@ def block_matrix(spaces: Spaces, params, z: dict, rows, cols=None,
 
     ``rows`` and ``cols`` (default: ``rows``) are ordered tuples of block
     names, and block (r, c) of the result, at the offsets of
-    :func:`block_offsets`, is the second derivative with respect to r and
-    c.  Only the pairs of ``HESSIAN_PAIRS`` that the layout touches are
+    :class:`DofMap`, is the second derivative with respect to r and c.
+    Only the pairs of ``HESSIAN_PAIRS`` that the layout touches are
     evaluated; an off-diagonal pair also fills its transposed position.
     ``active`` is passed to :func:`hessian_blocks`.  ``fixed`` lists
     constrained dofs of a square layout: their rows and columns are
@@ -936,8 +1058,8 @@ def block_matrix(spaces: Spaces, params, z: dict, rows, cols=None,
     a placed block equals the entry bit for bit, and stored zeros stay.
     """
     cols = rows if cols is None else cols
-    roff, nr = block_offsets(spaces, rows)
-    coff, nc = block_offsets(spaces, cols)
+    rmap, cmap = DofMap(spaces, rows), DofMap(spaces, cols)
+    roff, nr, coff, nc = rmap.offsets, rmap.total, cmap.offsets, cmap.total
     pairs = tuple((a, b) for a, b in HESSIAN_PAIRS
                   if (a in roff and b in coff) or (b in roff and a in coff))
     blocks = hessian_blocks(spaces, params, z, active, pairs=pairs)
@@ -978,8 +1100,8 @@ def _build_plan(spaces: Spaces, blocks: dict, rows, cols,
                 fixed) -> _AssemblyPlan:
     """The plan of the layout (rows, cols) with the constrained dofs
     ``fixed`` (sorted), from the CSR patterns of ``blocks``."""
-    roff, nr = block_offsets(spaces, rows)
-    coff, nc = block_offsets(spaces, cols)
+    rmap, cmap = DofMap(spaces, rows), DofMap(spaces, cols)
+    roff, nr, coff, nc = rmap.offsets, rmap.total, cmap.offsets, cmap.total
     placed = []
     for (a, b), mat in blocks.items():
         # the data numbers the block's entries, so that the transposed

@@ -13,14 +13,13 @@ from flowshape.flow import (
     FlowState,
     SolverError,
     dissipation,
-    inflow_profile,
     reduced_gradient,
     solve_adjoint,
     solve_state,
     state_residual,
-    velocity_dirichlet,
 )
 from flowshape.lagrangian import (Spaces, block_matrix, dirichlet_dofs,
+                                  inflow_profile, velocity_dirichlet,
                                   zero_blocks)
 from flowshape.mesh import BoundaryTag, deform_mesh
 from flowshape.newton import Kept
@@ -253,8 +252,7 @@ def test_adjoint_satisfies_transposed_system(circle_mesh, rng):
     z = zero_blocks(spaces)
     z["w"], z["v"], z["p"] = w, state.v, state.p
     A = block_matrix(spaces, params, z, ("lam_v", "lam_p"), ("v", "p"))
-    dofs, _ = dirichlet_dofs(spaces, ("lam_v", "lam_p"),
-                             velocity_dirichlet(circle_mesh, params))
+    dofs, _ = dirichlet_dofs(spaces, ("lam_v", "lam_p"), params)
     At = eliminate_dirichlet(A.T, dofs)
     lam = np.concatenate([adj.lam_v.ravel(), adj.lam_p])
     h = 1e-7
@@ -280,11 +278,12 @@ def test_adjoint_reuses_the_state_factorization(circle_mesh, spy):
     w = _smooth_w(circle_mesh)
     kept = Kept()
     state = solve_state(circle_mesh, w, params, spaces, kept=kept)
-    lu = kept.solve.lu
+    lu = kept.solve.func.__self__
     factorizations = spy(flow_module, "factorize_flow")
     adj = solve_adjoint(circle_mesh, w, state, params, spaces, kept=kept)
     assert not factorizations
-    assert kept.solve.lu is lu and kept.solve.trans == "T"
+    assert (kept.solve.func.__self__ is lu
+            and kept.solve.keywords == {"trans": "T"})
     fresh = solve_adjoint(circle_mesh, w, state, params, spaces)
     assert len(factorizations) == 1
     for got, want in ((adj.lam_v, fresh.lam_v), (adj.lam_p, fresh.lam_p)):
@@ -293,7 +292,8 @@ def test_adjoint_reuses_the_state_factorization(circle_mesh, spy):
     again = solve_state(circle_mesh, 1.01 * w, params, spaces,
                         initial=state, kept=kept)
     assert not factorizations
-    assert kept.solve.lu is lu and kept.solve.trans == "N"
+    assert (kept.solve.func.__self__ is lu
+            and kept.solve.keywords == {"trans": "N"})
     reference = solve_state(circle_mesh, 1.01 * w, params, spaces)
     assert (np.abs(again.v - reference.v).max()
             <= 1e-8 * np.abs(reference.v).max())
@@ -408,8 +408,7 @@ def test_lu_policy_fills_the_flow_jacobian_no_more_than_the_default(
     state = solve_state(circle_mesh_fine,
                         np.zeros((circle_mesh_fine.num_vertices, 2)), params,
                         spaces=spaces)
-    dofs, _ = dirichlet_dofs(spaces, ("v", "p"),
-                             velocity_dirichlet(circle_mesh_fine, params))
+    dofs, _ = dirichlet_dofs(spaces, ("v", "p"), params)
     z = zero_blocks(spaces)
     z["v"], z["p"] = state.v, state.p
     A = block_matrix(spaces, params, z, ("lam_v", "lam_p"), ("v", "p"),

@@ -6,8 +6,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from dataclasses import replace
 
-from flowshape.flow import (FlowParams, solve_state, solve_adjoint,
-                            velocity_dirichlet)
+from flowshape.flow import FlowParams, solve_state, solve_adjoint
 from flowshape import kkt
 from flowshape.fem import LU_OPTIONS
 from flowshape.kkt import (
@@ -48,8 +47,7 @@ def _random_vector(spaces, rng, w_scale=0.01, scale=0.5):
 
 def _dirichlet(spaces, params, names=BLOCK_NAMES):
     """Layout map and Dirichlet table of the KKT layout ``names``."""
-    dofs, values = dirichlet_dofs(
-        spaces, names, velocity_dirichlet(spaces.mesh, params))
+    dofs, values = dirichlet_dofs(spaces, names, params)
     return DofMap(spaces, names), dofs, values
 
 

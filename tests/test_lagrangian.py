@@ -6,11 +6,10 @@ import scipy.sparse as sparse
 
 from flowshape import lagrangian as lagrangian_module
 from flowshape.fem import P1Geometry, eliminate_dirichlet
-from flowshape.flow import velocity_dirichlet
 from flowshape.kkt import DofMap, KktParams
 from flowshape.lagrangian import (BLOCK_NAMES, HESSIAN_PAIRS, Spaces,
-                                  block_matrix, block_offsets,
-                                  dirichlet_dofs, gradient_blocks,
+                                  block_matrix, dirichlet_dofs,
+                                  gradient_blocks,
                                   hessian_blocks, total_value, zero_blocks)
 
 
@@ -342,23 +341,22 @@ SHAPE_LAYOUT = ("w", "b", "c", "lam_w", "lam_b", "lam_vol", "lam_bc")
 
 def _layouts(sp, params):
     """(rows, cols, fixed) of the full, shape, state and adjoint layouts."""
-    velocity = velocity_dirichlet(sp.mesh, params)
     state, adjoint = ("v", "p"), ("lam_v", "lam_p")
     return {"full": (BLOCK_NAMES, BLOCK_NAMES,
-                     dirichlet_dofs(sp, BLOCK_NAMES, velocity)[0]),
+                     dirichlet_dofs(sp, BLOCK_NAMES, params)[0]),
             "shape": (SHAPE_LAYOUT, SHAPE_LAYOUT,
                       dirichlet_dofs(sp, SHAPE_LAYOUT)[0]),
             "state": (adjoint, state,
-                      dirichlet_dofs(sp, state, velocity)[0]),
+                      dirichlet_dofs(sp, state, params)[0]),
             "adjoint": (state, adjoint,
-                        dirichlet_dofs(sp, adjoint, velocity)[0])}
+                        dirichlet_dofs(sp, adjoint, params)[0])}
 
 
 def _reference_matrix(sp, params, z, rows, cols, fixed, active):
     """The layout's matrix by COO-to-CSR conversion of every block and its
     transpose, then the Dirichlet elimination."""
-    roff, nr = block_offsets(sp, rows)
-    coff, nc = block_offsets(sp, cols)
+    rmap, cmap = DofMap(sp, rows), DofMap(sp, cols)
+    roff, nr, coff, nc = rmap.offsets, rmap.total, cmap.offsets, cmap.total
     placed = []
     for (a, b), mat in hessian_blocks(sp, params, z, active).items():
         mat = mat.tocoo()
@@ -392,7 +390,7 @@ def test_assembly_plan_matches_reference_assembly(mesh_spaces, params,
     assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(
         want.data).max()
     if "w" in rows:
-        w = slice(0, block_offsets(sp, ("w",))[1])
+        w = slice(0, DofMap(sp, ("w",)).total)
         ww = got[w, w]
         assert ww.nnz > 0 and (ww != ww.T).nnz == 0
 

@@ -12,7 +12,7 @@ from flowshape.extension import (ExtensionParams, solve_extension,
                                  solve_laplace_beltrami)
 from flowshape.flow import FlowParams, SolverError, solve_adjoint, solve_state
 from flowshape.kkt import KktParams, KktVector, solve_kkt
-from flowshape.lagrangian import BLOCK_NAMES, Spaces
+from flowshape.lagrangian import BLOCK_NAMES, Spaces, dirichlet_dofs
 from flowshape.mesh import MeshError
 from flowshape.optimize import (
     ContinuationSchedule,
@@ -109,6 +109,29 @@ def test_run_iterative_logs_the_shape_iterations_and_keeps_factors(
     assert [r.newton_iters for r in log.records] == histories
     assert len(log.records) >= 3 and max(histories) > 1
     assert len(assembled) < len(log.records)
+
+
+def test_run_iterative_builds_the_velocity_data_once_per_layout(
+        circle_mesh, spy):
+    """However many state and adjoint solves one iterative run makes, the
+    velocity Dirichlet data are built once per flow layout of its
+    ``Spaces``, and the Dirichlet tables it keeps there are read-only."""
+    sp = Spaces.build(circle_mesh)
+    built = spy(lagrangian_module, "velocity_dirichlet")
+    states = spy(optimize_module, "solve_state")
+    adjoints = spy(optimize_module, "solve_adjoint")
+    params = KktParams(nu=0.05, eta_ext=1.0)
+    _, log = run_iterative(circle_mesh, params,
+                           ContinuationSchedule(1e-1, 0.5, 2e-2), eps=1e-2,
+                           spaces=sp)
+    assert len(states) == len(adjoints) == len(log.records) >= 3
+    assert len(built) == 2
+    for names in (("v", "p"), ("lam_v", "lam_p"),
+                  optimize_module._SHAPE_BLOCKS):
+        for table in dirichlet_dofs(sp, names, params):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("driver", [run_direct, run_iterative])

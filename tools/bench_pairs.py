@@ -4,8 +4,8 @@
         --workload direct-circle:5 --seed 0 --seed 7 --seconds 40 \\
         --trace-pairs 1 --output BENCH_name.json --description "..."
 
-exports the parent revision (default ``HEAD``) into a temporary git
-worktree and runs ``perfbench/run.py`` of each side alternately, one
+exports the parent revision (default ``HEAD``) into a temporary directory
+with ``git archive`` and runs ``perfbench/run.py`` of each side alternately, one
 workload at one seed after the other: in pair k the parent goes first when k
 is even and the working tree when k is odd.  ``NAME:PAIRS`` gives a workload
 its own number of pairs (default ``--pairs``).  ``--trace-pairs`` adds that
@@ -21,19 +21,25 @@ committed ``BENCH_*.json`` files:
   ones under ``per_layer``;
 - ``pairs``: per ``"<workload> seed <k>"``, each side's runs in run order
   (exit status, correctness, attempted and failed calls, end-to-end
-  metrics) and which side went first in each pair.
+  metrics) and which side went first in each pair;
+- ``final_dissipation_max_rel_diff``: per workload, the largest relative
+  difference of ``final_dissipation`` between the two runs of a pair, over
+  all its pairs, also printed.  It is 0 when both sides give the same
+  results.
 
-The worktree is removed on every exit, and each run is waited for, so
+The export is removed on every exit, and each run is waited for, so
 nothing is left behind.  The exit status is 1 when any run failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import shlex
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -59,8 +65,8 @@ def _args(argv):
     ap.add_argument("--output", type=Path)
     ap.add_argument("--description", default="")
     ap.add_argument("--workdir", type=Path,
-                    help="where the worktree goes (default: a temporary "
-                         "directory)")
+                    help="where the parent's export goes (default: a "
+                         "temporary directory)")
     args = ap.parse_args(argv)
     args.seed = args.seed or [0]
     plan = []
@@ -78,6 +84,27 @@ def _args(argv):
 def _git(*args, cwd=ROOT) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, text=True,
                           capture_output=True).stdout.strip()
+
+
+def _export(revision: str, tree: Path) -> None:
+    """Write the committed files of ``revision`` into ``tree``."""
+    archive = subprocess.run(["git", "archive", revision], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tree, filter="data")
+
+
+def _max_rel_diff(pairs: dict, metric: str = "final_dissipation") -> dict:
+    """Per workload, the largest |change - parent| / |parent| of ``metric``
+    over the pairs in which both runs report it."""
+    out = {}
+    for key, entry in pairs.items():
+        diffs = [abs(c[metric] - p[metric]) / abs(p[metric])
+                 for p, c in zip(entry["parent"], entry["change"])
+                 if metric in p and metric in c]
+        name = key.split(" seed ")[0]
+        out[name] = max([out.get(name, 0.0)] + diffs)
+    return out
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float,
@@ -139,12 +166,12 @@ def main(argv=None) -> int:
     parent = _git("rev-parse", "--verify", args.parent + "^{commit}")
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         tree = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(tree), parent)
-        try:
-            pairs, records = _pairs(args, {"parent": tree, "change": ROOT})
-        finally:
-            _git("worktree", "remove", "--force", str(tree))
-            _git("worktree", "prune")
+        _export(parent, tree)
+        pairs, records = _pairs(args, {"parent": tree, "change": ROOT})
+    same = _max_rel_diff(pairs)
+    for name, diff in same.items():
+        print(f"{name}: largest relative final_dissipation difference "
+              f"{diff:.3g}", file=sys.stderr, flush=True)
     changed = _git("status", "--porcelain", "--untracked-files=no")
     record = {
         "description": (
@@ -158,6 +185,7 @@ def main(argv=None) -> int:
         "parent": summarize(records["parent"]),
         "change": summarize(records["change"]),
         "pairs": pairs,
+        "final_dissipation_max_rel_diff": same,
     }
     text = json.dumps(record, indent=1) + "\n"
     if args.output:
