@@ -9,8 +9,7 @@ a continuation schedule for the control regularization.
 """
 
 from .config import ConfigError, RunConfig, parse_config
-from .extension import (ExtensionParams, solve_extension,
-                        solve_laplace_beltrami)
+from .extension import solve_extension, solve_laplace_beltrami
 from .flow import (AdjointFlowState, FlowParams, FlowState, SolverError,
                    dissipation, reduced_gradient, solve_adjoint, solve_state,
                    state_residual)

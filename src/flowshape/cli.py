@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
-from .extension import ExtensionParams, solve_extension, solve_laplace_beltrami
+from .extension import solve_extension, solve_laplace_beltrami
 from .flow import FlowParams, SolverError, dissipation, solve_state
 from .kkt import DofMap, KktParams, gradient_fd_slopes
 from .lagrangian import Spaces, control_spaces
@@ -201,8 +201,7 @@ def cmd_deform(cfg: RunConfig) -> int:
     spaces = control_spaces(mesh)
     c = np.ones(spaces.num_loop)
     b = solve_laplace_beltrami(mesh, c, spaces)
-    w = solve_extension(mesh, b, ExtensionParams(eta_ext=cfg.eta_ext),
-                        spaces=spaces)
+    w = solve_extension(mesh, b, _kkt_params(cfg), spaces=spaces)
     out = _outdir(cfg)
     path = out / "deformed.vtk"
     write_vtk(mesh, {"displacement": w}, path)

@@ -16,8 +16,6 @@ damped Newton method of :mod:`flowshape.newton`, with its stop test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse.linalg as spla
 
@@ -28,22 +26,11 @@ from .lagrangian import (DofMap, KktParams, Spaces, block_matrix,
 from .mesh import Mesh
 from .newton import semismooth_newton
 
-__all__ = ["ExtensionParams", "solve_laplace_beltrami", "solve_extension"]
+__all__ = ["solve_laplace_beltrami", "solve_extension"]
 
 # tolerance of the stop test of :mod:`flowshape.newton` and iteration budget
 # of an extension solve
 _NEWTON_TOL, _NEWTON_MAX_ITER = 1e-10, 30
-
-
-@dataclass(frozen=True)
-class ExtensionParams:
-    """Advection strength of the extension solve."""
-
-    eta_ext: float = 1.0
-
-    def __post_init__(self):
-        if self.eta_ext < 0.0:
-            raise ValueError("advection strength eta_ext must be >= 0")
 
 
 def solve_laplace_beltrami(mesh: Mesh, c: np.ndarray,
@@ -60,10 +47,11 @@ def solve_laplace_beltrami(mesh: Mesh, c: np.ndarray,
     return curve.factor.solve(curve.mass @ (c[:, None] * spaces.normals))
 
 
-def solve_extension(mesh: Mesh, b: np.ndarray, params: ExtensionParams,
+def solve_extension(mesh: Mesh, b: np.ndarray, params: KktParams,
                     spaces: Spaces | None = None) -> np.ndarray:
     """Damped Newton solve of the nonlinear extension, returns w (nv, 2).
 
+    Of ``params`` the solve reads only the advection strength ``eta_ext``.
     The residual is the lam_w gradient of the term engine at the boundary
     datum b: the extension equation plus the load M b on the obstacle loop.
     The displacement vanishes on the whole outer boundary and is free on the
@@ -77,19 +65,18 @@ def solve_extension(mesh: Mesh, b: np.ndarray, params: ExtensionParams,
     spaces = control_spaces(mesh, spaces)
     dm, rows = DofMap(spaces, ("w",)), DofMap(spaces, ("lam_w",))
     fixed, _ = dirichlet_dofs(spaces, dm.names)
-    engine = KktParams(eta_ext=params.eta_ext)
     z = zero_blocks(spaces)
     z["b"] = np.asarray(b, dtype=float)
 
     def residual(x):
         z.update(dm.blocks(x))
-        r = rows.pack(gradient_blocks(spaces, engine, z, names=rows.names))
+        r = rows.pack(gradient_blocks(spaces, params, z, names=rows.names))
         r[fixed] = 0.0
         return r
 
     def factorize(x, active):
         z.update(dm.blocks(x))
-        A = block_matrix(spaces, engine, z, rows.names, dm.names, fixed=fixed)
+        A = block_matrix(spaces, params, z, rows.names, dm.names, fixed=fixed)
         return spla.splu(A.tocsc(), **LU_OPTIONS).solve
 
     w, _ = semismooth_newton(residual, factorize, np.zeros(dm.total),

@@ -15,6 +15,7 @@ layouts of the term engine, ``(v, p)`` and ``(lam_v, lam_p)``: their
 unknowns are packed and read by :class:`flowshape.lagrangian.DofMap`, and
 their boundary conditions are the layouts' Dirichlet tables
 (:func:`flowshape.lagrangian.dirichlet_dofs`), built once per ``Spaces``.
+The dissipation is the engine's ``dissipation`` value term.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ import scipy.sparse.linalg as spla
 
 from .fem import LU_OPTIONS, quadrature_triangle
 from .lagrangian import (DofMap, KktParams, Spaces, block_matrix,
-                         dirichlet_dofs, gradient_blocks, zero_blocks)
+                         dirichlet_dofs, gradient_blocks, value_terms,
+                         zero_blocks)
 from .mesh import Mesh
 from .newton import SolverError, semismooth_newton
-from .transform import element_kinematics, kinematics, pushed_gradients
+from .transform import element_kinematics
 
 __all__ = [
     "SolverError", "FlowParams", "FlowState", "AdjointFlowState",
@@ -177,12 +179,11 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
 
 def dissipation(mesh: Mesh, w: np.ndarray, state: FlowState, nu: float,
                 spaces: Spaces | None = None) -> float:
-    """Pulled-back energy dissipation (nu/2) integral |Dv (DF)^-1|^2 det(DF)."""
-    geo = (spaces or Spaces.build(mesh)).geo_fluid
-    _, J, A = kinematics(geo, np.asarray(w, float))
-    M = np.einsum("lat,lbt->abt", geo.gather(state.v),
-                  pushed_gradients(geo, A))
-    return 0.5 * nu * float(np.sum(geo.area * J * M * M))
+    """Pulled-back energy dissipation (nu/2) integral |Dv (DF)^-1|^2 det(DF),
+    the ``dissipation`` term of :func:`flowshape.lagrangian.value_terms`."""
+    spaces = spaces or Spaces.build(mesh)
+    z = _state_blocks(spaces, np.asarray(w, float), state.v, state.p)
+    return float(value_terms(spaces, KktParams(nu=nu), z)["dissipation"])
 
 
 def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,

@@ -35,7 +35,7 @@ from .fem import LU_OPTIONS
 from .flow import factorize_flow
 from .lagrangian import (BLOCK_NAMES, DofMap, KktParams, KktVector, Spaces,
                          block_matrix, control_spaces, dirichlet_dofs,
-                         gradient_blocks, total_value)
+                         gradient_blocks, total_value, zero_blocks)
 from .mesh import Mesh
 from .newton import semismooth_newton
 from .transform import element_kinematics
@@ -51,21 +51,23 @@ _NEWTON_MAX_ITER = 60  # the iteration budget of a KKT solve
 
 def volume_residual(mesh: Mesh, w: np.ndarray,
                     spaces: Spaces | None = None) -> float:
-    """Volume of the deformed fluid domain minus the reference volume."""
-    spaces = spaces or Spaces.build(mesh)
-    _, J, _ = element_kinematics(spaces.geo_fluid, np.asarray(w, float))
-    return float(np.sum(spaces.geo_fluid.area * (J - 1.0)))
+    """Volume of the deformed fluid domain minus the reference volume: the
+    negated ``lam_vol`` gradient block of the term engine."""
+    return float(-_constraint_block(mesh, w, spaces, "lam_vol")[0])
 
 
 def barycenter_residual(mesh: Mesh, w: np.ndarray,
                         spaces: Spaces | None = None) -> np.ndarray:
-    """First moment of the deformed fluid domain minus the reference moment."""
+    """First moment of the deformed fluid domain minus the reference moment:
+    the negated ``lam_bc`` gradient block of the term engine."""
+    return -_constraint_block(mesh, w, spaces, "lam_bc")
+
+
+def _constraint_block(mesh, w, spaces, name) -> np.ndarray:
+    """The gradient block ``name`` of a geometric multiplier at w."""
     spaces = spaces or Spaces.build(mesh)
-    geo = spaces.geo_fluid
-    w = np.asarray(w, float)
-    _, J, _ = element_kinematics(geo, w)
-    cdef = geo.centroid + w[geo.tri].mean(axis=1)
-    return (geo.area * J) @ cdef - spaces.moment
+    z = dict(zero_blocks(spaces), w=np.asarray(w, float))
+    return gradient_blocks(spaces, KktParams(), z, names=(name,))[name]
 
 
 def penalty_active_set(spaces: Spaces, w: np.ndarray,

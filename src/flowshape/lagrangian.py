@@ -4,11 +4,12 @@ Every functional of the problem -- dissipation, control regularization,
 determinant penalty, the state/extension/boundary constraint pairings and the
 geometric constraints -- has a closed-form element integral for P1 fields,
 because the transformation data (DF)^-1 and det(DF) are constant per triangle.
-This module evaluates the total value, the gradient with respect to every
-variable block, and all second-derivative blocks, from one set of shared
-per-element arrays.  The flow and KKT solvers are thin wrappers around these
-routines, which keeps the state equation, the adjoint equation and the coupled
-Newton matrix consistent by construction.
+This module evaluates the value term by term (``value_terms``, whose sum
+is ``total_value``), the gradient with respect to every variable block, and
+all second-derivative blocks, from one set of shared per-element arrays.
+The flow and KKT solvers and the run diagnostics are thin wrappers around
+these routines, which keeps the state equation, the adjoint equation, the
+coupled Newton matrix and the reported values consistent by construction.
 
 A caller that needs only some blocks names them: ``gradient_blocks(...,
 names=...)`` takes names from ``BLOCK_NAMES`` and ``hessian_blocks(...,
@@ -82,8 +83,8 @@ from .transform import deformation, kinematics, pushed_gradients
 
 __all__ = ["BLOCK_NAMES", "HESSIAN_PAIRS", "KktParams", "Spaces",
            "KktVector", "DofMap", "control_spaces", "inflow_profile",
-           "velocity_dirichlet", "dirichlet_dofs", "zero_blocks", "total_value",
-           "gradient_blocks", "hessian_blocks", "block_matrix"]
+           "velocity_dirichlet", "dirichlet_dofs", "zero_blocks", "value_terms",
+           "total_value", "gradient_blocks", "hessian_blocks", "block_matrix"]
 
 # integral of phi_l phi_m over a triangle is area * S12[l, m]
 _S12 = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -127,6 +128,8 @@ class KktParams:
             raise ValueError("penalty weight beta must be >= 0")
         if self.eta_det <= 0.0:
             raise ValueError("penalty threshold eta_det must be positive")
+        if self.eta_ext < 0.0:
+            raise ValueError("advection strength eta_ext must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -326,13 +329,14 @@ def dirichlet_dofs(spaces: Spaces, names, params=None, override=None,
     vertices.  Conditions on blocks outside the layout are left out, so
     ``params`` is needed only by a layout with a velocity block.
 
-    The table is built once per ``spaces``, layout, inflow data,
-    ``override`` and ``pressure``, and kept there read-only.
+    The table is built once per ``spaces``, layout, inflow data and
+    ``pressure``, and kept there read-only; one with an ``override`` is
+    built on every call and not kept.
     """
     key = ("dirichlet", tuple(names),
            None if params is None else (params.delta, params.inflow),
-           override, pressure)
-    if key in spaces._patterns:
+           pressure)
+    if override is None and key in spaces._patterns:
         return spaces._patterns[key]
     mesh = spaces.mesh
     offsets = DofMap(spaces, names).offsets
@@ -365,7 +369,8 @@ def dirichlet_dofs(spaces: Spaces, names, params=None, override=None,
     table = np.concatenate(dofs), np.concatenate(values)
     for array in table:
         array.flags.writeable = False
-    spaces._patterns[key] = table
+    if override is None:
+        spaces._patterns[key] = table
     return table
 
 
@@ -562,22 +567,6 @@ def _ext_frame(spaces: Spaces, z: dict) -> _ExtFrame:
         W=geo.area * _S12_dot(wloc))                  # integral of phi_n w
 
 
-def _curve_mass_pair(seg_length, u, v):
-    """integral of u.v along the closed polyline, both nodal P1 fields."""
-    u = u[:, None] if u.ndim == 1 else u
-    v = v[:, None] if v.ndim == 1 else v
-    u2 = np.roll(u, -1, axis=0)
-    v2 = np.roll(v, -1, axis=0)
-    s = seg_length[:, None]
-    return np.sum(s / 6.0 * (2.0 * u * v + 2.0 * u2 * v2 + u * v2 + u2 * v))
-
-
-def _curve_stiff_pair(seg_length, u, v):
-    du = np.roll(u, -1, axis=0) - u
-    dv = np.roll(v, -1, axis=0) - v
-    return np.sum(du * dv / seg_length[:, None])
-
-
 # The dof maps of the element matrices of the Hessian blocks, by the key of
 # their cached pattern: vector ("v", the (3, 2, t) flat dofs of
 # P1Geometry.dofs as (6, t)) and scalar ("s", the vertices) fields on the
@@ -659,47 +648,43 @@ def _dof_kron(*pairs):
 # -- value ------------------------------------------------------------------------
 
 
-def total_value(spaces: Spaces, params, z: dict):
-    """Scalar value of the full functional; dtype follows the input blocks.
-
-    With extended-precision input blocks the whole evaluation stays in that
-    precision, which finite-difference verification of the gradient relies on
-    at small steps.
+def value_terms(spaces: Spaces, params, z: dict) -> dict:
+    """The terms of the functional by name: the ``dissipation``, the
+    ``penalty``, the ``control`` cost, and the ``flow``, ``extension``
+    (with the load M b), ``loop`` (Laplace-Beltrami) and ``geometry``
+    constraints paired with their multipliers.  Their dtype follows the
+    input blocks: extended-precision input stays extended, which
+    finite-difference verification of the gradient relies on.
     """
     f = _fluid_frame(spaces, z)
     e = _ext_frame(spaces, z)
-    nu, mu = params.nu, params.mu
+    nu = params.nu
     aJ = f.area * f.J
-
-    val = 0.5 * nu * np.sum(aJ * f.MM)
-    val -= np.sum(nu * aJ * f.MN + f.J * f.conv - aJ * f.pbar * f.trN)
-    val += np.sum(aJ * f.lpbar * f.trM)
-    val += mu * np.sum(f.h * f.h * f.area * f.ghp * f.ghlp)
-
-    # determinant penalty over the extension domain
     plus = np.maximum(params.eta_det - e.J, 0.0)
-    val += 0.5 * params.beta * np.sum(e.area * plus * plus)
+    Mc, Kc, loop = _obstacle_loop(spaces)
+    Mb = Mc @ z["b"]
+    return {
+        "dissipation": 0.5 * nu * np.sum(aJ * f.MM),
+        "flow": (np.sum(aJ * f.pbar * f.trN - nu * aJ * f.MN - f.J * f.conv)
+                 + np.sum(aJ * f.lpbar * f.trM)
+                 + params.mu * np.sum(f.h * f.h * f.area * f.ghp * f.ghlp)),
+        "penalty": 0.5 * params.beta * np.sum(e.area * plus * plus),
+        "extension": (
+            np.sum(z["lam_w"][loop] * Mb)
+            - np.sum(e.area * (e.Dw + np.swapaxes(e.Dw, 0, 1)) * e.Dlw)
+            - params.eta_ext * np.sum(
+                np.einsum("abt,lbt->lat", e.Dw, e.wloc) * e.Lam)),
+        "control": 0.5 * params.alpha * (z["c"] @ (Mc @ z["c"])),
+        "loop": np.sum(z["lam_b"] * (
+            Mc @ (z["c"][:, None] * spaces.normals) - Mb - Kc @ z["b"])),
+        "geometry": -(z["lam_bc"] @ (f.cent @ aJ - spaces.moment)
+                      + z["lam_vol"][0] * np.sum(f.area * (f.J - 1.0))),
+    }
 
-    # extension constraint pairing
-    val -= np.sum(e.area * (e.Dw + np.swapaxes(e.Dw, 0, 1)) * e.Dlw)
-    val -= params.eta_ext * np.sum(
-        np.einsum("abt,lbt->lat", e.Dw, e.wloc) * e.Lam)
 
-    # boundary pairings on the obstacle loop
-    if spaces.curve is not None:
-        seg = spaces.curve.seg_length
-        lw_loop = z["lam_w"][spaces.curve.loop]
-        val += _curve_mass_pair(seg, z["b"], lw_loop)
-        val += 0.5 * params.alpha * _curve_mass_pair(seg, z["c"], z["c"])
-        val -= _curve_mass_pair(seg, z["b"], z["lam_b"])
-        val -= _curve_stiff_pair(seg, z["b"], z["lam_b"])
-        val += _curve_mass_pair(seg, z["c"][:, None] * spaces.normals,
-                                z["lam_b"])
-
-    # geometric constraints (fluid domain)
-    val -= z["lam_bc"] @ (f.cent @ aJ - spaces.moment)
-    val -= z["lam_vol"][0] * np.sum(f.area * (f.J - 1.0))
-    return val
+def total_value(spaces: Spaces, params, z: dict):
+    """Scalar value of the full functional, the sum of :func:`value_terms`."""
+    return sum(value_terms(spaces, params, z).values())
 
 
 # -- block selection --------------------------------------------------------------

@@ -238,10 +238,13 @@ def load_msh(path) -> Mesh:
     coords = np.empty((n_nodes, 2))
     for k, ln in enumerate(node_lines[1:]):
         parts = ln.split()
+        try:
+            ids[k] = int(parts[0])
+            coords[k] = (float(parts[1]), float(parts[2]))
+        except (IndexError, ValueError):
+            parts = []
         if len(parts) < 4:
-            raise MshParseError(f"malformed node line {k + 1}")
-        ids[k] = int(parts[0])
-        coords[k] = (float(parts[1]), float(parts[2]))
+            raise MshParseError(f"malformed $Nodes line {k + 1}: {ln!r}")
     id_to_index = {int(v): k for k, v in enumerate(ids)}
 
     elem_lines = sections["Elements"]
@@ -255,9 +258,12 @@ def load_msh(path) -> Mesh:
     triangles, tri_phys = [], []
     segments, seg_tags = [], []
     for k, ln in enumerate(elem_lines[1:]):
-        parts = [int(x) for x in ln.split()]
+        try:
+            parts = [int(x) for x in ln.split()]
+        except ValueError:
+            parts = []
         if len(parts) < 3:
-            raise MshParseError(f"malformed element line {k + 1}")
+            raise MshParseError(f"malformed $Elements line {k + 1}: {ln!r}")
         etype, ntags = parts[1], parts[2]
         phys = parts[3] if ntags >= 1 else 0
         conn = parts[3 + ntags :]

@@ -27,14 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .flow import (FlowParams, FlowState, SolverError, dissipation,
-                   solve_adjoint, solve_state)
-from .kkt import (KktParams, KktVector, barycenter_residual,
-                  penalty_active_set, solve_kkt, volume_residual)
-from .lagrangian import Spaces, control_spaces
+from .flow import FlowParams, SolverError, solve_adjoint, solve_state
+from .kkt import KktParams, KktVector, penalty_active_set, solve_kkt
+from .lagrangian import Spaces, control_spaces, gradient_blocks, value_terms
 from .mesh import Mesh, worst_quality
 from .newton import Kept
-from .transform import det_penalty
 
 __all__ = [
     "ContinuationSchedule", "RunRecord", "RunLog", "run_direct",
@@ -111,15 +108,17 @@ class RunLog:
 
 
 def _diagnostics(spaces: Spaces, params: KktParams, y: KktVector):
-    """Dissipation, control cost, penalty and constraint residuals at y."""
-    mesh = spaces.mesh
-    j = dissipation(mesh, y.w, FlowState(y.v, y.p), params.nu, spaces)
+    """Objective, dissipation, penalty, control norm and constraint
+    residuals at y: the term engine's value terms and the negated gradient
+    blocks of the geometric multipliers."""
+    z = y.as_dict()
+    terms = value_terms(spaces, params, z)
+    grad = gradient_blocks(spaces, params, z, names=("lam_vol", "lam_bc"))
+    j = float(terms["dissipation"])
     cnorm = float(np.sqrt(y.c @ (spaces.curve.mass @ y.c)))
-    pen = det_penalty(spaces.geo_ext, y.w, params.eta_det, params.beta)
-    vol = volume_residual(mesh, y.w, spaces)
-    bary = barycenter_residual(mesh, y.w, spaces)
-    obj = j + 0.5 * params.alpha * cnorm ** 2
-    return obj, j, pen, cnorm, vol, (float(bary[0]), float(bary[1]))
+    bary = -grad["lam_bc"]
+    return (j + float(terms["control"]), j, float(terms["penalty"]), cnorm,
+            float(-grad["lam_vol"][0]), (float(bary[0]), float(bary[1])))
 
 
 def _record(spaces, params, y, k, ell, iters, t0) -> RunRecord:
@@ -255,17 +254,16 @@ def quality_sweep(mesh: Mesh, params: KktParams, eta_ext_values,
 
     Returns rows (eta_ext, worst_quality); a failed point stores NaN and the
     sweep continues.  ``csv_path`` additionally writes the table with header
-    ``eta_ext,worst_quality``.  A negative value raises before any run.
+    ``eta_ext,worst_quality``.  A value that ``KktParams`` rejects (a
+    negative one) raises before any run.
     """
     spaces = spaces or Spaces.build(mesh)
-    etas = [float(eta) for eta in eta_ext_values]
-    if min(etas, default=0.0) < 0.0:
-        raise ValueError("eta_ext values must be >= 0")
+    points = [replace(params, eta_ext=float(eta)) for eta in eta_ext_values]
     rows = []
-    for eta in etas:
+    for point in points:
+        eta = point.eta_ext
         try:
-            y, _ = run_direct(mesh, replace(params, eta_ext=eta),
-                              schedule, spaces)
+            y, _ = run_direct(mesh, point, schedule, spaces)
             rows.append((eta, worst_quality(mesh, y.w)))
         except SolverError:
             rows.append((eta, float("nan")))

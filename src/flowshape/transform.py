@@ -2,9 +2,11 @@
 
 For P1 displacements the Jacobian DF = I + Dw, its determinant and inverse are
 constant per triangle.  The determinant penalty keeps det(DF) above a bound
-eta_det; its value is here, and its derivatives are terms of the engine
+eta_det; its value and derivatives are terms of the engine
 :mod:`flowshape.lagrangian`, which reads det(DF) and (DF)^-1 from
-:func:`deformation` of its own Dw.
+:func:`deformation` of its own Dw.  Only the engine and this module compute
+the kinematics; the other modules read det(DF) through
+:func:`element_kinematics`.
 
 Everything is computed with the element axis last; the functions with
 ``element`` in their name return views with the element axis first.
@@ -21,7 +23,6 @@ __all__ = [
     "kinematics",
     "element_kinematics",
     "pushed_gradients",
-    "det_penalty",
 ]
 
 
@@ -69,9 +70,3 @@ def pushed_gradients(geo: P1Geometry, DFinv: np.ndarray) -> np.ndarray:
     These satisfy (Dv DFinv)_ab = sum_l v_l[a] gt_l[b] for nodal fields v.
     """
     return np.einsum("lbt,bat->lat", geo.grads_last, DFinv)
-
-
-def det_penalty(geo: P1Geometry, w: np.ndarray, eta_det: float, beta: float) -> float:
-    """(beta/2) * integral of ((eta_det - det DF)_+)^2 over the geometry cells."""
-    plus = np.maximum(eta_det - kinematics(geo, w)[1], 0.0)
-    return 0.5 * beta * float(np.sum(geo.area * plus * plus))

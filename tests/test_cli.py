@@ -12,6 +12,7 @@ from flowshape.cli import (
 from flowshape.mesh import write_msh
 
 from conftest import unit_square_mesh
+from test_mesh import MALFORMED_MSH, malformed_msh
 
 
 def _write_cfg(tmp_path, text):
@@ -39,6 +40,16 @@ def test_bad_config_exit_code(tmp_path, capsys):
 
 def test_missing_config_exit_code(capsys):
     assert main(["check-mesh", "--config", "/no/such.cfg"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("section, node, element", MALFORMED_MSH)
+def test_check_mesh_malformed_number_is_mesh_error(tmp_path, capsys, section,
+                                                   node, element):
+    path = tmp_path / "bad.msh"
+    malformed_msh(path, node, element)
+    cfg = _write_cfg(tmp_path, f"mesh = {path}\n")
+    assert main(["check-mesh", "--config", cfg]) == EXIT_MESH
+    assert f"mesh error: malformed {section} line" in capsys.readouterr().err
 
 
 def test_solve_flow_writes_vtk(tmp_path, capsys):

@@ -5,11 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import flowshape.lagrangian as lagrangian_module
-from flowshape.extension import (
-    ExtensionParams,
-    solve_extension,
-    solve_laplace_beltrami,
-)
+from flowshape.extension import solve_extension, solve_laplace_beltrami
 from flowshape.lagrangian import (KktParams, Spaces, gradient_blocks,
                                   hessian_blocks, zero_blocks)
 
@@ -52,7 +48,7 @@ def test_extension_is_linear_laplace_at_zero_advection(circle_mesh, rng):
     """With eta_ext = 0 the operator is linear elasticity-like; solving twice
     with scaled data scales the solution."""
     spaces = Spaces.build(circle_mesh)
-    params = ExtensionParams(eta_ext=0.0)
+    params = KktParams(eta_ext=0.0)
     b = 0.05 * rng.standard_normal((spaces.num_loop, 2))
     w1 = solve_extension(circle_mesh, b, params, spaces=spaces)
     w2 = solve_extension(circle_mesh, 2.0 * b, params, spaces=spaces)
@@ -61,7 +57,7 @@ def test_extension_is_linear_laplace_at_zero_advection(circle_mesh, rng):
 
 def test_extension_residual_zero_at_solution(circle_mesh, rng):
     spaces = Spaces.build(circle_mesh)
-    params = ExtensionParams(eta_ext=2.0)
+    params = KktParams(eta_ext=2.0)
     b = 0.05 * rng.standard_normal((spaces.num_loop, 2))
     w = solve_extension(circle_mesh, b, params, spaces=spaces)
     r = _extension_residual(spaces, w, b, params.eta_ext)
@@ -78,7 +74,7 @@ def test_linearization_matches_finite_differences(circle_mesh, rng):
     and the boundary load M b are the derivatives of the extension residual
     (the lam_w gradient) in w and in b."""
     spaces = Spaces.build(circle_mesh)
-    params = ExtensionParams(eta_ext=2.0)
+    params = KktParams(eta_ext=2.0)
     nv = circle_mesh.num_vertices
     m = spaces.num_loop
     w = 0.02 * rng.standard_normal((nv, 2))
@@ -89,8 +85,8 @@ def test_linearization_matches_finite_differences(circle_mesh, rng):
 
     z = zero_blocks(spaces)
     z["w"] = w
-    jac_w = hessian_blocks(spaces, KktParams(eta_ext=params.eta_ext), z,
-                           pairs=[("w", "lam_w")])[("w", "lam_w")].T
+    jac_w = hessian_blocks(spaces, params, z, pairs=[("w", "lam_w")])[
+        ("w", "lam_w")].T
     h = 1e-5
     dw = rng.standard_normal((nv, 2))
     db = rng.standard_normal((m, 2))
@@ -118,7 +114,7 @@ def test_linear_extension_takes_one_factorization(circle_mesh, rng,
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting)
-    solve_extension(circle_mesh, b, ExtensionParams(eta_ext=0.0),
+    solve_extension(circle_mesh, b, KktParams(eta_ext=0.0),
                     spaces=spaces)
     assert len(calls) == 1
 
@@ -130,7 +126,7 @@ def test_extension_solve_builds_no_fluid_arrays(circle_mesh, rng, spy):
     b = 0.05 * rng.standard_normal((spaces.num_loop, 2))
     hess = spy(lagrangian_module, "hessian_blocks")
     frames = spy(lagrangian_module, "_fluid_frame")
-    solve_extension(circle_mesh, b, ExtensionParams(eta_ext=2.0),
+    solve_extension(circle_mesh, b, KktParams(eta_ext=2.0),
                     spaces=spaces)
     assert hess and all(tuple(c["pairs"]) == (("w", "lam_w"),)
                         for c in hess)
@@ -140,13 +136,13 @@ def test_extension_solve_builds_no_fluid_arrays(circle_mesh, rng, spy):
 def test_nonlinearity_is_quadratic_in_data(circle_mesh, rng):
     """The advective term makes w(s b) deviate from s w(b) at order s^2."""
     spaces = Spaces.build(circle_mesh)
-    params = ExtensionParams(eta_ext=2.0)
+    params = KktParams(eta_ext=2.0)
     b = 0.05 * rng.standard_normal((spaces.num_loop, 2))
     ratios = []
     for s in (1.0, 0.5, 0.25):
         w1 = solve_extension(circle_mesh, s * b, params, spaces=spaces)
         w0 = solve_extension(circle_mesh, s * b,
-                             ExtensionParams(eta_ext=0.0), spaces=spaces)
+                             KktParams(eta_ext=0.0), spaces=spaces)
         ratios.append(np.abs(w1 - w0).max() / s ** 2)
     ratios = np.asarray(ratios)
     assert np.abs(ratios - ratios[0]).max() <= 0.15 * abs(ratios[0])
@@ -154,7 +150,7 @@ def test_nonlinearity_is_quadratic_in_data(circle_mesh, rng):
 
 def test_extension_handles_holdall_domain(holdall_mesh, rng):
     spaces = Spaces.build(holdall_mesh)
-    params = ExtensionParams(eta_ext=1.0)
+    params = KktParams(eta_ext=1.0)
     b = 0.05 * rng.standard_normal((spaces.num_loop, 2))
     w = solve_extension(holdall_mesh, b, params, spaces=spaces)
     assert np.all(np.isfinite(w))
@@ -162,5 +158,5 @@ def test_extension_handles_holdall_domain(holdall_mesh, rng):
 
 
 def test_negative_eta_rejected():
-    with pytest.raises(ValueError):
-        ExtensionParams(eta_ext=-1.0)
+    with pytest.raises(ValueError, match="eta_ext must be >= 0"):
+        KktParams(eta_ext=-1.0)

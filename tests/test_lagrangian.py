@@ -1,5 +1,7 @@
 """Tests of the shared term engine against independent slow evaluations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -9,8 +11,8 @@ from flowshape.fem import P1Geometry, eliminate_dirichlet
 from flowshape.kkt import DofMap, KktParams
 from flowshape.lagrangian import (BLOCK_NAMES, HESSIAN_PAIRS, Spaces,
                                   block_matrix, dirichlet_dofs,
-                                  gradient_blocks,
-                                  hessian_blocks, total_value, zero_blocks)
+                                  gradient_blocks, hessian_blocks,
+                                  total_value, value_terms, zero_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +141,20 @@ def _naive_value(spaces, params, z):
         dlbds = (z["lam_b"][j] - z["lam_b"][i]) / length
         total -= length * (dbds @ dlbds)
     return total
+
+
+def test_value_is_the_sum_of_its_terms(mesh_spaces, params):
+    z = random_point(mesh_spaces)
+    terms = value_terms(mesh_spaces, params, z)
+    assert list(terms) == ["dissipation", "flow", "penalty", "extension",
+                           "control", "loop", "geometry"]
+    assert total_value(mesh_spaces, params, z) == sum(terms.values())
+    # the control cost alone depends on alpha, and linearly
+    doubled = value_terms(mesh_spaces, replace(params, alpha=2 * params.alpha),
+                          z)
+    for name, term in terms.items():
+        want = 2 * term if name == "control" else term
+        assert doubled[name] == pytest.approx(want, rel=1e-15), name
 
 
 def test_value_matches_naive_oracle(mesh_spaces, params):
@@ -350,6 +366,22 @@ def _layouts(sp, params):
                       dirichlet_dofs(sp, state, params)[0]),
             "adjoint": (state, adjoint,
                         dirichlet_dofs(sp, adjoint, params)[0])}
+
+
+def test_dirichlet_tables_with_an_override_are_not_kept(circle_mesh):
+    """A table built with an override is built on every call and not kept,
+    so fresh callables leave the cache of ``spaces`` as it was; the table
+    without one is kept."""
+    sp = Spaces.build(circle_mesh)
+    params = KktParams()
+    kept = dirichlet_dofs(sp, ("v", "p"), params)
+    size = len(sp._patterns)
+    for k in range(5):
+        _, values = dirichlet_dofs(sp, ("v", "p"), params,
+                                   override=lambda x, k=k: [k, -k])
+        assert np.all(values.reshape(-1, 2) == [k, -k])
+    assert len(sp._patterns) == size
+    assert dirichlet_dofs(sp, ("v", "p"), params) is kept
 
 
 def _reference_matrix(sp, params, z, rows, cols, fixed, active):

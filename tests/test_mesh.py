@@ -93,6 +93,33 @@ def test_load_msh_unknown_tag(tmp_path):
         load_msh(p)
 
 
+# a node line and an element line of the single-triangle file, each with
+# one token that is not a number
+MALFORMED_MSH = [
+    pytest.param("$Nodes", "2 1 x 0", "4 2 2 10 10 1 2 3", id="nodes"),
+    pytest.param("$Elements", "2 1 0 0", "4 2 2 10 ten 1 2 3", id="elements")]
+
+
+def malformed_msh(path, node, element):
+    path.write_text(
+        "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
+        f"$Nodes\n3\n1 0 0 0\n{node}\n3 0 1 0\n$EndNodes\n"
+        f"$Elements\n1\n{element}\n$EndElements\n")
+
+
+@pytest.mark.parametrize("section, node, element", MALFORMED_MSH)
+def test_load_msh_rejects_a_malformed_number(tmp_path, section, node,
+                                             element):
+    """A token that is not a number is a parse error that names the section
+    and the line, not a bare ValueError."""
+    p = tmp_path / "bad.msh"
+    malformed_msh(p, node, element)
+    line = 2 if section == "$Nodes" else 1
+    with pytest.raises(M.MshParseError,
+                       match=rf"malformed \{section} line {line}: "):
+        load_msh(p)
+
+
 def test_msh_roundtrip_counts(tmp_path, circle_mesh):
     p = tmp_path / "tunnel.msh"
     write_msh(circle_mesh, p)

@@ -8,11 +8,13 @@ import pytest
 import flowshape.kkt as kkt_module
 import flowshape.lagrangian as lagrangian_module
 import flowshape.optimize as optimize_module
-from flowshape.extension import (ExtensionParams, solve_extension,
-                                 solve_laplace_beltrami)
-from flowshape.flow import FlowParams, SolverError, solve_adjoint, solve_state
-from flowshape.kkt import KktParams, KktVector, solve_kkt
-from flowshape.lagrangian import BLOCK_NAMES, Spaces, dirichlet_dofs
+from flowshape.extension import solve_extension, solve_laplace_beltrami
+from flowshape.flow import (FlowParams, FlowState, SolverError, dissipation,
+                            solve_adjoint, solve_state)
+from flowshape.kkt import (KktParams, KktVector, barycenter_residual,
+                           solve_kkt, volume_residual)
+from flowshape.lagrangian import (BLOCK_NAMES, Spaces, dirichlet_dofs,
+                                  value_terms)
 from flowshape.mesh import MeshError
 from flowshape.optimize import (
     ContinuationSchedule,
@@ -59,6 +61,30 @@ def test_runlog_roundtrip(tmp_path):
     assert lines[0].startswith("k ell alpha objective")
     assert len(lines) == 2
     assert lines[1].split()[10] == "7"
+
+
+def test_diagnostics_read_the_term_engine(circle_mesh, spaces):
+    """The logged values are the engine's: dissipation and penalty its value
+    terms, the objective adds the control cost, and the residuals are those
+    of the public functions, all bit for bit."""
+    rng = np.random.default_rng(4)
+    z = {name: 0.05 * rng.standard_normal(block.shape)
+         for name, block in KktVector.zeros(spaces).as_dict().items()}
+    z["w"] *= 0.1   # det(DF) stays positive, and near 1
+    y = KktVector(**z)
+    params = KktParams(nu=0.05, alpha=0.3, beta=7.0, eta_det=1.0)
+    obj, j, pen, cnorm, vol, bary = optimize_module._diagnostics(
+        spaces, params, y)
+    terms = value_terms(spaces, params, z)
+    assert (j, pen) == (terms["dissipation"], terms["penalty"])
+    assert j > 0.0 and pen > 0.0
+    assert obj == terms["dissipation"] + terms["control"]
+    assert cnorm ** 2 == pytest.approx(2.0 * terms["control"] / params.alpha,
+                                       rel=1e-14)
+    assert j == dissipation(circle_mesh, y.w, FlowState(y.v, y.p), params.nu,
+                            spaces)
+    assert vol == volume_residual(circle_mesh, y.w, spaces)
+    assert bary == tuple(barycenter_residual(circle_mesh, y.w, spaces))
 
 
 def test_run_direct_converges_and_logs(circle_mesh, spaces):
@@ -301,7 +327,7 @@ def test_entry_points_reject_a_mesh_without_obstacle(entry):
         "solve_laplace_beltrami": lambda: solve_laplace_beltrami(
             mesh, np.zeros(0)),
         "solve_extension": lambda: solve_extension(
-            mesh, np.zeros((0, 2)), ExtensionParams()),
+            mesh, np.zeros((0, 2)), params),
     }
     with pytest.raises(MeshError, match="no obstacle boundary, so there "
                                         "is no boundary control"):

@@ -108,6 +108,23 @@ def test_every_sparse_lu_follows_one_policy():
     assert sorted(splus) == SPLU_SITES
 
 
+def test_only_the_engine_computes_the_kinematics():
+    """The term engine is the one place where the physics is written down:
+    outside it and the transformation, no module computes the per-element
+    kinematics (``kinematics``, ``pushed_gradients``, ``deformation``);
+    the others read values, residuals and matrices from the engine, and
+    det(DF) alone through ``element_kinematics``."""
+    found = []
+    for path in SOURCES:
+        if path.name in ("lagrangian.py", "transform.py"):
+            continue
+        for node, scope in _calls(ast.parse(path.read_text())):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("kinematics", "pushed_gradients", "deformation"):
+                found.append(f"{path.name}:{node.lineno} {name} in {scope}")
+    assert not found, found
+
+
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = sorted(path for folder in ("src", "tests", "demos", "perfbench")
                  for path in (ROOT / folder).rglob("*.py"))

@@ -3,8 +3,8 @@ import pytest
 
 from flowshape.fem import P1Geometry
 from flowshape.lagrangian import (KktParams, Spaces, gradient_blocks,
-                                  hessian_blocks, zero_blocks)
-from flowshape.transform import det_penalty, element_kinematics
+                                  hessian_blocks, value_terms, zero_blocks)
+from flowshape.transform import element_kinematics
 
 
 def linear_field(mesh, mat):
@@ -90,16 +90,22 @@ def test_volume_transport(circle_mesh, rng):
 
 # -- penalty ----------------------------------------------------------------------
 #
-# The penalty's derivatives are terms of the engine.  Where every block but w
-# is zero, every other term of the w gradient and of the (w, w) block
-# vanishes, so there they are the derivatives of det_penalty: the gradient
-# bit for bit, the Hessian up to the order of its sums.
+# The penalty's value and derivatives are terms of the engine.  Where every
+# block but w is zero, every other term of the w gradient and of the (w, w)
+# block vanishes, so there they are the derivatives of the ``penalty`` value
+# term: the gradient bit for bit, the Hessian up to the order of its sums.
 
 
 def _penalty_point(spaces, w, eta, beta):
     z = zero_blocks(spaces)
     z["w"] = w
     return KktParams(eta_det=eta, beta=beta), z
+
+
+def penalty_value(spaces, w, eta, beta):
+    """The engine's ``penalty`` value term at ``w``."""
+    params, z = _penalty_point(spaces, w, eta, beta)
+    return value_terms(spaces, params, z)["penalty"]
 
 
 def penalty_gradient(spaces, w, eta, beta):
@@ -116,25 +122,25 @@ def penalty_hessian(spaces, w, eta, beta):
 
 def test_penalty_inactive(circle_mesh):
     spaces = Spaces.build(circle_mesh)
-    geo = spaces.geo_ext
     w = np.zeros_like(circle_mesh.vertices)
-    assert det_penalty(geo, w, 0.9, 7.0) == 0.0
+    assert penalty_value(spaces, w, 0.9, 7.0) == 0.0
     assert np.all(penalty_gradient(spaces, w, 0.9, 7.0) == 0.0)
 
 
 def test_penalty_uniform_compression(circle_mesh):
-    geo = P1Geometry.build(circle_mesh)
+    spaces = Spaces.build(circle_mesh)
     w = -0.5 * circle_mesh.vertices  # det = 0.25 everywhere
-    area = float(geo.area.sum())
-    val = det_penalty(geo, w, 0.5, 1.0)
+    area = float(spaces.geo_ext.area.sum())
+    val = penalty_value(spaces, w, 0.5, 1.0)
     assert abs(val - 0.5 * 0.25**2 * area) < 1e-10 * area
 
 
 def test_penalty_matches_loop_oracle(circle_mesh, rng):
-    geo = P1Geometry.build(circle_mesh)
+    spaces = Spaces.build(circle_mesh)
+    geo = spaces.geo_ext
     w = 0.1 * rng.standard_normal(circle_mesh.vertices.shape)
     eta, beta = 1.02, 3.0  # active on many elements
-    val = det_penalty(geo, w, eta, beta)
+    val = penalty_value(spaces, w, eta, beta)
     _, det, _ = element_kinematics(geo, w)
     oracle = 0.0
     for t in range(len(geo.tri)):
@@ -144,14 +150,13 @@ def test_penalty_matches_loop_oracle(circle_mesh, rng):
 
 
 def _fd_gradient_check(spaces, w, eta, beta, rng, steps=(1e-5, 1e-6)):
-    geo = spaces.geo_ext
     g = penalty_gradient(spaces, w, eta, beta)
     d = rng.standard_normal(w.shape)
     exact = float(np.sum(g * d))
     errs = []
     for h in steps:
-        fp = det_penalty(geo, w + h * d, eta, beta)
-        fm = det_penalty(geo, w - h * d, eta, beta)
+        fp = penalty_value(spaces, w + h * d, eta, beta)
+        fm = penalty_value(spaces, w - h * d, eta, beta)
         errs.append(abs((fp - fm) / (2 * h) - exact))
     return exact, errs
 
@@ -165,14 +170,14 @@ def test_penalty_gradient_fd(circle_mesh, rng):
 
 def test_penalty_gradient_one_sided_at_kink(circle_mesh, rng):
     spaces = Spaces.build(circle_mesh)
-    geo = spaces.geo_ext
     w = np.zeros_like(circle_mesh.vertices)  # det = 1 = eta exactly: at the kink
     eta, beta = 1.0, 2.0
     g = penalty_gradient(spaces, w, eta, beta)
     assert np.all(g == 0.0)  # ties inactive
     d = rng.standard_normal(w.shape)
     h = 1e-6
-    fd = (det_penalty(geo, w + h * d, eta, beta) - det_penalty(geo, w, eta, beta)) / h
+    fd = (penalty_value(spaces, w + h * d, eta, beta)
+          - penalty_value(spaces, w, eta, beta)) / h
     # one-sided difference from the active side is O(h) because value is O(h^2)
     assert abs(fd) < 1e-3
 
