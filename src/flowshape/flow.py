@@ -133,7 +133,7 @@ def _orient(kept, trans):
 def solve_state(mesh: Mesh, w: np.ndarray, params,
                 spaces: Spaces | None = None, body_force=None,
                 dirichlet_override=None, pin_pressure=None,
-                initial=None, kept=None) -> FlowState:
+                initial=None, kept=None, rtol=0.0) -> FlowState:
     """Damped Newton solve of the pulled-back stationary flow equations.
 
     ``pin_pressure`` is a (vertex, value) tuple fixing the pressure level for
@@ -144,9 +144,10 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
     Newton loop stops reusing the last factorization for chord steps.
     ``kept`` is a :class:`flowshape.newton.Kept` holder of the flow
     factorization, shared with the state and adjoint solves of the same
-    boundary data.  :mod:`flowshape.newton` states the stop test and the
-    hand-on rule; a failure raises a classified :class:`SolverError` that
-    carries the residual history.
+    boundary data.  :mod:`flowshape.newton` states the stop test, with its
+    relative target ``rtol`` (0: solve to ``newton_tol``), and the hand-on
+    rule; a failure raises a classified :class:`SolverError` that carries
+    the residual history.
     """
     spaces = spaces or Spaces.build(mesh)
     _, det, _ = element_kinematics(spaces.geo_fluid, np.asarray(w, float))
@@ -173,7 +174,8 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
 
     _orient(kept, "N")
     u, _ = semismooth_newton(residual, factorize, u, params.newton_tol,
-                             params.newton_max_iter, "state", kept=kept)
+                             params.newton_max_iter, "state", kept=kept,
+                             rtol=rtol)
     return FlowState(**dm.blocks(u))
 
 
@@ -188,7 +190,7 @@ def dissipation(mesh: Mesh, w: np.ndarray, state: FlowState, nu: float,
 
 def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
                   spaces: Spaces | None = None,
-                  kept=None) -> AdjointFlowState:
+                  kept=None, rtol=0.0) -> AdjointFlowState:
     """Linear adjoint solve at a converged state.
 
     The matrix A is the transpose of the state Jacobian; the right-hand side
@@ -197,7 +199,9 @@ def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     Newton routine of :func:`solve_state`.  A state Jacobian's
     factorization in the holder ``kept`` is solved transposed, by the
     hand-on rule of :mod:`flowshape.newton`; the transpose of A is
-    factorized where it is refused.
+    factorized where it is refused.  ``rtol`` is the relative target of the
+    stop test there: with it the solve stops once |A lam - g| is at most
+    ``rtol * |g|`` (0: at ``newton_tol``).
     """
     spaces = spaces or Spaces.build(mesh)
     dm = DofMap(spaces, _STATE_ROWS)
@@ -214,7 +218,8 @@ def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     _orient(kept, "T")
     sol, _ = semismooth_newton(lambda lam: A @ lam - rhs, factorize,
                                np.zeros(dm.total), params.newton_tol,
-                               params.newton_max_iter, "adjoint", kept=kept)
+                               params.newton_max_iter, "adjoint", kept=kept,
+                               rtol=rtol)
     return AdjointFlowState(**dm.blocks(sol))
 
 

@@ -333,7 +333,8 @@ class _BlockFactor:
 
 
 def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
-              spaces: Spaces | None = None, names=BLOCK_NAMES, kept=None):
+              spaces: Spaces | None = None, names=BLOCK_NAMES, kept=None,
+              rtol=0.0):
     """Damped semismooth Newton solve of the optimality system on the block
     layout ``names``; returns ``(y, residual_history)``.
 
@@ -349,7 +350,8 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
     ``kept`` is a :class:`flowshape.newton.Kept` holder shared by the solves
     on the same layout, mesh and parameters but for alpha; a factorization
     it hands on is first moved exactly to ``params.alpha``.
-    :mod:`flowshape.newton` states the stop test and the hand-on rule.
+    :mod:`flowshape.newton` states the stop test, with its relative target
+    ``rtol`` (0: solve to ``newton_tol``), and the hand-on rule.
     Raises a classified :class:`SolverError` on a
     singular matrix, a stall or divergence, and ``MeshError`` on a mesh
     without an obstacle boundary, which carries no control.
@@ -385,5 +387,5 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
             else f"KKT on {', '.join(dm.names)}")
     u, history = semismooth_newton(residual, factorize, u, params.newton_tol,
                                    _NEWTON_MAX_ITER, what, penalty_active,
-                                   kept)
+                                   kept, rtol)
     return dm.unpack(u, y0), history

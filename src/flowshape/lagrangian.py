@@ -380,10 +380,48 @@ def dirichlet_dofs(spaces: Spaces, names, params=None, override=None,
 class _FluidFrame(SimpleNamespace):
     """Per-element arrays of the fluid terms at one point, element axis last.
 
-    The fields set by :func:`_fluid_frame` are always built.  The
-    contractions below are cached properties, built on first use, so an
-    evaluation of a few blocks computes only the ones those blocks read.
+    The fields set by :func:`_fluid_frame`, the kinematics of w, are always
+    built.  The gathered flow fields and the contractions below are cached
+    properties, built on first use, so an evaluation of a few blocks
+    computes only the ones those blocks read: the geometric constraints
+    read no flow field and no pushed gradient.
     """
+
+    @cached_property
+    def g(self):
+        return pushed_gradients(self.geo, self.A)      # (l, a, t)
+
+    @cached_property
+    def vloc(self):
+        return self.geo.gather(self.z["v"])
+
+    @cached_property
+    def lvloc(self):
+        return self.geo.gather(self.z["lam_v"])
+
+    @cached_property
+    def ploc(self):
+        return self.geo.gather(self.z["p"])
+
+    @cached_property
+    def lploc(self):
+        return self.geo.gather(self.z["lam_p"])
+
+    @cached_property
+    def M(self):
+        return np.einsum("lat,lbt->abt", self.vloc, self.g)  # Dv (DF)^-1
+
+    @cached_property
+    def trM(self):
+        return self.M[0, 0] + self.M[1, 1]
+
+    @cached_property
+    def pbar(self):
+        return self.ploc.mean(axis=0)
+
+    @cached_property
+    def lpbar(self):
+        return self.lploc.mean(axis=0)
 
     @cached_property
     def N(self):
@@ -514,7 +552,7 @@ class _FluidFrame(SimpleNamespace):
     @cached_property
     def cent(self):
         # the deformed element centroids, (2, t)
-        return self.geo.centroid.T + self.geo.gather(self.w).mean(axis=0)
+        return self.geo.centroid.T + self.geo.gather(self.z["w"]).mean(axis=0)
 
 
 def _S12_dot(loc):
@@ -525,14 +563,8 @@ def _S12_dot(loc):
 def _fluid_frame(spaces: Spaces, z: dict) -> _FluidFrame:
     geo = spaces.geo_fluid
     _, J, A = kinematics(geo, z["w"])
-    g = pushed_gradients(geo, A)                       # (l, a, t)
-    vloc, ploc, lploc = (geo.gather(z[k]) for k in ("v", "p", "lam_p"))
-    M = np.einsum("lat,lbt->abt", vloc, g)             # Dv (DF)^-1
-    return _FluidFrame(
-        geo=geo, area=geo.area, h=geo.h, J=J, A=A, g=g, G=geo.grads_last,
-        w=z["w"], vloc=vloc, lvloc=geo.gather(z["lam_v"]), ploc=ploc,
-        lploc=lploc, M=M, trM=M[0, 0] + M[1, 1], pbar=ploc.mean(axis=0),
-        lpbar=lploc.mean(axis=0))
+    return _FluidFrame(geo=geo, area=geo.area, h=geo.h, J=J, A=A,
+                       G=geo.grads_last, z=z)
 
 
 class _ExtFrame(SimpleNamespace):
@@ -729,7 +761,7 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
     out = {}
     if set(want) - {"lam_w", "b", "c", "lam_b"}:
         f = _fluid_frame(spaces, z)
-        area, J, g, h, geo = f.area, f.J, f.g, f.h, f.geo
+        area, J, h, geo = f.area, f.J, f.h, f.geo
         aJ = area * J
         mh2 = mu * h * h * area
     Mc, Kc, loop = _obstacle_loop(spaces)
@@ -741,7 +773,7 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
         # gradient on the extension domain, where the fluid cells sit at
         # mesh.fluid_cells (all cells on a mesh without a holdall)
         wt = _w_terms(f, params, z)
-        gw = wt.S * g - np.einsum("lat,act->lct", g, wt.Q) - wt.V - wt.L
+        gw = wt.S * f.g - np.einsum("lat,act->lct", f.g, wt.Q) - wt.V - wt.L
         ge = -e.area * np.einsum("lat,act->lct", e.G,
                                  e.Dlw + np.swapaxes(e.Dlw, 0, 1))
         ge -= params.eta_ext * (
@@ -766,7 +798,7 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
         out["lam_w"][loop] += Mc @ z["b"]
 
     if "v" in want:
-        gv = aJ * (nu * (f.Mg - f.Ng) + f.lpbar * g) - J * (f.gP + f.Q1)
+        gv = aJ * (nu * (f.Mg - f.Ng) + f.lpbar * f.g) - J * (f.gP + f.Q1)
         out["v"] = geo.scatter(gv, nv)
 
     if "p" in want:
@@ -775,7 +807,7 @@ def gradient_blocks(spaces: Spaces, params, z: dict, names=None) -> dict:
 
     if "lam_v" in want:
         # the state momentum equation
-        glv = aJ * (f.pbar * g - nu * f.Mg - _S12_dot(f.Mv))
+        glv = aJ * (f.pbar * f.g - nu * f.Mg - _S12_dot(f.Mv))
         out["lam_v"] = geo.scatter(glv, nv)
 
     if "lam_p" in want:

@@ -13,6 +13,11 @@ admits control errors of order ``tol / alpha``; at quadratic convergence a
 relative correction of ``sqrt(tol)`` leaves one of order ``tol``.  After a
 full or chord step the correction is the simplified step of the
 factorization in use, so a converging solve costs no extra factorization.
+A relative target ``rtol`` raises ``tol`` to ``rtol * |r(x0)|`` where that
+is larger, before the first iteration, for both halves of the test: an
+inexact solve that reduces the initial residual by ``rtol`` (the forcing
+term of inexact Newton methods; Eisenstat & Walker, SIAM J. Sci. Comput.
+17, 1996).  The iterative driver asks for this in its fixpoint passes.
 
 Hand-on rule: a :class:`Kept` holder hands the last factorization of one
 system on to the next solve of that system, within one driver call.  That
@@ -85,7 +90,7 @@ def _no_penalty(x):
 
 
 def semismooth_newton(residual, factorize, x, tol, max_iter, what,
-                      penalty_active=None, kept=None):
+                      penalty_active=None, kept=None, rtol=0.0):
     """Damped semismooth Newton iteration; returns ``(x, residual_history)``.
 
     ``residual(x)`` is the flat residual and ``factorize(x, active)`` returns
@@ -118,14 +123,15 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
     at the iterate is the one the factorization was built with.  Otherwise
     the trial is discarded and the iterate takes a damped Newton step from
     a new factorization.  ``max_iter`` counts chord iterations too.
-    ``kept`` and the stop test follow the module docstring.  The residual
-    is evaluated once per iterate: the residual at the accepted trial point
-    is that of the next iterate.
+    ``kept``, ``rtol`` and the stop test follow the module docstring.  The
+    residual is evaluated once per iterate: the residual at the accepted
+    trial point is that of the next iterate.
     """
     penalty_active = penalty_active or _no_penalty
     history = []
     flipped = False  # elements switched by the last relinearization
     r = residual(x)
+    tol = max(tol, rtol * float(np.linalg.norm(r)))
     # the factorization in use, the active set it was built with, and the
     # next step with it, a chord step whose length is the stop test's
     # correction

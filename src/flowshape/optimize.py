@@ -5,7 +5,9 @@ warm-start each level from the previous one.  The direct driver solves the
 monolithic optimality system once per level.  The iterative driver replaces
 that solve by a fixpoint sweep: flow state, adjoint, then the shape subsystem
 (deformation, boundary datum, control and the geometric multipliers) with the
-flow fields frozen, repeated until the control stops moving.  Both call
+flow fields frozen, repeated until the control stops moving; each pass
+is solved only to the accuracy of that stop test, and one more shape solve
+finishes the result.  Both call
 :func:`flowshape.kkt.solve_kkt`: the direct driver on all eleven blocks, the
 iterative one on the seven blocks of the shape subsystem.  Within one driver
 call, factorizations are handed on by the rule of :mod:`flowshape.newton`:
@@ -195,6 +197,13 @@ def run_iterative(mesh: Mesh, params: KktParams,
 
     The inner loop at each level stops when the relative change of the
     control drops below ``eps`` (absolute change when the control vanishes).
+    Each pass is inexact to the same accuracy: its state, adjoint and shape
+    solves stop once they have reduced their initial residual by ``eps``
+    (the relative target ``rtol`` of :mod:`flowshape.newton`).  After the
+    last level one more shape solve, to ``newton_tol``, finishes the
+    result, so that its geometric constraints hold to that tolerance; the
+    log's last record is taken after it and counts the iterations of both
+    of the last pass's shape solves.  The log keeps one record per pass.
     A level that spends ``inner_cap`` passes without getting there raises a
     ``divergence`` :class:`SolverError` naming alpha, the pass count and the
     last ratio of successive control changes (the observed contraction rate
@@ -217,14 +226,14 @@ def run_iterative(mesh: Mesh, params: KktParams,
             changes = []
             for _ in range(inner_cap):
                 state = solve_state(mesh, y.w, fp, spaces, initial=state,
-                                    kept=flow_factor)
+                                    kept=flow_factor, rtol=eps)
                 adj = solve_adjoint(mesh, y.w, state, fp, spaces,
-                                    kept=flow_factor)
+                                    kept=flow_factor, rtol=eps)
                 y.v, y.p = state.v, state.p
                 y.lam_v, y.lam_p = adj.lam_v, adj.lam_p
                 c_old = y.c.copy()
                 y, hist = solve_kkt(mesh, y, pk, spaces, _SHAPE_BLOCKS,
-                                    kept=shape_factor)
+                                    kept=shape_factor, rtol=eps)
                 ell += 1
                 log.records.append(_record(spaces, pk, y, k, ell, len(hist),
                                            t0))
@@ -241,6 +250,10 @@ def run_iterative(mesh: Mesh, params: KktParams,
                     f"passes without a relative control change below "
                     f"{eps:g}; last ratio of successive control changes "
                     f"{ratio:.3f}", kind="divergence")
+        y, finish = solve_kkt(mesh, y, pk, spaces, _SHAPE_BLOCKS,
+                              kept=shape_factor)
+        log.records[-1] = _record(spaces, pk, y, k, ell,
+                                  len(hist) + len(finish), t0)
     except SolverError as err:
         err.log = log
         raise

@@ -34,10 +34,11 @@ class _Counted:
         self.solvers.append(weakref.ref(solve))
         return solve
 
-    def solve(self, x0, max_iter=30, penalty_active=None, kept=None):
+    def solve(self, x0, max_iter=30, penalty_active=None, kept=None,
+              **options):
         return semismooth_newton(self.residual, self.factorize,
                                  np.array(x0, float), TOL, max_iter, "test",
-                                 penalty_active, kept)
+                                 penalty_active, kept, **options)
 
 
 def test_fast_contraction_reuses_the_factorization():
@@ -172,3 +173,31 @@ def test_failed_solve_hands_back_nothing():
                                                        max_iter=2, kept=kept)
     assert kept.solve is None and kept.active is None
     assert ref() is None
+
+
+def test_relative_target_stops_at_the_first_iterate_below_it():
+    """With ``rtol`` the solve returns at the first iterate whose residual
+    is at most ``rtol`` times the initial one, earlier than the full
+    solve, which passes that iterate on its way."""
+    b, gamma = np.linspace(1.0, 3.0, 4), 1.0
+    x_full, full = _Counted(b, gamma).solve(np.zeros(4))
+    x, history = _Counted(b, gamma).solve(np.zeros(4), rtol=1e-2)
+    target = max(TOL, 1e-2 * history[0])
+    assert history[-1] <= target < history[-2]
+    assert all(h > target for h in history[:-1])
+    assert history == full[:len(history)] and len(history) < len(full)
+    assert np.linalg.norm(x + gamma * x ** 3 - b) == history[-1]
+    assert np.linalg.norm(x_full - x) > 0.0
+
+
+def test_zero_relative_target_changes_nothing():
+    """``rtol=0`` gives the iterates and the history of a call without it,
+    bit for bit."""
+    b = np.linspace(0.5, 1.5, 4)
+    plain, zero = _Counted(b, 0.1), _Counted(b, 0.1)
+    x, history = plain.solve(np.zeros(4))
+    x0, history0 = zero.solve(np.zeros(4), rtol=0.0)
+    assert np.array_equal(x, x0) and history == history0
+    assert len(plain.points) == len(zero.points)
+    assert all(np.array_equal(p, q) for p, q in zip(plain.points,
+                                                    zero.points))

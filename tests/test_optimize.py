@@ -117,8 +117,9 @@ def test_run_iterative_staircase_and_descent(circle_mesh, spaces):
 def test_run_iterative_logs_the_shape_iterations_and_keeps_factors(
         circle_mesh, spaces, spy, monkeypatch):
     """Each logged pass counts the iterations of its shape solve, chord
-    steps included, and the shape factorization handed from pass to pass
-    and level to level leaves fewer KKT factorizations than passes."""
+    steps included, the last one those of the finishing solve too, and the
+    shape factorization handed from pass to pass and level to level leaves
+    fewer KKT factorizations than passes."""
     histories = []
     real = optimize_module.solve_kkt
 
@@ -132,9 +133,44 @@ def test_run_iterative_logs_the_shape_iterations_and_keeps_factors(
     _, log = run_iterative(circle_mesh, KktParams(nu=0.05, eta_ext=1.0),
                            ContinuationSchedule(1e-1, 0.5, 2e-2), eps=1e-2,
                            spaces=spaces)
-    assert [r.newton_iters for r in log.records] == histories
+    assert len(histories) == len(log.records) + 1
+    assert ([r.newton_iters for r in log.records]
+            == histories[:-2] + [histories[-2] + histories[-1]])
     assert len(log.records) >= 3 and max(histories) > 1
     assert len(assembled) < len(log.records)
+
+
+def test_run_iterative_passes_are_inexact_and_the_last_shape_solve_exact(
+        circle_mesh, spaces, spy):
+    """Every pass asks its state, adjoint and shape solves for a reduction
+    by eps; one more shape solve, without a relative target, follows the
+    last pass and gives the result, whose shape residual is below
+    ``newton_tol`` and whose constraints hold; the direct driver never
+    asks for a relative target."""
+    states = spy(optimize_module, "solve_state")
+    adjoints = spy(optimize_module, "solve_adjoint")
+    shapes = spy(optimize_module, "solve_kkt")
+    params = KktParams(nu=0.05, eta_ext=1.0)
+    y, log = run_iterative(circle_mesh, params,
+                           ContinuationSchedule(1e-1, 0.5, 2e-2), eps=1e-2,
+                           spaces=spaces)
+    passes = len(log.records)
+    assert passes >= 3 and len(states) == len(adjoints) == passes
+    assert len(shapes) == passes + 1
+    for call in states + adjoints + shapes[:-1]:
+        assert call["rtol"] == 1e-2
+    assert "rtol" not in shapes[-1]
+    assert shapes[-1]["names"] == optimize_module._SHAPE_BLOCKS
+    final = replace(params, alpha=log.records[-1].alpha)
+    residual = kkt_module.kkt_residual(circle_mesh, y, final, spaces,
+                                       optimize_module._SHAPE_BLOCKS)
+    assert np.linalg.norm(residual) < params.newton_tol
+    assert abs(volume_residual(circle_mesh, y.w, spaces)) < 1e-9
+    assert np.abs(barycenter_residual(circle_mesh, y.w, spaces)).max() < 1e-9
+    shapes.clear()
+    run_direct(circle_mesh, params, ContinuationSchedule(1e-2, 0.1, 1e-3),
+               spaces=spaces)
+    assert len(shapes) == 2 and all("rtol" not in call for call in shapes)
 
 
 def test_run_iterative_builds_the_velocity_data_once_per_layout(
