@@ -180,14 +180,13 @@ def test_relative_target_stops_at_the_first_iterate_below_it():
     is at most ``rtol`` times the initial one, earlier than the full
     solve, which passes that iterate on its way."""
     b, gamma = np.linspace(1.0, 3.0, 4), 1.0
-    x_full, full = _Counted(b, gamma).solve(np.zeros(4))
+    _, full = _Counted(b, gamma).solve(np.zeros(4))
     x, history = _Counted(b, gamma).solve(np.zeros(4), rtol=1e-2)
     target = max(TOL, 1e-2 * history[0])
     assert history[-1] <= target < history[-2]
     assert all(h > target for h in history[:-1])
     assert history == full[:len(history)] and len(history) < len(full)
     assert np.linalg.norm(x + gamma * x ** 3 - b) == history[-1]
-    assert np.linalg.norm(x_full - x) > 0.0
 
 
 def test_zero_relative_target_changes_nothing():
