@@ -11,8 +11,8 @@ Run from the repository root:
 
 import numpy as np
 
-from flowshape.flow import FlowParams, dissipation, solve_state
-from flowshape.lagrangian import Spaces
+from flowshape.flow import dissipation, solve_state
+from flowshape.lagrangian import KktParams, Spaces
 from flowshape.mesh import write_vtk
 from flowshape.meshgen import tunnel_mesh
 
@@ -23,7 +23,7 @@ def main():
     print(f"mesh: {mesh.vertices.shape[0]} vertices, "
           f"{mesh.triangles.shape[0]} triangles")
 
-    params = FlowParams(nu=0.01)
+    params = KktParams(nu=0.01)
     w = np.zeros_like(mesh.vertices)
     state = solve_state(mesh, w, params, spaces)
     print(f"Newton converged, |v|_max = {np.abs(state.v).max():.4f}")

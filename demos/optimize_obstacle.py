@@ -13,7 +13,7 @@ Run from the repository root:
 
 import numpy as np
 
-from flowshape.flow import FlowParams, dissipation, solve_state
+from flowshape.flow import dissipation, solve_state
 from flowshape.kkt import KktParams, barycenter_residual, volume_residual
 from flowshape.lagrangian import Spaces
 from flowshape.mesh import deform_mesh, write_vtk
@@ -27,14 +27,14 @@ def main():
     params = KktParams(nu=0.01, eta_ext=3.0, eta_det=5e-2, beta=100.0)
 
     w0 = np.zeros_like(mesh.vertices)
-    state0 = solve_state(mesh, w0, FlowParams(nu=params.nu), spaces)
+    state0 = solve_state(mesh, w0, params, spaces)
     d0 = dissipation(mesh, w0, state0, params.nu)
     print(f"initial dissipation: {d0:.6f}")
 
     schedule = ContinuationSchedule(1e-4, 0.1, 1e-6)
     y, log = run_direct(mesh, params, schedule, spaces=spaces)
 
-    state1 = solve_state(mesh, y.w, FlowParams(nu=params.nu), spaces)
+    state1 = solve_state(mesh, y.w, params, spaces)
     d1 = dissipation(mesh, y.w, state1, params.nu)
     print(f"final dissipation:   {d1:.6f}  ({100 * (d0 - d1) / d0:.1f}% lower)")
     print(f"continuation levels: {[f'{r.alpha:.1e}' for r in log.records]}")

@@ -10,8 +10,8 @@ a continuation schedule for the control regularization.
 
 from .config import ConfigError, RunConfig, parse_config
 from .extension import solve_extension, solve_laplace_beltrami
-from .flow import (AdjointFlowState, FlowParams, FlowState, SolverError,
-                   dissipation, reduced_gradient, solve_adjoint, solve_state,
+from .flow import (AdjointFlowState, FlowState, SolverError, dissipation,
+                   reduced_gradient, solve_adjoint, solve_state,
                    state_residual)
 from .kkt import (DofMap, KktParams, KktVector, barycenter_residual,
                   gradient_fd_slopes, kkt_matrix, kkt_residual, solve_kkt,

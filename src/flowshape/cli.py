@@ -20,14 +20,13 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
 from .extension import solve_extension, solve_laplace_beltrami
-from .flow import FlowParams, SolverError, dissipation, solve_state
-from .kkt import DofMap, KktParams, gradient_fd_slopes
+from .flow import SolverError, dissipation, solve_state
+from .kkt import DofMap, gradient_fd_slopes
 from .lagrangian import Spaces, control_spaces
 from .mesh import (Mesh, MeshError, load_msh, signed_areas, worst_quality,
                    write_vtk)
 from .meshgen import tunnel_mesh
-from .optimize import (ContinuationSchedule, det_sweep, quality_sweep,
-                       run_direct, run_iterative)
+from .optimize import det_sweep, quality_sweep, run_direct, run_iterative
 from .transform import displacement_gradient, element_kinematics
 
 __all__ = ["main"]
@@ -56,18 +55,6 @@ def _load_mesh(cfg: RunConfig) -> Mesh:
                        n_rings=cfg.mesh_n_rings)
 
 
-def _kkt_params(cfg: RunConfig) -> KktParams:
-    return KktParams(alpha=cfg.alpha_init, beta=cfg.beta,
-                     eta_det=cfg.eta_det, eta_ext=cfg.eta_ext, nu=cfg.nu,
-                     mu=cfg.mu, delta=cfg.delta, inflow=cfg.inflow,
-                     newton_tol=cfg.newton_tol)
-
-
-def _schedule(cfg: RunConfig) -> ContinuationSchedule:
-    return ContinuationSchedule(cfg.alpha_init, cfg.alpha_dec,
-                                cfg.alpha_target)
-
-
 def _outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -89,10 +76,8 @@ def cmd_check_mesh(cfg: RunConfig) -> int:
 def cmd_solve_flow(cfg: RunConfig) -> int:
     mesh = _load_mesh(cfg)
     spaces = Spaces.build(mesh)
-    params = FlowParams(nu=cfg.nu, mu=cfg.mu, delta=cfg.delta,
-                        inflow=cfg.inflow, newton_tol=cfg.flow_newton_tol)
     w = np.zeros((mesh.num_vertices, 2))
-    state = solve_state(mesh, w, params, spaces=spaces)
+    state = solve_state(mesh, w, cfg.kkt_params(), spaces=spaces)
     j = dissipation(mesh, w, state, cfg.nu, spaces)
     out = _outdir(cfg)
     path = out / "flow.vtk"
@@ -105,7 +90,7 @@ def cmd_solve_flow(cfg: RunConfig) -> int:
 def cmd_optimize(cfg: RunConfig) -> int:
     mesh = _load_mesh(cfg)
     spaces = control_spaces(mesh)
-    params, schedule = _kkt_params(cfg), _schedule(cfg)
+    params, schedule = cfg.kkt_params(), cfg.schedule()
     if cfg.algorithm == "iterative":
         y, log = run_iterative(mesh, params, schedule, eps=cfg.eps,
                                spaces=spaces)
@@ -142,7 +127,7 @@ def cmd_quality_sweep(cfg: RunConfig, eta_ext_list) -> int:
     spaces = control_spaces(mesh)
     values = eta_ext_list or [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
     out = _outdir(cfg)
-    rows = quality_sweep(mesh, _kkt_params(cfg), values, _schedule(cfg),
+    rows = quality_sweep(mesh, cfg.kkt_params(), values, cfg.schedule(),
                          csv_path=out / "quality_sweep.csv", spaces=spaces)
     for eta, q in rows:
         print(f"eta_ext = {eta:g}: worst_quality = {q:.6f}")
@@ -155,7 +140,7 @@ def cmd_det_sweep(cfg: RunConfig, eta_det_list) -> int:
     spaces = control_spaces(mesh)
     values = eta_det_list or [0.5, 0.25, 0.2, 0.1]
     out = _outdir(cfg)
-    rows = det_sweep(mesh, _kkt_params(cfg), values, _schedule(cfg),
+    rows = det_sweep(mesh, cfg.kkt_params(), values, cfg.schedule(),
                      output_dir=out, csv_path=out / "det_sweep.csv",
                      spaces=spaces)
     for eta, active, path in rows:
@@ -180,7 +165,7 @@ def cmd_grad_check(cfg: RunConfig) -> int:
     # smooth region of the max function; a kink inside the step range would
     # genuinely degrade the observed decay order
     _, dets, _ = element_kinematics(spaces.geo_ext, u[wslice].reshape(-1, 2))
-    params = replace(_kkt_params(cfg), alpha=0.3, beta=7.0,
+    params = replace(cfg.kkt_params(), alpha=0.3, beta=7.0,
                      eta_det=float(dets.max()) + 0.5, eta_ext=2.0)
     slopes = gradient_fd_slopes(mesh, dm.unpack(u), params,
                                 n_directions=20, seed=cfg.seed,
@@ -201,7 +186,7 @@ def cmd_deform(cfg: RunConfig) -> int:
     spaces = control_spaces(mesh)
     c = np.ones(spaces.num_loop)
     b = solve_laplace_beltrami(mesh, c, spaces)
-    w = solve_extension(mesh, b, _kkt_params(cfg), spaces=spaces)
+    w = solve_extension(mesh, b, cfg.kkt_params(), spaces=spaces)
     out = _outdir(cfg)
     path = out / "deformed.vtk"
     write_vtk(mesh, {"displacement": w}, path)

@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .lagrangian import KktParams
+from .optimize import ContinuationSchedule
+
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_items"]
 
 
@@ -37,7 +40,6 @@ class RunConfig:
     eta_ext: float = 3.0
     eps: float = 1e-2
     newton_tol: float = 1e-9
-    flow_newton_tol: float = 1e-10
     algorithm: str = "direct"
     output: str = "out"
     seed: int = 0
@@ -45,22 +47,27 @@ class RunConfig:
     mesh_n_obstacle: int = 48
     mesh_n_rings: int = 3
 
+    def schedule(self) -> ContinuationSchedule:
+        """The run's alpha continuation schedule."""
+        return ContinuationSchedule(self.alpha_init, self.alpha_dec,
+                                    self.alpha_target)
+
+    def kkt_params(self) -> KktParams:
+        """The run's parameters, at the first alpha level."""
+        return KktParams(alpha=self.alpha_init, beta=self.beta,
+                         eta_det=self.eta_det, eta_ext=self.eta_ext,
+                         nu=self.nu, mu=self.mu, delta=self.delta,
+                         inflow=self.inflow, newton_tol=self.newton_tol)
+
     def validate(self) -> None:
+        """Raise a :class:`ConfigError` naming the first out-of-range key."""
+        try:  # the schedule first, so that it names a bad alpha_init
+            self.schedule()
+            self.kkt_params()
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
         checks = [
-            (self.nu > 0.0, "nu", "must be positive"),
-            (self.mu >= 0.0, "mu", "must be >= 0"),
-            (self.delta > 0.0, "delta", "must be positive"),
-            (self.alpha_init > 0.0, "alpha_init", "must be positive"),
-            (0.0 < self.alpha_dec < 1.0, "alpha_dec", "must lie in (0, 1)"),
-            (0.0 < self.alpha_target <= self.alpha_init, "alpha_target",
-             "must lie in (0, alpha_init]"),
-            (self.beta >= 0.0, "beta", "must be >= 0"),
-            (self.eta_det > 0.0, "eta_det", "must be positive"),
-            (self.eta_ext >= 0.0, "eta_ext", "must be >= 0"),
             (self.eps > 0.0, "eps", "must be positive"),
-            (self.newton_tol > 0.0, "newton_tol", "must be positive"),
-            (self.flow_newton_tol > 0.0, "flow_newton_tol",
-             "must be positive"),
             (self.mode in ("fluid-only", "holdall"), "mode",
              "must be 'fluid-only' or 'holdall'"),
             (self.inflow in ("paper-cosine", "parabolic"), "inflow",

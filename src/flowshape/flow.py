@@ -10,12 +10,13 @@ is the transpose of the state Jacobian at the converged state.  Equal-order
 P1-P1 velocity/pressure is stabilized by the element-wise pressure term with
 coefficient mu and the longest reference edge as length scale.  State and
 adjoint are solved by the damped Newton method of :mod:`flowshape.newton`,
-with its stop test and hand-on rule.  Both solves are posed on block
-layouts of the term engine, ``(v, p)`` and ``(lam_v, lam_p)``: their
-unknowns are packed and read by :class:`flowshape.lagrangian.DofMap`, and
-their boundary conditions are the layouts' Dirichlet tables
-(:func:`flowshape.lagrangian.dirichlet_dofs`), built once per ``Spaces``.
-The dissipation is the engine's ``dissipation`` value term.
+with its hand-on rule and its stop test at 1e-10 (not ``newton_tol``).
+Both solves are posed on block layouts of the term engine, ``(v, p)`` and
+``(lam_v, lam_p)``: their unknowns are packed and read by
+:class:`flowshape.lagrangian.DofMap`, and their boundary conditions are the
+layouts' Dirichlet tables (:func:`flowshape.lagrangian.dirichlet_dofs`),
+built once per ``Spaces``.  The dissipation is the engine's
+``dissipation`` value term.
 """
 
 from __future__ import annotations
@@ -35,29 +36,16 @@ from .newton import SolverError, semismooth_newton
 from .transform import element_kinematics
 
 __all__ = [
-    "SolverError", "FlowParams", "FlowState", "AdjointFlowState",
+    "SolverError", "FlowState", "AdjointFlowState",
     "state_residual", "solve_state", "dissipation", "solve_adjoint",
     "reduced_gradient", "factorize_flow",
 ]
 
 
-@dataclass(frozen=True)
-class FlowParams:
-    """Viscosity, stabilization and Newton controls of the flow solves
-    (tolerance of the stop test of :mod:`flowshape.newton` and budget)."""
+FlowParams = KktParams  # the name the benchmark harness imports
 
-    nu: float = 0.01
-    mu: float = 0.1
-    delta: float = 6.0
-    inflow: str = "paper-cosine"
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 25
-
-    def __post_init__(self):
-        if self.nu <= 0.0:
-            raise ValueError("viscosity nu must be positive")
-        if self.mu < 0.0:
-            raise ValueError("stabilization coefficient mu must be >= 0")
+# stop tolerance and iteration budget of a state or adjoint solve
+_NEWTON_TOL, _NEWTON_MAX_ITER = 1e-10, 25
 
 
 @dataclass(frozen=True)
@@ -75,9 +63,7 @@ class AdjointFlowState:
 
 
 # block layouts of the adjoint and the state unknowns, the rows and columns
-# of the state Jacobian (the adjoint matrix is its transpose); their Hessian
-# blocks read only nu and mu, so the flow parameters go to the engine as
-# they are
+# of the state Jacobian (the adjoint matrix is its transpose)
 _STATE_ROWS, _STATE_COLS = ("lam_v", "lam_p"), ("v", "p")
 
 
@@ -114,12 +100,9 @@ def state_residual(mesh: Mesh, w: np.ndarray, state: FlowState, params,
 
 def factorize_flow(matrix):
     """Sparse LU with ``LU_OPTIONS`` of a flow Jacobian (the state Newton
-    matrix or the flow block of a KKT state Jacobian); a singular matrix
-    raises a ``singular`` :class:`SolverError`."""
-    try:
-        return spla.splu(matrix.tocsc(), **LU_OPTIONS)
-    except RuntimeError as exc:
-        raise SolverError(f"flow matrix: {exc}", kind="singular") from exc
+    matrix or the flow block of a KKT state Jacobian); a singular one is a
+    ``singular`` failure of the caller's Newton loop."""
+    return spla.splu(matrix.tocsc(), **LU_OPTIONS)
 
 
 def _orient(kept, trans):
@@ -130,7 +113,7 @@ def _orient(kept, trans):
         kept.solve = partial(kept.solve.func, trans=trans)
 
 
-def solve_state(mesh: Mesh, w: np.ndarray, params,
+def solve_state(mesh: Mesh, w: np.ndarray, params: KktParams,
                 spaces: Spaces | None = None, body_force=None,
                 dirichlet_override=None, pin_pressure=None,
                 initial=None, kept=None, rtol=0.0) -> FlowState:
@@ -145,9 +128,9 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
     ``kept`` is a :class:`flowshape.newton.Kept` holder of the flow
     factorization, shared with the state and adjoint solves of the same
     boundary data.  :mod:`flowshape.newton` states the stop test, with its
-    relative target ``rtol`` (0: solve to ``newton_tol``), and the hand-on
-    rule; a failure raises a classified :class:`SolverError` that carries
-    the residual history.
+    relative target ``rtol`` (0: solve to 1e-10, not to ``newton_tol``),
+    and the hand-on rule; a failure raises a classified
+    :class:`SolverError` that carries the residual history.
     """
     spaces = spaces or Spaces.build(mesh)
     _, det, _ = element_kinematics(spaces.geo_fluid, np.asarray(w, float))
@@ -173,9 +156,8 @@ def solve_state(mesh: Mesh, w: np.ndarray, params,
             trans="N")
 
     _orient(kept, "N")
-    u, _ = semismooth_newton(residual, factorize, u, params.newton_tol,
-                             params.newton_max_iter, "state", kept=kept,
-                             rtol=rtol)
+    u, _ = semismooth_newton(residual, factorize, u, _NEWTON_TOL,
+                             _NEWTON_MAX_ITER, "state", kept=kept, rtol=rtol)
     return FlowState(**dm.blocks(u))
 
 
@@ -188,8 +170,8 @@ def dissipation(mesh: Mesh, w: np.ndarray, state: FlowState, nu: float,
     return float(value_terms(spaces, KktParams(nu=nu), z)["dissipation"])
 
 
-def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
-                  spaces: Spaces | None = None,
+def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState,
+                  params: KktParams, spaces: Spaces | None = None,
                   kept=None, rtol=0.0) -> AdjointFlowState:
     """Linear adjoint solve at a converged state.
 
@@ -201,7 +183,7 @@ def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
     hand-on rule of :mod:`flowshape.newton`; the transpose of A is
     factorized where it is refused.  ``rtol`` is the relative target of the
     stop test there: with it the solve stops once |A lam - g| is at most
-    ``rtol * |g|`` (0: at ``newton_tol``).
+    ``rtol * |g|`` (0: at 1e-10, as in :func:`solve_state`).
     """
     spaces = spaces or Spaces.build(mesh)
     dm = DofMap(spaces, _STATE_ROWS)
@@ -217,8 +199,8 @@ def solve_adjoint(mesh: Mesh, w: np.ndarray, state: FlowState, params,
 
     _orient(kept, "T")
     sol, _ = semismooth_newton(lambda lam: A @ lam - rhs, factorize,
-                               np.zeros(dm.total), params.newton_tol,
-                               params.newton_max_iter, "adjoint", kept=kept,
+                               np.zeros(dm.total), _NEWTON_TOL,
+                               _NEWTON_MAX_ITER, "adjoint", kept=kept,
                                rtol=rtol)
     return AdjointFlowState(**dm.blocks(sol))
 

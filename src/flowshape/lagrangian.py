@@ -106,9 +106,10 @@ class KktParams:
     """Physical and algorithmic parameters of the optimality system.
 
     alpha weights the control cost, beta the determinant penalty with
-    threshold eta_det, eta_ext is the advection weight of the nonlinear
-    extension, and delta scales the inflow profile.  newton_tol is the
-    tolerance of the Newton solve's stop test (:mod:`flowshape.newton`).
+    threshold eta_det, eta_ext the advection of the nonlinear extension, nu
+    is the viscosity, mu the pressure stabilization, delta scales the inflow,
+    and newton_tol is the KKT solve's stop tolerance.  Each number must be
+    positive, except beta, eta_ext and mu, which may be 0 (else ValueError).
     """
 
     alpha: float = 1e-2
@@ -130,6 +131,14 @@ class KktParams:
             raise ValueError("penalty threshold eta_det must be positive")
         if self.eta_ext < 0.0:
             raise ValueError("advection strength eta_ext must be >= 0")
+        if self.nu <= 0.0:
+            raise ValueError("viscosity nu must be positive")
+        if self.mu < 0.0:
+            raise ValueError("stabilization coefficient mu must be >= 0")
+        if self.delta <= 0.0:
+            raise ValueError("inflow scale delta must be positive")
+        if self.newton_tol <= 0.0:
+            raise ValueError("Newton tolerance newton_tol must be positive")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flow import FlowParams, SolverError, solve_adjoint, solve_state
+from .flow import SolverError, solve_adjoint, solve_state
 from .kkt import KktParams, KktVector, penalty_active_set, solve_kkt
 from .lagrangian import Spaces, control_spaces, gradient_blocks, value_terms
 from .mesh import Mesh, worst_quality
@@ -149,9 +149,7 @@ def run_direct(mesh: Mesh, params: KktParams,
     y = KktVector.zeros(spaces)
     # seed the velocity and pressure blocks with the flow at the undeformed
     # shape: the coupled Newton is far more reliable from a converged state
-    fp = FlowParams(nu=params.nu, mu=params.mu, delta=params.delta,
-                    inflow=params.inflow)
-    state = solve_state(mesh, y.w, fp, spaces)
+    state = solve_state(mesh, y.w, params, spaces)
     y.v, y.p = state.v, state.p
     t0 = time.time()
     factor = Kept()  # of the KKT system, through levels and bisections
@@ -202,8 +200,8 @@ def run_iterative(mesh: Mesh, params: KktParams,
     (the relative target ``rtol`` of :mod:`flowshape.newton`).  After the
     last level one more shape solve, to ``newton_tol``, finishes the
     result, so that its geometric constraints hold to that tolerance; the
-    log's last record is taken after it and counts the iterations of both
-    of the last pass's shape solves.  The log keeps one record per pass.
+    log's last record is taken after it, in place of one for the last
+    pass, and counts the iterations of both shape solves.
     A level that spends ``inner_cap`` passes without getting there raises a
     ``divergence`` :class:`SolverError` naming alpha, the pass count and the
     last ratio of successive control changes (the observed contraction rate
@@ -214,20 +212,19 @@ def run_iterative(mesh: Mesh, params: KktParams,
     spaces = control_spaces(mesh, spaces)
     log = RunLog()
     t0 = time.time()
-    fp = FlowParams(nu=params.nu, mu=params.mu, delta=params.delta,
-                    inflow=params.inflow)
     y = KktVector.zeros(spaces)
     ell = 0
     state = None
     shape_factor, flow_factor = Kept(), Kept()
+    levels = schedule.levels()
     try:
-        for k, alpha in enumerate(schedule.levels()):
+        for k, alpha in enumerate(levels):
             pk = replace(params, alpha=alpha)
             changes = []
             for _ in range(inner_cap):
-                state = solve_state(mesh, y.w, fp, spaces, initial=state,
+                state = solve_state(mesh, y.w, pk, spaces, initial=state,
                                     kept=flow_factor, rtol=eps)
-                adj = solve_adjoint(mesh, y.w, state, fp, spaces,
+                adj = solve_adjoint(mesh, y.w, state, pk, spaces,
                                     kept=flow_factor, rtol=eps)
                 y.v, y.p = state.v, state.p
                 y.lam_v, y.lam_p = adj.lam_v, adj.lam_p
@@ -235,12 +232,14 @@ def run_iterative(mesh: Mesh, params: KktParams,
                 y, hist = solve_kkt(mesh, y, pk, spaces, _SHAPE_BLOCKS,
                                     kept=shape_factor, rtol=eps)
                 ell += 1
-                log.records.append(_record(spaces, pk, y, k, ell, len(hist),
-                                           t0))
                 denom = np.linalg.norm(y.c)
                 change = np.linalg.norm(y.c - c_old)
                 changes.append(change)
-                if (change < eps * denom) if denom > 0.0 else (change < eps):
+                done = change < (eps * denom if denom > 0.0 else eps)
+                if not done or k < len(levels) - 1:
+                    log.records.append(_record(spaces, pk, y, k, ell,
+                                               len(hist), t0))
+                if done:
                     break
             else:
                 prev = changes[-2] if len(changes) > 1 else 0.0
@@ -252,8 +251,8 @@ def run_iterative(mesh: Mesh, params: KktParams,
                     f"{ratio:.3f}", kind="divergence")
         y, finish = solve_kkt(mesh, y, pk, spaces, _SHAPE_BLOCKS,
                               kept=shape_factor)
-        log.records[-1] = _record(spaces, pk, y, k, ell,
-                                  len(hist) + len(finish), t0)
+        log.records.append(_record(spaces, pk, y, k, ell,
+                                   len(hist) + len(finish), t0))
     except SolverError as err:
         err.log = log
         raise

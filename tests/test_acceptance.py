@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from flowshape.extension import solve_laplace_beltrami
-from flowshape.flow import (FlowParams, SolverError, dissipation,
+from flowshape.flow import (SolverError, dissipation,
                             reduced_gradient, solve_adjoint, solve_state)
 from flowshape.kkt import (KktParams, KktVector, barycenter_residual,
                            gradient_fd_slopes, volume_residual)
@@ -78,7 +78,7 @@ def test_02_adjoint_reduced_gradient(bench_spaces):
     t0 = time.time()
     mesh = bench_spaces.mesh
     rng = np.random.default_rng(11)
-    params = FlowParams(nu=0.1)
+    params = KktParams(nu=0.1)
     nv = mesh.num_vertices
     w = np.zeros((nv, 2))
     state = solve_state(mesh, w, params, spaces=bench_spaces)
@@ -126,7 +126,7 @@ def test_03_mms_flow_convergence_rate():
         mesh = unit_square_mesh(n)
         spaces = Spaces.build(mesh)
         state = solve_state(
-            mesh, np.zeros((mesh.num_vertices, 2)), FlowParams(nu=0.1),
+            mesh, np.zeros((mesh.num_vertices, 2)), KktParams(nu=0.1),
             spaces=spaces,
             body_force=lambda pts: np.column_stack(lam(pts[:, 0], pts[:, 1])[3:]),
             dirichlet_override=lambda xp: np.array(lam(xp[0], xp[1])[:2]),
@@ -195,14 +195,14 @@ def test_08_iterative_algorithm_behavior():
     spaces = Spaces.build(mesh)
     params = KktParams(nu=0.1, beta=100.0, eta_det=5e-2, eta_ext=1.5)
     w0 = np.zeros((mesh.num_vertices, 2))
-    state0 = solve_state(mesh, w0, FlowParams(nu=params.nu), spaces=spaces)
+    state0 = solve_state(mesh, w0, params, spaces=spaces)
     d0 = dissipation(mesh, w0, state0, params.nu)
 
     schedule = ContinuationSchedule(1.0, 0.5, 2e-7)
     y, log = run_iterative(mesh, params, schedule, 1e-2, spaces=spaces)
 
     assert 30 <= log.total_iterations <= 110
-    state1 = solve_state(mesh, y.w, FlowParams(nu=params.nu), spaces=spaces)
+    state1 = solve_state(mesh, y.w, params, spaces=spaces)
     d1 = dissipation(mesh, y.w, state1, params.nu)
     assert d1 < 0.9 * d0
     alphas = np.array([rec.alpha for rec in log.records])

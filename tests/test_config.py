@@ -62,6 +62,18 @@ def test_out_of_range_target():
         parse_items(["alpha_init = 1e-6", "alpha_target = 1e-2"])
 
 
+@pytest.mark.parametrize("line", [
+    "nu = 0", "mu = -1", "delta = 0", "alpha_init = 0", "alpha_dec = 1",
+    "alpha_target = 1", "beta = -1", "eta_det = 0", "eta_ext = -1",
+    "newton_tol = 0"])
+def test_out_of_range_parameter_names_its_key(line):
+    """The schedule and ``KktParams`` make the range rules of these keys;
+    the config error still names the key."""
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        parse_items([line])
+
+
 def test_bad_mode_and_algorithm():
     with pytest.raises(ConfigError, match=r"mode"):
         parse_items(["mode = wind-tunnel"])

@@ -9,7 +9,6 @@ import flowshape.lagrangian as lagrangian_module
 from flowshape.fem import LU_OPTIONS, eliminate_dirichlet
 from flowshape.flow import (
     AdjointFlowState,
-    FlowParams,
     FlowState,
     SolverError,
     dissipation,
@@ -18,9 +17,9 @@ from flowshape.flow import (
     solve_state,
     state_residual,
 )
-from flowshape.lagrangian import (Spaces, block_matrix, dirichlet_dofs,
-                                  inflow_profile, velocity_dirichlet,
-                                  zero_blocks)
+from flowshape.lagrangian import (KktParams, Spaces, block_matrix,
+                                  dirichlet_dofs, inflow_profile,
+                                  velocity_dirichlet, zero_blocks)
 from flowshape.mesh import BoundaryTag, deform_mesh
 from flowshape.newton import Kept
 
@@ -59,7 +58,7 @@ def test_inflow_unknown_kind_raises():
 
 
 def test_wall_wins_at_corners(circle_mesh):
-    params = FlowParams(nu=0.1)
+    params = KktParams(nu=0.1)
     verts, vals = velocity_dirichlet(circle_mesh, params)
     inflow = set(circle_mesh.vertices_with_tag(BoundaryTag.INFLOW))
     wall = set(circle_mesh.vertices_with_tag(BoundaryTag.WALL))
@@ -108,7 +107,7 @@ def _naive_residual_flat(mesh, state, nu, mu):
 
 
 def test_state_residual_matches_naive_oracle(circle_mesh, rng):
-    params = FlowParams(nu=0.07, mu=0.13)
+    params = KktParams(nu=0.07, mu=0.13)
     nv = circle_mesh.num_vertices
     state = FlowState(0.3 * rng.standard_normal((nv, 2)),
                       0.4 * rng.standard_normal(nv))
@@ -123,7 +122,7 @@ def test_state_residual_matches_naive_oracle(circle_mesh, rng):
 
 
 def test_zero_inflow_gives_rest_state(circle_mesh):
-    params = FlowParams(nu=0.1)
+    params = KktParams(nu=0.1)
     override = lambda x: np.zeros(2)
     state = solve_state(circle_mesh, np.zeros((circle_mesh.num_vertices, 2)),
                         params, dirichlet_override=override)
@@ -133,16 +132,27 @@ def test_zero_inflow_gives_rest_state(circle_mesh):
                        state, params.nu) <= 1e-20
 
 
-def test_state_budget_exhausted_is_divergence(circle_mesh):
+def test_state_budget_exhausted_is_divergence(circle_mesh, monkeypatch):
     """One Newton step from rest does not reach the tolerance: the solve
     raises a divergence error that carries the residual history."""
-    params = FlowParams(nu=0.01, newton_max_iter=1)
+    monkeypatch.setattr(flow_module, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(SolverError) as info:
         solve_state(circle_mesh, np.zeros((circle_mesh.num_vertices, 2)),
-                    params)
+                    KktParams(nu=0.01))
     assert info.value.kind == "divergence"
     assert len(info.value.history) == 1
-    assert info.value.history[0] > params.newton_tol
+    assert info.value.history[0] > flow_module._NEWTON_TOL
+
+
+def test_singular_flow_matrix_is_one_singular_failure(circle_mesh):
+    """A flow matrix that SuperLU finds exactly singular (every element
+    collapsed to a point) is a ``singular`` failure, and its message says
+    so once."""
+    with pytest.warns(UserWarning, match="non-positive det"), \
+            pytest.raises(SolverError) as info:
+        solve_state(circle_mesh, -circle_mesh.vertices, KktParams(nu=0.1))
+    assert info.value.kind == "singular"
+    assert str(info.value).count("singular:") == 1
 
 
 def _mms_fields():
@@ -181,7 +191,7 @@ def test_mms_velocity_convergence_rate():
     errs = []
     for n in (8, 16, 32):
         mesh = unit_square_mesh(n)
-        params = FlowParams(nu=0.1)
+        params = KktParams(nu=0.1)
         state = solve_state(
             mesh, np.zeros((mesh.num_vertices, 2)), params,
             body_force=body_force, dirichlet_override=exact_v_point,
@@ -201,7 +211,7 @@ def test_mms_velocity_convergence_rate():
 
 
 def test_pullback_residual_identity_without_stabilization(circle_mesh, rng):
-    params = FlowParams(nu=0.05, mu=0.0)
+    params = KktParams(nu=0.05, mu=0.0)
     nv = circle_mesh.num_vertices
     w = _smooth_w(circle_mesh)
     state = FlowState(0.2 * rng.standard_normal((nv, 2)),
@@ -223,7 +233,7 @@ def test_pullback_dissipation_change_of_variables(circle_mesh, rng):
 
 
 def test_pullback_full_solves_agree_modulo_stabilization(circle_mesh):
-    params = FlowParams(nu=0.1)
+    params = KktParams(nu=0.1)
     nv = circle_mesh.num_vertices
     w = _smooth_w(circle_mesh)
     pulled = solve_state(circle_mesh, w, params)
@@ -241,7 +251,7 @@ def test_pullback_full_solves_agree_modulo_stabilization(circle_mesh):
 
 
 def test_adjoint_satisfies_transposed_system(circle_mesh, rng):
-    params = FlowParams(nu=0.1)
+    params = KktParams(nu=0.1)
     nv = circle_mesh.num_vertices
     w = np.zeros((nv, 2))
     state = solve_state(circle_mesh, w, params)
@@ -273,7 +283,7 @@ def test_adjoint_reuses_the_state_factorization(circle_mesh, spy):
     """The state solve's last factorization, solved transposed, gives the
     adjoint by chord steps alone, and the next state solve at a nearby
     shape uses it again."""
-    params = FlowParams(nu=0.1)
+    params = KktParams(nu=0.1)
     spaces = Spaces.build(circle_mesh)
     w = _smooth_w(circle_mesh)
     kept = Kept()
@@ -300,7 +310,7 @@ def test_adjoint_reuses_the_state_factorization(circle_mesh, spy):
 
 
 def test_reduced_gradient_matches_finite_differences(circle_mesh, rng):
-    params = FlowParams(nu=0.1)
+    params = KktParams(nu=0.1)
     nv = circle_mesh.num_vertices
     w = _smooth_w(circle_mesh, scale=0.01)
     spaces = Spaces.build(circle_mesh)
@@ -328,7 +338,7 @@ def test_dirichlet_rows_hold_exact_values(request, mesh_name):
     every flow field of the state and adjoint solves vanishes inside the
     obstacle."""
     mesh = request.getfixturevalue(mesh_name)
-    params = FlowParams(nu=0.1)
+    params = KktParams(nu=0.1)
     w = np.zeros((mesh.num_vertices, 2))
     state = solve_state(mesh, w, params)
     verts, vals = velocity_dirichlet(mesh, params)
@@ -344,7 +354,7 @@ def test_flow_solves_request_only_the_flow_blocks(circle_mesh, spy):
     """The state and adjoint solves must not fall back to full evaluation."""
     flow_pairs = {("v", "lam_v"), ("v", "lam_p"), ("p", "lam_v"),
                   ("p", "lam_p")}
-    params = FlowParams(nu=0.1)
+    params = KktParams(nu=0.1)
     spaces = Spaces.build(circle_mesh)
     w = _smooth_w(circle_mesh)
     hess = spy(lagrangian_module, "hessian_blocks")
@@ -390,7 +400,7 @@ def test_newton_evaluates_the_residual_once_per_iterate(circle_mesh,
         return x, history
 
     monkeypatch.setattr(flow_module, "semismooth_newton", counting)
-    solve_state(circle_mesh, _smooth_w(circle_mesh), FlowParams(nu=0.1))
+    solve_state(circle_mesh, _smooth_w(circle_mesh), KktParams(nu=0.1))
     trials = len(solves) - len(factorizations)
     assert len(iterates) >= 3 and trials >= len(iterates) - 1
     assert len(factorizations) < len(iterates)
@@ -403,7 +413,7 @@ def test_lu_policy_fills_the_flow_jacobian_no_more_than_the_default(
     """At the converged flow on the undeformed finer circle mesh, the
     program's LU policy fills the Newton matrix of the state solve no more
     than SciPy's default ordering does."""
-    params = FlowParams()
+    params = KktParams()
     spaces = Spaces.build(circle_mesh_fine)
     state = solve_state(circle_mesh_fine,
                         np.zeros((circle_mesh_fine.num_vertices, 2)), params,

@@ -6,7 +6,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from dataclasses import replace
 
-from flowshape.flow import FlowParams, solve_state, solve_adjoint
+from flowshape.flow import solve_state, solve_adjoint
 from flowshape import kkt
 from flowshape.fem import LU_OPTIONS
 from flowshape.kkt import (
@@ -58,6 +58,14 @@ def test_params_validation():
         KktParams(beta=-1.0)
     with pytest.raises(ValueError):
         KktParams(eta_det=0.0)
+    with pytest.raises(ValueError):
+        KktParams(nu=0.0)
+    with pytest.raises(ValueError):
+        KktParams(mu=-1.0)
+    with pytest.raises(ValueError):
+        KktParams(delta=0.0)
+    with pytest.raises(ValueError):
+        KktParams(newton_tol=0.0)
 
 
 def test_dofmap_roundtrip(spaces, rng):
@@ -204,7 +212,7 @@ def test_solve_kkt_large_alpha_keeps_shape_fixed(circle_mesh, spaces):
     """With a huge control cost the optimum is the unperturbed shape."""
     params = KktParams(alpha=1e6, nu=0.05)
     y0 = KktVector.zeros(spaces)
-    state = solve_state(circle_mesh, y0.w, FlowParams(nu=0.05), spaces=spaces)
+    state = solve_state(circle_mesh, y0.w, params, spaces=spaces)
     y0.v, y0.p = state.v, state.p
     y, _ = solve_kkt(circle_mesh, y0, params, spaces)
     assert np.abs(y.c).max() <= 1e-6
@@ -215,7 +223,7 @@ def test_solve_kkt_large_alpha_keeps_shape_fixed(circle_mesh, spaces):
 def test_solve_kkt_reaches_tolerance_and_constraints(circle_mesh, spaces):
     params = KktParams(alpha=1e-2, nu=0.05)
     y0 = KktVector.zeros(spaces)
-    state = solve_state(circle_mesh, y0.w, FlowParams(nu=0.05), spaces=spaces)
+    state = solve_state(circle_mesh, y0.w, params, spaces=spaces)
     y0.v, y0.p = state.v, state.p
     y, hist = solve_kkt(circle_mesh, y0, params, spaces)
     assert hist[-1] < 10 * params.newton_tol or hist[-1] < params.newton_tol
@@ -224,15 +232,14 @@ def test_solve_kkt_reaches_tolerance_and_constraints(circle_mesh, spaces):
     assert abs(volume_residual(circle_mesh, y.w, spaces)) <= 1e-9
     assert np.abs(barycenter_residual(circle_mesh, y.w, spaces)).max() <= 1e-9
     # the flow blocks solve the state equation at the optimal shape
-    st = solve_state(circle_mesh, y.w, FlowParams(nu=0.05), spaces=spaces,
-                     initial=None)
+    st = solve_state(circle_mesh, y.w, params, spaces=spaces, initial=None)
     assert np.abs(st.v - y.v).max() <= 1e-6
 
 
 def test_solve_kkt_warm_start_is_cheaper(circle_mesh, spaces):
     params = KktParams(alpha=1e-2, nu=0.05)
     y0 = KktVector.zeros(spaces)
-    state = solve_state(circle_mesh, y0.w, FlowParams(nu=0.05), spaces=spaces)
+    state = solve_state(circle_mesh, y0.w, params, spaces=spaces)
     y0.v, y0.p = state.v, state.p
     y, hist_cold = solve_kkt(circle_mesh, y0, params, spaces)
     y2, hist_warm = solve_kkt(circle_mesh, y, replace(params, alpha=5e-3),
@@ -245,12 +252,11 @@ def test_adjoint_blocks_match_standalone_adjoint(circle_mesh, spaces):
     driven by the dissipation only (the shape rows carry the rest)."""
     params = KktParams(alpha=1e-2, nu=0.05)
     y0 = KktVector.zeros(spaces)
-    fp = FlowParams(nu=0.05)
-    state = solve_state(circle_mesh, y0.w, fp, spaces=spaces)
+    state = solve_state(circle_mesh, y0.w, params, spaces=spaces)
     y0.v, y0.p = state.v, state.p
     y, _ = solve_kkt(circle_mesh, y0, params, spaces)
-    st = solve_state(circle_mesh, y.w, fp, spaces=spaces)
-    adj = solve_adjoint(circle_mesh, y.w, st, fp, spaces=spaces)
+    st = solve_state(circle_mesh, y.w, params, spaces=spaces)
+    adj = solve_adjoint(circle_mesh, y.w, st, params, spaces=spaces)
     assert np.abs(adj.lam_v - y.lam_v).max() <= 1e-5 * max(
         1.0, np.abs(y.lam_v).max())
 
@@ -262,7 +268,7 @@ def test_kink_linearization_matches_one_sided_derivative(circle_mesh, spaces):
     solve converges from that point."""
     params = KktParams(alpha=1e-2, nu=0.05)
     y0 = KktVector.zeros(spaces)
-    state = solve_state(circle_mesh, y0.w, FlowParams(nu=0.05), spaces=spaces)
+    state = solve_state(circle_mesh, y0.w, params, spaces=spaces)
     y0.v, y0.p = state.v, state.p
     y, _ = solve_kkt(circle_mesh, y0, params, spaces)
     _, dets, _ = element_kinematics(spaces.geo_ext, y.w)
@@ -460,7 +466,7 @@ def _first_direct_matrix(mesh):
     sp = Spaces.build(mesh)
     params = KktParams(alpha=1e-4)
     y = KktVector.zeros(sp)
-    state = solve_state(mesh, y.w, FlowParams(nu=params.nu), spaces=sp)
+    state = solve_state(mesh, y.w, params, spaces=sp)
     y.v, y.p = state.v, state.p
     dm, dofs, _ = _dirichlet(sp, params)
     return sp, dm, dofs, kkt_matrix(mesh, y, params, sp)
@@ -521,7 +527,7 @@ def test_state_elimination_is_built_once_per_layout(circle_mesh, names,
     sp = Spaces.build(circle_mesh)
     params = KktParams(alpha=1e6, nu=0.05)
     y0 = KktVector.zeros(sp)
-    state = solve_state(circle_mesh, y0.w, FlowParams(nu=0.05), spaces=sp)
+    state = solve_state(circle_mesh, y0.w, params, spaces=sp)
     y0.v, y0.p = state.v, state.p
     y, _ = solve_kkt(circle_mesh, y0, params, sp, names)
     solve_kkt(circle_mesh, y, replace(params, alpha=1e5), sp, names)

@@ -9,7 +9,7 @@ import flowshape.kkt as kkt_module
 import flowshape.lagrangian as lagrangian_module
 import flowshape.optimize as optimize_module
 from flowshape.extension import solve_extension, solve_laplace_beltrami
-from flowshape.flow import (FlowParams, FlowState, SolverError, dissipation,
+from flowshape.flow import (FlowState, SolverError, dissipation,
                             solve_adjoint, solve_state)
 from flowshape.kkt import (KktParams, KktVector, barycenter_residual,
                            solve_kkt, volume_residual)
@@ -138,6 +138,19 @@ def test_run_iterative_logs_the_shape_iterations_and_keeps_factors(
             == histories[:-2] + [histories[-2] + histories[-1]])
     assert len(log.records) >= 3 and max(histories) > 1
     assert len(assembled) < len(log.records)
+
+
+def test_run_iterative_computes_one_diagnostics_record_per_log_record(
+        circle_mesh, spaces, spy):
+    """The run diagnostics are computed once per log record: the last pass
+    gets the record of the finishing solve, at the returned point, and no
+    record of its own."""
+    calls = spy(optimize_module, "_diagnostics")
+    y, log = run_iterative(circle_mesh, KktParams(nu=0.05, eta_ext=1.0),
+                           ContinuationSchedule(1e-1, 0.5, 2e-2), eps=1e-2,
+                           spaces=spaces)
+    assert len(calls) == len(log.records) >= 3
+    assert calls[-1]["y"] is y
 
 
 def test_run_iterative_passes_are_inexact_and_the_last_shape_solve_exact(
@@ -291,10 +304,9 @@ def test_shape_subsolve_requests_only_shape_blocks(circle_mesh, spaces, spy):
     full Hessian."""
     shape = {"w", "b", "c", "lam_w", "lam_b", "lam_vol", "lam_bc"}
     params = KktParams(nu=0.05, eta_ext=1.0, alpha=1e-1)
-    fp = FlowParams(nu=params.nu)
     y = KktVector.zeros(spaces)
-    state = solve_state(circle_mesh, y.w, fp, spaces)
-    adj = solve_adjoint(circle_mesh, y.w, state, fp, spaces)
+    state = solve_state(circle_mesh, y.w, params, spaces)
+    adj = solve_adjoint(circle_mesh, y.w, state, params, spaces)
     y.v, y.p, y.lam_v, y.lam_p = state.v, state.p, adj.lam_v, adj.lam_p
     # the flow solves call the engine too, so spy on the shape solve alone
     calls = spy(lagrangian_module, "hessian_blocks")

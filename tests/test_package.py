@@ -125,6 +125,18 @@ def test_only_the_engine_computes_the_kinematics():
     assert not found, found
 
 
+def test_flow_params_is_kept_only_for_the_benchmark_harness():
+    """``flowshape.flow.FlowParams`` is ``KktParams`` under the name that
+    ``perfbench/harness.py`` imports, and no public name.  The benchmark
+    change of ROADMAP item 2 switches the harness to ``KktParams`` and
+    deletes both the alias and this test."""
+    from flowshape import flow
+    from flowshape.lagrangian import KktParams
+    assert flow.FlowParams is KktParams
+    assert "FlowParams" not in flow.__all__
+    assert not hasattr(flowshape, "FlowParams")
+
+
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = sorted(path for folder in ("src", "tests", "demos", "perfbench")
                  for path in (ROOT / folder).rglob("*.py"))
