@@ -106,10 +106,10 @@ class KktParams:
     """Physical and algorithmic parameters of the optimality system.
 
     alpha weights the control cost, beta the determinant penalty with
-    threshold eta_det, eta_ext the advection of the nonlinear extension, nu
-    is the viscosity, mu the pressure stabilization, delta scales the inflow,
-    and newton_tol is the KKT solve's stop tolerance.  Each number must be
-    positive, except beta, eta_ext and mu, which may be 0 (else ValueError).
+    threshold eta_det, eta_ext the nonlinear extension's advection, nu the
+    viscosity, mu the pressure stabilization, delta the inflow scale and
+    newton_tol the KKT solve's stop tolerance.  Each must be positive (beta,
+    eta_ext and mu may be 0); NaN or a value out of range raises ValueError.
     """
 
     alpha: float = 1e-2
@@ -123,21 +123,21 @@ class KktParams:
     newton_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ValueError("control weight alpha must be positive")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ValueError("penalty weight beta must be >= 0")
-        if self.eta_det <= 0.0:
+        if not self.eta_det > 0.0:
             raise ValueError("penalty threshold eta_det must be positive")
-        if self.eta_ext < 0.0:
+        if not self.eta_ext >= 0.0:
             raise ValueError("advection strength eta_ext must be >= 0")
-        if self.nu <= 0.0:
+        if not self.nu > 0.0:
             raise ValueError("viscosity nu must be positive")
-        if self.mu < 0.0:
+        if not self.mu >= 0.0:
             raise ValueError("stabilization coefficient mu must be >= 0")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise ValueError("inflow scale delta must be positive")
-        if self.newton_tol <= 0.0:
+        if not self.newton_tol > 0.0:
             raise ValueError("Newton tolerance newton_tol must be positive")
 
 

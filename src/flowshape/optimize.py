@@ -52,7 +52,7 @@ class ContinuationSchedule:
     alpha_target: float = 1e-10
 
     def __post_init__(self):
-        if self.alpha_init <= 0.0:
+        if not self.alpha_init > 0.0:
             raise ValueError("alpha_init must be positive")
         if not 0.0 < self.alpha_dec < 1.0:
             raise ValueError("alpha_dec must lie in (0, 1)")

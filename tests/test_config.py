@@ -65,10 +65,12 @@ def test_out_of_range_target():
 @pytest.mark.parametrize("line", [
     "nu = 0", "mu = -1", "delta = 0", "alpha_init = 0", "alpha_dec = 1",
     "alpha_target = 1", "beta = -1", "eta_det = 0", "eta_ext = -1",
-    "newton_tol = 0"])
+    "newton_tol = 0", "nu = nan", "mu = nan", "delta = nan",
+    "alpha_init = nan", "alpha_dec = nan", "alpha_target = nan",
+    "beta = nan", "eta_det = nan", "eta_ext = nan", "newton_tol = nan"])
 def test_out_of_range_parameter_names_its_key(line):
     """The schedule and ``KktParams`` make the range rules of these keys;
-    the config error still names the key."""
+    the config error still names the key, and NaN fails every rule."""
     key = line.split()[0]
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):
         parse_items([line])

@@ -66,6 +66,10 @@ def test_params_validation():
         KktParams(delta=0.0)
     with pytest.raises(ValueError):
         KktParams(newton_tol=0.0)
+    for name in ("alpha", "beta", "eta_det", "eta_ext", "nu", "mu", "delta",
+                 "newton_tol"):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            KktParams(**{name: float("nan")})
 
 
 def test_dofmap_roundtrip(spaces, rng):
