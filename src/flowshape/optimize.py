@@ -7,7 +7,9 @@ that solve by a fixpoint sweep: flow state, adjoint, then the shape subsystem
 (deformation, boundary datum, control and the geometric multipliers) with the
 flow fields frozen, repeated until the control stops moving; each pass
 is solved only to the accuracy of that stop test, and one more shape solve
-finishes the result.  Both call
+and flow solves at its deformation finish the result.  The direct driver
+solves every level but the last only as far as the next level's start
+needs it.  Both call
 :func:`flowshape.kkt.solve_kkt`: the direct driver on all eleven blocks, the
 iterative one on the seven blocks of the shape subsystem.  Within one driver
 call, factorizations are handed on by the rule of :mod:`flowshape.newton`:
@@ -142,6 +144,14 @@ def run_direct(mesh: Mesh, params: KktParams,
     A solve whose determinant-penalty active set cycles (``err.cycling`` > 0)
     is not bisected: a smaller alpha step does not move the kink it stalls
     on, so the error is raised at once.
+
+    Every level but the last only gives the next one its start, so it is
+    solved in the ``corrector`` mode of :mod:`flowshape.newton`: it stops
+    once the Newton correction is within its bound, whatever the residual.
+    Its log record is taken at that point, and its ``newton_iters`` counts
+    the iterations to get there.  The last level is solved to
+    ``newton_tol`` with both halves of the stop test, so the returned ``y``
+    and the last record are converged.
     """
     schedule = schedule or ContinuationSchedule()
     spaces = control_spaces(mesh, spaces)
@@ -154,11 +164,13 @@ def run_direct(mesh: Mesh, params: KktParams,
     t0 = time.time()
     factor = Kept()  # of the KKT system, through levels and bisections
     prev_alpha = None
-    for k, alpha in enumerate(schedule.levels()):
+    levels = schedule.levels()
+    for k, alpha in enumerate(levels):
         pk = replace(params, alpha=alpha)
         try:
             y, hist = _advance(mesh, params, spaces, factor, y, prev_alpha,
-                               alpha, depth=5)
+                               alpha, depth=5,
+                               corrector=k < len(levels) - 1)
         except SolverError as err:
             err.log = log
             raise
@@ -170,21 +182,24 @@ def run_direct(mesh: Mesh, params: KktParams,
 # Not nested in run_direct: a nested function that calls itself is a
 # reference cycle, which would keep the kept factorization alive after the
 # driver returns, until the garbage collector runs.
-def _advance(mesh, params, spaces, factor, y, a_prev, a_next, depth):
+def _advance(mesh, params, spaces, factor, y, a_prev, a_next, depth,
+             corrector):
     """``solve_kkt`` at alpha ``a_next`` from y, kept factorization
-    ``factor``; on a failure that is not a cycling stall, ``depth`` more
-    times approached through the geometric midpoint from ``a_prev``."""
+    ``factor``, in ``corrector`` mode if asked; on a failure that is not a
+    cycling stall, ``depth`` more times approached through the geometric
+    midpoint from ``a_prev``.  A midpoint is only a start, so it is solved
+    in corrector mode; ``a_next`` keeps the mode it was asked for."""
     try:
         return solve_kkt(mesh, y, replace(params, alpha=a_next), spaces,
-                         kept=factor)
+                         kept=factor, corrector=corrector)
     except SolverError as err:
         if depth == 0 or a_prev is None or err.cycling:
             raise
         mid = float(np.sqrt(a_prev * a_next))
         y_mid, _ = _advance(mesh, params, spaces, factor, y, a_prev, mid,
-                            depth - 1)
+                            depth - 1, True)
         return _advance(mesh, params, spaces, factor, y_mid, mid, a_next,
-                        depth - 1)
+                        depth - 1, corrector)
 
 
 def run_iterative(mesh: Mesh, params: KktParams,
@@ -199,9 +214,12 @@ def run_iterative(mesh: Mesh, params: KktParams,
     solves stop once they have reduced their initial residual by ``eps``
     (the relative target ``rtol`` of :mod:`flowshape.newton`).  After the
     last level one more shape solve, to ``newton_tol``, finishes the
-    result, so that its geometric constraints hold to that tolerance; the
-    log's last record is taken after it, in place of one for the last
-    pass, and counts the iterations of both shape solves.
+    result, so that its geometric constraints hold to that tolerance, and
+    a state and an adjoint solve to their own tolerance (1e-10) at its
+    deformation give the returned flow blocks, so that they belong to the
+    returned control.  The log's last record is taken there, in place of
+    one for the last pass, and counts the iterations of both shape
+    solves.
     A level that spends ``inner_cap`` passes without getting there raises a
     ``divergence`` :class:`SolverError` naming alpha, the pass count and the
     last ratio of successive control changes (the observed contraction rate
@@ -251,6 +269,11 @@ def run_iterative(mesh: Mesh, params: KktParams,
                     f"{ratio:.3f}", kind="divergence")
         y, finish = solve_kkt(mesh, y, pk, spaces, _SHAPE_BLOCKS,
                               kept=shape_factor)
+        state = solve_state(mesh, y.w, pk, spaces, initial=state,
+                            kept=flow_factor)
+        adj = solve_adjoint(mesh, y.w, state, pk, spaces, kept=flow_factor)
+        y.v, y.p = state.v, state.p
+        y.lam_v, y.lam_p = adj.lam_v, adj.lam_p
         log.records.append(_record(spaces, pk, y, k, ell,
                                    len(hist) + len(finish), t0))
     except SolverError as err:

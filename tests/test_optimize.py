@@ -157,9 +157,11 @@ def test_run_iterative_passes_are_inexact_and_the_last_shape_solve_exact(
         circle_mesh, spaces, spy):
     """Every pass asks its state, adjoint and shape solves for a reduction
     by eps; one more shape solve, without a relative target, follows the
-    last pass and gives the result, whose shape residual is below
-    ``newton_tol`` and whose constraints hold; the direct driver never
-    asks for a relative target."""
+    last pass and gives the deformation of the result: its shape residual,
+    with the flow fields it was solved with, is below ``newton_tol``, and
+    its constraints hold.  A state and an adjoint solve without a relative
+    target then give the returned flow blocks, at the returned deformation.
+    The direct driver never asks for a relative target."""
     states = spy(optimize_module, "solve_state")
     adjoints = spy(optimize_module, "solve_adjoint")
     shapes = spy(optimize_module, "solve_kkt")
@@ -168,14 +170,19 @@ def test_run_iterative_passes_are_inexact_and_the_last_shape_solve_exact(
                            ContinuationSchedule(1e-1, 0.5, 2e-2), eps=1e-2,
                            spaces=spaces)
     passes = len(log.records)
-    assert passes >= 3 and len(states) == len(adjoints) == passes
+    assert passes >= 3 and len(states) == len(adjoints) == passes + 1
     assert len(shapes) == passes + 1
-    for call in states + adjoints + shapes[:-1]:
+    for call in states[:-1] + adjoints[:-1] + shapes[:-1]:
         assert call["rtol"] == 1e-2
-    assert "rtol" not in shapes[-1]
+    for call in (states[-1], adjoints[-1], shapes[-1]):
+        assert "rtol" not in call
+    assert states[-1]["w"] is y.w and adjoints[-1]["w"] is y.w
     assert shapes[-1]["names"] == optimize_module._SHAPE_BLOCKS
     final = replace(params, alpha=log.records[-1].alpha)
-    residual = kkt_module.kkt_residual(circle_mesh, y, final, spaces,
+    frozen = shapes[-1]["y0"]
+    solved = replace(y, v=frozen.v, p=frozen.p, lam_v=frozen.lam_v,
+                     lam_p=frozen.lam_p)
+    residual = kkt_module.kkt_residual(circle_mesh, solved, final, spaces,
                                        optimize_module._SHAPE_BLOCKS)
     assert np.linalg.norm(residual) < params.newton_tol
     assert abs(volume_residual(circle_mesh, y.w, spaces)) < 1e-9
@@ -184,6 +191,24 @@ def test_run_iterative_passes_are_inexact_and_the_last_shape_solve_exact(
     run_direct(circle_mesh, params, ContinuationSchedule(1e-2, 0.1, 1e-3),
                spaces=spaces)
     assert len(shapes) == 2 and all("rtol" not in call for call in shapes)
+
+
+def test_run_iterative_returns_the_flow_of_the_returned_deformation(
+        circle_mesh, spaces):
+    """The returned flow blocks solve the state and adjoint equations at the
+    returned deformation to the flow solves' tolerance (1e-10), and the
+    last record's dissipation is the one of that state."""
+    params = KktParams(nu=0.05, eta_ext=1.0)
+    y, log = run_iterative(circle_mesh, params,
+                           ContinuationSchedule(1e-1, 0.5, 2e-2), eps=1e-2,
+                           spaces=spaces)
+    final = replace(params, alpha=log.records[-1].alpha)
+    for rows in (("lam_v", "lam_p"), ("v", "p")):
+        residual = kkt_module.kkt_residual(circle_mesh, y, final, spaces,
+                                           rows)
+        assert np.linalg.norm(residual) < 1e-10, rows
+    assert log.records[-1].dissipation == dissipation(
+        circle_mesh, y.w, FlowState(y.v, y.p), params.nu, spaces)
 
 
 def test_run_iterative_builds_the_velocity_data_once_per_layout(
@@ -199,7 +224,7 @@ def test_run_iterative_builds_the_velocity_data_once_per_layout(
     _, log = run_iterative(circle_mesh, params,
                            ContinuationSchedule(1e-1, 0.5, 2e-2), eps=1e-2,
                            spaces=sp)
-    assert len(states) == len(adjoints) == len(log.records) >= 3
+    assert len(states) == len(adjoints) == len(log.records) + 1 >= 4
     assert len(built) == 2
     for names in (("v", "p"), ("lam_v", "lam_p"),
                   optimize_module._SHAPE_BLOCKS):
@@ -320,7 +345,8 @@ def test_shape_subsolve_requests_only_shape_blocks(circle_mesh, spaces, spy):
 def _fake_solve_kkt(stall_alpha, cycling, attempts):
     """A solve_kkt that converges in place, except at ``stall_alpha``."""
 
-    def solve(mesh, y, params, spaces=None, names=BLOCK_NAMES, kept=None):
+    def solve(mesh, y, params, spaces=None, names=BLOCK_NAMES, kept=None,
+              corrector=False):
         attempts.append(params.alpha)
         if np.isclose(params.alpha, stall_alpha, rtol=1e-12):
             raise SolverError("KKT active set cycles at residual 1.000e-05: "
@@ -357,6 +383,55 @@ def test_run_direct_bisects_a_stall_without_cycling(circle_mesh, spaces,
     at_level = [a for a in attempts if np.isclose(a, 1e-3, rtol=1e-12)]
     between = [a for a in attempts if 1e-3 * (1 + 1e-9) < a < 1e-2]
     assert len(at_level) > 1 and between
+
+
+def test_run_direct_solves_only_the_last_level_to_newton_tol(
+        circle_mesh, spaces, spy):
+    """Every level but the last is solved in corrector mode; the last one
+    with the full stop test, so the returned point has a KKT residual below
+    ``newton_tol``."""
+    calls = spy(optimize_module, "solve_kkt")
+    params = KktParams(nu=0.05, eta_ext=1.0)
+    sched = ContinuationSchedule(1e-2, 0.1, 1e-4)
+    y, log = run_direct(circle_mesh, params, sched, spaces=spaces)
+    assert [call["params"].alpha for call in calls] == sched.levels()
+    assert [call["corrector"] for call in calls] == [True, True, False]
+    final = replace(params, alpha=sched.alpha_target)
+    assert (np.linalg.norm(kkt_module.kkt_residual(circle_mesh, y, final,
+                                                   spaces))
+            < params.newton_tol)
+
+
+@pytest.mark.parametrize("failing, expected", [
+    (1e-3, [(1e-2, True), (1e-3, True), (10 ** -2.5, True), (1e-3, True),
+            (1e-4, False)]),
+    (1e-4, [(1e-2, True), (1e-3, True), (1e-4, False), (10 ** -3.5, True),
+            (1e-4, False)]),
+])
+def test_run_direct_solves_bisection_midpoints_in_corrector_mode(
+        circle_mesh, spaces, monkeypatch, failing, expected):
+    """A bisection midpoint is only a start, so it is solved in corrector
+    mode; the level it leads to keeps its own mode, the full stop test at
+    the last level."""
+    attempts = []
+
+    def solve(mesh, y, params, spaces=None, names=BLOCK_NAMES, kept=None,
+              corrector=False):
+        first = not any(np.isclose(a, params.alpha, rtol=1e-12)
+                        for a, _ in attempts)
+        attempts.append((params.alpha, corrector))
+        if first and np.isclose(params.alpha, failing, rtol=1e-12):
+            raise SolverError("KKT line search needs a damping below "
+                              "9.8e-04 at residual 1.000e-05", kind="stall")
+        return y, [0.0]
+
+    monkeypatch.setattr(optimize_module, "solve_kkt", solve)
+    _, log = run_direct(circle_mesh, KktParams(nu=0.05),
+                        ContinuationSchedule(1e-2, 0.1, 1e-4), spaces)
+    assert [r.alpha for r in log.records] == [1e-2, 1e-3, 1e-4]
+    assert [a for a, _ in attempts] == pytest.approx(
+        [a for a, _ in expected], rel=1e-12)
+    assert [c for _, c in attempts] == [c for _, c in expected]
 
 
 @pytest.mark.parametrize("entry", ["run_direct", "run_iterative", "solve_kkt",
