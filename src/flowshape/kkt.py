@@ -334,7 +334,7 @@ class _BlockFactor:
 
 def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
               spaces: Spaces | None = None, names=BLOCK_NAMES, kept=None,
-              rtol=0.0, corrector=False):
+              rtol=0.0):
     """Damped semismooth Newton solve of the optimality system on the block
     layout ``names``; returns ``(y, residual_history)``.
 
@@ -351,9 +351,7 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
     on the same layout, mesh and parameters but for alpha; a factorization
     it hands on is first moved exactly to ``params.alpha``.
     :mod:`flowshape.newton` states the stop test, with its relative target
-    ``rtol`` (0: solve to ``newton_tol``) and its ``corrector`` mode (stop
-    once the correction passes, whatever the residual), and the hand-on
-    rule.
+    ``rtol`` (0: solve to ``newton_tol``), and the hand-on rule.
     Raises a classified :class:`SolverError` on a
     singular matrix, a stall or divergence, and ``MeshError`` on a mesh
     without an obstacle boundary, which carries no control.
@@ -389,5 +387,5 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
             else f"KKT on {', '.join(dm.names)}")
     u, history = semismooth_newton(residual, factorize, u, params.newton_tol,
                                    _NEWTON_MAX_ITER, what, penalty_active,
-                                   kept, rtol, corrector)
+                                   kept, rtol)
     return dm.unpack(u, y0), history

@@ -17,14 +17,8 @@ A relative target ``rtol`` raises ``tol`` to ``rtol * |r(x0)|`` where that
 is larger, before the first iteration, for both halves of the test: an
 inexact solve that reduces the initial residual by ``rtol`` (the forcing
 term of inexact Newton methods; Eisenstat & Walker, SIAM J. Sci. Comput.
-17, 1996).  The iterative driver asks for this in its fixpoint passes.
-A solve in ``corrector`` mode stops on the correction half alone, be the
-correction a simplified step or the step of a new factorization: its
-result is only the start of the next solve of a continuation, and the
-correction bounds its distance from the solution, which is all that start
-needs (the corrector of Allgower & Georg, *Introduction to Numerical
-Continuation Methods*, 2003; the error-oriented test of Deuflhard, 2011).
-The direct driver asks for this at every alpha level but the last.
+17, 1996).  The iterative driver asks for this in its fixpoint passes,
+and the direct driver at every alpha level but the last.
 
 Hand-on rule: a :class:`Kept` holder hands the last factorization of one
 system on to the next solve of that system, within one driver call.  That
@@ -97,8 +91,7 @@ def _no_penalty(x):
 
 
 def semismooth_newton(residual, factorize, x, tol, max_iter, what,
-                      penalty_active=None, kept=None, rtol=0.0,
-                      corrector=False):
+                      penalty_active=None, kept=None, rtol=0.0):
     """Damped semismooth Newton iteration; returns ``(x, residual_history)``.
 
     ``residual(x)`` is the flat residual and ``factorize(x, active)`` returns
@@ -131,8 +124,7 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
     at the iterate is the one the factorization was built with.  Otherwise
     the trial is discarded and the iterate takes a damped Newton step from
     a new factorization.  ``max_iter`` counts chord iterations too.
-    ``kept``, ``rtol``, ``corrector`` and the stop test follow the module
-    docstring.  The
+    ``kept``, ``rtol`` and the stop test follow the module docstring.  The
     residual is evaluated once per iterate: the residual at the accepted
     trial point is that of the next iterate.
     """
@@ -156,7 +148,7 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
         rnorm = float(np.linalg.norm(r))
         history.append(rnorm)
         xtol = np.sqrt(tol) * (1.0 + float(np.linalg.norm(x)))
-        if correction <= xtol and (corrector or rnorm < tol):
+        if rnorm < tol and correction <= xtol:
             return _hand_back(kept, linsolve, built, x, history)
         here = penalty_active(x)
         if chord is not None and np.array_equal(here, built):
@@ -184,7 +176,7 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
                 raise SolverError(f"non-finite {what} Newton step", history,
                                   kind="singular")
             snorm = float(np.linalg.norm(step))
-            if snorm <= xtol and (corrector or rnorm < tol):
+            if rnorm < tol and snorm <= xtol:
                 built = here if active is None else active
                 return _hand_back(kept, linsolve, built, x, history)
             scale, trial, r_trial, simplified, crossed = _line_search(

@@ -146,12 +146,15 @@ def run_direct(mesh: Mesh, params: KktParams,
     on, so the error is raised at once.
 
     Every level but the last only gives the next one its start, so it is
-    solved in the ``corrector`` mode of :mod:`flowshape.newton`: it stops
-    once the Newton correction is within its bound, whatever the residual.
-    Its log record is taken at that point, and its ``newton_iters`` counts
-    the iterations to get there.  The last level is solved to
-    ``newton_tol`` with both halves of the stop test, so the returned ``y``
-    and the last record are converged.
+    solved to the relative target ``rtol`` of :mod:`flowshape.newton` that
+    equals the factor by which alpha falls to the next level
+    (``alpha_dec``).  Alpha weighs only the control rows, so at a level's
+    solution the next level's residual is about that factor times the
+    residual the level started from: a smaller leftover would be swamped
+    by the next alpha step.  Such a level's log record is taken at the
+    inexact point, and its ``newton_iters`` counts the iterations to get
+    there.  The last level is solved to ``newton_tol``, so the returned
+    ``y`` and the last record are converged.
     """
     schedule = schedule or ContinuationSchedule()
     spaces = control_spaces(mesh, spaces)
@@ -170,7 +173,8 @@ def run_direct(mesh: Mesh, params: KktParams,
         try:
             y, hist = _advance(mesh, params, spaces, factor, y, prev_alpha,
                                alpha, depth=5,
-                               corrector=k < len(levels) - 1)
+                               rtol=(schedule.alpha_dec
+                                     if k + 1 < len(levels) else 0.0))
         except SolverError as err:
             err.log = log
             raise
@@ -182,24 +186,24 @@ def run_direct(mesh: Mesh, params: KktParams,
 # Not nested in run_direct: a nested function that calls itself is a
 # reference cycle, which would keep the kept factorization alive after the
 # driver returns, until the garbage collector runs.
-def _advance(mesh, params, spaces, factor, y, a_prev, a_next, depth,
-             corrector):
+def _advance(mesh, params, spaces, factor, y, a_prev, a_next, depth, rtol):
     """``solve_kkt`` at alpha ``a_next`` from y, kept factorization
-    ``factor``, in ``corrector`` mode if asked; on a failure that is not a
+    ``factor``, to the relative target ``rtol``; on a failure that is not a
     cycling stall, ``depth`` more times approached through the geometric
-    midpoint from ``a_prev``.  A midpoint is only a start, so it is solved
-    in corrector mode; ``a_next`` keeps the mode it was asked for."""
+    midpoint from ``a_prev``.  A midpoint is only a start: like a level of
+    ``run_direct`` it is solved to the factor by which alpha falls to the
+    next solve, ``a_next / mid``; ``a_next`` keeps its own target."""
     try:
         return solve_kkt(mesh, y, replace(params, alpha=a_next), spaces,
-                         kept=factor, corrector=corrector)
+                         kept=factor, rtol=rtol)
     except SolverError as err:
         if depth == 0 or a_prev is None or err.cycling:
             raise
         mid = float(np.sqrt(a_prev * a_next))
         y_mid, _ = _advance(mesh, params, spaces, factor, y, a_prev, mid,
-                            depth - 1, True)
+                            depth - 1, a_next / mid)
         return _advance(mesh, params, spaces, factor, y_mid, mid, a_next,
-                        depth - 1, corrector)
+                        depth - 1, rtol)
 
 
 def run_iterative(mesh: Mesh, params: KktParams,
@@ -217,9 +221,14 @@ def run_iterative(mesh: Mesh, params: KktParams,
     result, so that its geometric constraints hold to that tolerance, and
     a state and an adjoint solve to their own tolerance (1e-10) at its
     deformation give the returned flow blocks, so that they belong to the
-    returned control.  The log's last record is taken there, in place of
-    one for the last pass, and counts the iterations of both shape
-    solves.
+    returned control.  With these flow fields the shape rows of the
+    returned ``y`` hold only to the accuracy of the fixpoint (residual
+    7.4e-5 on the test suite's circle, 4.0e-5 on the ``iterative-ellipse``
+    benchmark workload, against 3.0e-2 and 9.4e-2 at the start of the
+    run); to ``newton_tol`` they hold with the flow fields that the
+    finishing shape solve was given.  The log's last record is taken
+    there, in place of one for the last pass, and counts the iterations
+    of both shape solves.
     A level that spends ``inner_cap`` passes without getting there raises a
     ``divergence`` :class:`SolverError` naming alpha, the pass count and the
     last ratio of successive control changes (the observed contraction rate
@@ -240,12 +249,8 @@ def run_iterative(mesh: Mesh, params: KktParams,
             pk = replace(params, alpha=alpha)
             changes = []
             for _ in range(inner_cap):
-                state = solve_state(mesh, y.w, pk, spaces, initial=state,
-                                    kept=flow_factor, rtol=eps)
-                adj = solve_adjoint(mesh, y.w, state, pk, spaces,
-                                    kept=flow_factor, rtol=eps)
-                y.v, y.p = state.v, state.p
-                y.lam_v, y.lam_p = adj.lam_v, adj.lam_p
+                state = _solve_flow(mesh, pk, spaces, flow_factor, y, state,
+                                    eps)
                 c_old = y.c.copy()
                 y, hist = solve_kkt(mesh, y, pk, spaces, _SHAPE_BLOCKS,
                                     kept=shape_factor, rtol=eps)
@@ -269,17 +274,26 @@ def run_iterative(mesh: Mesh, params: KktParams,
                     f"{ratio:.3f}", kind="divergence")
         y, finish = solve_kkt(mesh, y, pk, spaces, _SHAPE_BLOCKS,
                               kept=shape_factor)
-        state = solve_state(mesh, y.w, pk, spaces, initial=state,
-                            kept=flow_factor)
-        adj = solve_adjoint(mesh, y.w, state, pk, spaces, kept=flow_factor)
-        y.v, y.p = state.v, state.p
-        y.lam_v, y.lam_p = adj.lam_v, adj.lam_p
+        _solve_flow(mesh, pk, spaces, flow_factor, y, state, 0.0)
         log.records.append(_record(spaces, pk, y, k, ell,
                                    len(hist) + len(finish), t0))
     except SolverError as err:
         err.log = log
         raise
     return y, log
+
+
+def _solve_flow(mesh, params, spaces, factor, y, state, rtol):
+    """State and adjoint at ``y.w``, from the state ``state`` and the kept
+    flow factorization ``factor``, to the relative target ``rtol``; writes
+    them into the flow blocks of y and returns the state."""
+    state = solve_state(mesh, y.w, params, spaces, initial=state,
+                        kept=factor, rtol=rtol)
+    adj = solve_adjoint(mesh, y.w, state, params, spaces, kept=factor,
+                        rtol=rtol)
+    y.v, y.p = state.v, state.p
+    y.lam_v, y.lam_p = adj.lam_v, adj.lam_p
+    return state
 
 
 def quality_sweep(mesh: Mesh, params: KktParams, eta_ext_values,

@@ -19,7 +19,6 @@ class _Counted:
     def __init__(self, b, gamma):
         self.b, self.gamma = np.asarray(b, float), np.asarray(gamma, float)
         self.points, self.factorized, self.solvers = [], [], []
-        self.steps = []  # (|rhs|, |step|) of every linear solve
 
     def residual(self, x):
         self.points.append(x.copy())
@@ -30,9 +29,7 @@ class _Counted:
         jac = np.diag(1.0 + 3.0 * self.gamma * x ** 2)
 
         def solve(rhs):
-            step = np.linalg.solve(jac, rhs)
-            self.steps.append((np.linalg.norm(rhs), np.linalg.norm(step)))
-            return step
+            return np.linalg.solve(jac, rhs)
 
         self.solvers.append(weakref.ref(solve))
         return solve
@@ -203,68 +200,3 @@ def test_zero_relative_target_changes_nothing():
     assert len(plain.points) == len(zero.points)
     assert all(np.array_equal(p, q) for p, q in zip(plain.points,
                                                     zero.points))
-
-
-def test_corrector_mode_stops_at_the_first_iterate_whose_correction_passes():
-    """With ``corrector`` the solve returns at the first iterate whose
-    Newton correction (here a chord step) is at most sqrt(tol) (1 + |x|),
-    although its residual is still above tol; the full solve passes that
-    iterate on its way."""
-    b, gamma = np.linspace(1.0, 3.0, 4), 1.0
-    _, full = _Counted(b, gamma).solve(np.zeros(4))
-    system = _Counted(b, gamma)
-    x, history = system.solve(np.zeros(4), corrector=True)
-    assert history == full[:len(history)] and len(history) < len(full)
-    assert history[-1] > TOL
-    # each iterate by its residual norm, and the steps solved from it
-    at = {np.linalg.norm(p + gamma * p ** 3 - b): p for p in system.points}
-    *before, last = history
-    for rnorm in before:
-        bound = np.sqrt(TOL) * (1.0 + np.linalg.norm(at[rnorm]))
-        assert all(step > bound
-                   for rhs, step in system.steps if rhs == rnorm)
-    steps = [step for rhs, step in system.steps if rhs == last]
-    assert steps[-1] <= np.sqrt(TOL) * (1.0 + np.linalg.norm(at[last]))
-    assert np.array_equal(x, at[last])
-
-
-def test_corrector_mode_stops_on_a_fresh_step_after_a_damped_one():
-    """The corrector mode also acts where the correction is the step of a
-    new factorization: on F(x) = x - b with a solver of 0.45 F', every step
-    is damped by 1/2, and the solve returns at the first iterate whose new
-    step is within the bound, with its residual above tol."""
-    b = np.linspace(0.5, 1.5, 4)
-
-    def factorize(x, active):
-        return lambda rhs: rhs / 0.45
-
-    def solve(**options):
-        return semismooth_newton(lambda x: x - b, factorize, np.zeros(4),
-                                 TOL, 60, "test", **options)
-
-    _, full = solve()
-    x, history = solve(corrector=True)
-    assert history == full[:len(history)] and len(history) < len(full)
-    assert history[-1] > TOL
-    # a damping of 1/2 takes x - b to -(x - b) / 9 at every step
-    iterates = [b - b * (-1.0 / 9.0) ** k for k in range(len(history))]
-    assert np.allclose(history, [np.linalg.norm(p - b) for p in iterates],
-                       rtol=1e-6, atol=0.0)
-    assert np.allclose(x, iterates[-1], rtol=0.0, atol=1e-12)
-    passes = [h / 0.45 <= np.sqrt(TOL) * (1.0 + np.linalg.norm(p))
-              for h, p in zip(history, iterates)]
-    assert passes == [False] * (len(history) - 1) + [True]
-
-
-def test_corrector_mode_off_changes_nothing():
-    """``corrector=False`` gives the iterates and the history of a call
-    without it, bit for bit."""
-    b = np.linspace(1.0, 3.0, 4)
-    plain, off = _Counted(b, 1.0), _Counted(b, 1.0)
-    x, history = plain.solve(np.zeros(4))
-    x0, history0 = off.solve(np.zeros(4), corrector=False)
-    assert np.array_equal(x, x0) and history == history0
-    assert len(plain.points) == len(off.points)
-    assert all(np.array_equal(p, q) for p, q in zip(plain.points,
-                                                    off.points))
-

@@ -1,13 +1,12 @@
 """Map how deep the direct continuation gets, seed by seed.
 
-    python3 tools/deep_alpha_map.py [--seed K ...] [--alpha-target A]
-        [--output DEEP_ALPHA_MAP.json]
+    python3 tools/deep_alpha_map.py [--seed K ...] [--output DEEP_ALPHA_MAP.json]
 
 runs ``run_direct`` on the mesh and parameters of the ``direct-circle``
 benchmark workload (``perfbench/workloads.py``), from alpha 1e-4 down to
-``--alpha-target`` (default 1e-10) by factors of 10, once per seed (default
-0 to 31; seed k > 0 jitters both semi-axes of the obstacle).  The record,
-printed or written to ``--output``, holds per seed:
+1e-10 by factors of 10, once per seed (default 0 to 31; seed k > 0 jitters
+both semi-axes of the obstacle).  The record, printed or written to
+``--output``, holds per seed:
 
 - ``semi_axes`` and ``a_over_b``, the streamwise over the cross-stream
   semi-axis;
@@ -55,7 +54,7 @@ from flowshape.transform import element_kinematics  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 WORKLOAD = "direct-circle"
-ALPHA_INIT, ALPHA_DEC = 1e-4, 0.1
+ALPHA_INIT, ALPHA_DEC, ALPHA_TARGET = 1e-4, 0.1, 1e-10
 
 
 class _Watch:
@@ -99,14 +98,14 @@ class _Watch:
         return [int(e) for e in np.argsort(-switches, kind="stable")[:count]]
 
 
-def map_seed(seed: int, alpha_target: float) -> dict:
+def map_seed(seed: int) -> dict:
     wl = WORKLOADS[WORKLOAD]
     a, b = wl.obstacle(seed)
     mesh = meshgen.tunnel_mesh(semi_axes=(a, b), **wl.mesh)
     spaces = Spaces.build(mesh)
     params = KktParams(**wl.params)
     schedule = optimize.ContinuationSchedule(ALPHA_INIT, ALPHA_DEC,
-                                             alpha_target)
+                                             ALPHA_TARGET)
     failure, cycling = None, []
     with _Watch() as watch:
         t0 = time.perf_counter()
@@ -137,7 +136,6 @@ def map_seed(seed: int, alpha_target: float) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", action="append", type=int)
-    ap.add_argument("--alpha-target", type=float, default=1e-10)
     ap.add_argument("--output", type=Path)
     args = ap.parse_args(argv)
     seeds = args.seed if args.seed is not None else list(range(32))
@@ -145,7 +143,7 @@ def main(argv=None) -> int:
         ap.error("seeds must be >= 0")
     rows = []
     for seed in seeds:
-        row = map_seed(seed, args.alpha_target)
+        row = map_seed(seed)
         rows.append(row)
         outcome = ("converged" if row["converged"]
                    else row["failure"]["message"][:60])
@@ -155,7 +153,7 @@ def main(argv=None) -> int:
     record = {
         "description": (f"run_direct on the {WORKLOAD} workload's mesh and "
                         f"parameters, alpha {ALPHA_INIT:g} down to "
-                        f"{args.alpha_target:g} by {ALPHA_DEC:g}, one run "
+                        f"{ALPHA_TARGET:g} by {ALPHA_DEC:g}, one run "
                         "per seed"),
         "command": "python3 tools/deep_alpha_map.py " + " ".join(
             sys.argv[1:] if argv is None else argv),
