@@ -19,7 +19,8 @@ Ulbrich, *Optimization with PDE Constraints*, 2009, ch. 2): the state
 Jacobian is factorized by its diagonal blocks, one per state, with the
 program's one sparse LU policy :data:`flowshape.fem.LU_OPTIONS`, and the
 reduced system in the control and the geometric multipliers by one dense
-LU.  :func:`solve_kkt` solves any block layout that holds the control; the
+LU, refined only where a first pass misses ``newton_tol``.
+:func:`solve_kkt` solves any block layout that holds the control; the
 shape subsystem of the iterative driver is the layout of seven blocks
 whose flow fields are held fixed.
 """
@@ -187,10 +188,10 @@ class _StateElimination:
     geometric multipliers, with the reduced Hessian Z^T H Z + alpha M and
     the reduced geometric constraints G Z.  A solve is then a forward solve
     with A_y, a dense reduced solve and an adjoint solve with A_y^T (the
-    layout matrix is symmetric), and one pass of iterative refinement
-    against the full matrix.  This relies on no second derivative joining
-    two multipliers (see ``HESSIAN_PAIRS``): the adjoint and geometric rows
-    have no entries in multiplier columns.
+    layout matrix is symmetric), and a second such pass against the full
+    matrix where the first misses the solve's target.  This relies on no
+    second derivative joining two multipliers (see ``HESSIAN_PAIRS``): the
+    adjoint and geometric rows have no entries in multiplier columns.
 
     A_y is block lower bidiagonal in the state groups (b, w, (v, p)): its
     solves substitute through the groups, forward for A_y and backward for
@@ -199,7 +200,10 @@ class _StateElimination:
     operator -kron(M + K, I_2), once per mesh.  The free dofs (Dirichlet
     dofs are decoupled by unit diagonals and solved directly) depend only
     on the layout; one without the control, or with a group whose free
-    states and adjoints differ in number, raises ``RuntimeError``.
+    states and adjoints differ in number, raises ``RuntimeError``.  The
+    blocks A[L][:, Y], A[L][:, K] and A[read][:, primal] are cut from
+    ``A.data`` at positions kept per pattern: :func:`block_matrix`
+    assembles every Newton matrix of a layout on the same pattern arrays.
     """
 
     def __init__(self, dm: DofMap, dofs):
@@ -239,48 +243,71 @@ class _StateElimination:
         self.read = np.concatenate([self.primal, self.multipliers])
         own = self.control - dm.offsets["c"]
         self.mass = dm.spaces.curve.mass[own][:, own].tocoo()  # A_cc / alpha
+        self.pattern, self.plan = (None, None), None
 
-    def factorize(self, A, alpha):
+    def cut(self, A):
+        """A[L][:, Y] and A[L][:, K] of each group, then A[read][:, primal].
+        """
+        # SciPy keeps a view of the indices a matrix is built from
+        indices = A.indices if A.indices.base is None else A.indices.base
+        pattern = (A.indptr, indices)
+        if any(a is not b for a, b in zip(pattern, self.pattern)):
+            # the data numbers the stored entries, so that each part's data
+            # tells where its entries sit in A.data
+            numbered = sparse.csr_matrix((np.arange(A.nnz, dtype=np.int32),
+                                          A.indices, A.indptr), A.shape)
+            parts = [(L, c) for _, Y, L, K in self.groups for c in (Y, K)]
+            self.plan = [numbered[rows][:, cols] for rows, cols
+                         in parts + [(self.read, self.primal)]]
+            self.pattern = pattern
+        return [sparse.csr_matrix((A.data[p.data], p.indices, p.indptr),
+                                  p.shape) for p in self.plan]
+
+    def factorize(self, A, alpha, target=0.0):
         """Solver for ``A x = b``, A being the Newton matrix at ``alpha``, by
         the diagonal blocks of A_y and a dense LU of the reduced system; a
-        singular one raises ``RuntimeError``."""
+        singular one raises ``RuntimeError``.  ``target`` is the absolute
+        residual below which a solve skips its second pass (0: never)."""
+        blocks = self.cut(A)
         steps = []  # index sets, coupling and its transpose, diagonal solve
-        for names, Y, L, K in self.groups:
+        for (names, Y, L, K), block, coupling in zip(self.groups, blocks[::2],
+                                                      blocks[1::2]):
             if names == ("b",):
                 solve = self.curve_solve
             elif names == ("w",):
-                solve = spla.splu(A[L][:, Y].tocsc(), **LU_OPTIONS).solve
+                solve = spla.splu(block.tocsc(), **LU_OPTIONS).solve
             else:
-                solve = factorize_flow(A[L][:, Y]).solve
-            coupling = A[L][:, K]
+                solve = factorize_flow(block).solve
             steps.append((Y, L, K, coupling, coupling.T, solve))
-        return _BlockFactor(self, A, steps, alpha)
+        return _BlockFactor(self, A, steps, alpha, blocks[-1], target)
 
 
 class _BlockFactor:
     """A Newton matrix A factorized by :class:`_StateElimination`; calling
-    it with ``rhs`` solves ``A x = rhs``.
+    it with ``rhs`` solves ``A x = rhs``, by a second pass only where the
+    first leaves a residual norm above ``target``.
 
     alpha enters A only as alpha M in the (c, c) block, and A_y carries
     none, so :meth:`shift` moves the factorization exactly to another
     alpha: it adds the change of alpha M to the dense reduced matrix and,
     in place, to the matrix of the refinement pass, and factorizes the
-    reduced matrix again; the state factors, Z and Z^T H Z are kept.
+    reduced matrix again; the state factors, Z and Z^T H Z are kept, and
+    so is the target of the second pass.
     """
 
-    def __init__(self, elimination, A, steps, alpha):
+    def __init__(self, elimination, A, steps, alpha, read, target):
         self.elimination, self.A, self.steps = elimination, A, steps
         C, P = elimination.control, elimination.primal
         k, m = C.size, elimination.multipliers.size
         self.basis = basis = np.zeros((A.shape[0], k))
         basis[C, np.arange(k)] = 1.0
         self._forward(basis, lambda L: 0.0)
-        image = A[elimination.read] @ basis
+        image = read @ basis[P]  # the basis is zero off the primal columns
         self.reduced = np.zeros((k + m, k + m))
         self.reduced[:k, :k] = basis[P].T @ image[:P.size]
         self.reduced[k:, :k] = image[P.size:]
         self.reduced[:k, k:] = image[P.size:].T
-        self.alpha = alpha
+        self.alpha, self.target = alpha, target
         self.shift(alpha)
 
     def shift(self, alpha):
@@ -329,7 +356,10 @@ class _BlockFactor:
 
     def __call__(self, rhs):
         x = self._solve_once(rhs)
-        return x + self._solve_once(rhs - self.A @ x)
+        r = rhs - self.A @ x
+        if np.linalg.norm(r) <= self.target:
+            return x
+        return x + self._solve_once(r)
 
 
 def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
@@ -347,6 +377,8 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
     does not reuse the last one for a chord step: the diagonal blocks of the
     state Jacobian and one dense LU of the reduced system in the control and
     the geometric multipliers (a singular factor is a ``singular`` failure).
+    A linear solve stops after a first pass that leaves a residual of at
+    most ``newton_tol``, which the stop test cannot tell from an exact step.
     ``kept`` is a :class:`flowshape.newton.Kept` holder shared by the solves
     on the same layout, mesh and parameters but for alpha; a factorization
     it hands on is first moved exactly to ``params.alpha``.
@@ -371,7 +403,7 @@ def solve_kkt(mesh: Mesh, y0: KktVector, params: KktParams,
     def factorize(uvec, active):
         return elimination.factorize(kkt_matrix(
             mesh, dm.unpack(uvec, y0), params, spaces, active, names),
-            params.alpha)
+            params.alpha, params.newton_tol)
 
     if kept is not None and kept.solve is not None:
         try:

@@ -40,20 +40,20 @@ class SolverError(RuntimeError):
     The kinds are ``"singular"`` (the linearization cannot be factorized),
     ``"stall"`` (no step with a damping above the floor is accepted) and
     ``"divergence"`` (the iteration budget runs out without convergence).
-    The message starts with the kind.  ``cycling`` is the number of elements
-    whose determinant-penalty active set cycled, for a stall of that cause,
-    and 0 for every other failure.
+    The message starts with the kind.  ``cycling`` is the tuple of the
+    indices of the elements whose determinant-penalty active set cycled, for
+    a stall of that cause, and empty for every other failure.
     """
 
     KINDS = ("singular", "stall", "divergence")
 
-    def __init__(self, message, history=None, kind="divergence", cycling=0):
+    def __init__(self, message, history=None, kind="divergence", cycling=()):
         if kind not in self.KINDS:
             raise ValueError(f"unknown solver failure kind {kind!r}")
         super().__init__(f"{kind}: {message}")
         self.kind = kind
         self.history = list(history) if history is not None else []
-        self.cycling = int(cycling)
+        self.cycling = tuple(int(e) for e in cycling)
 
 
 class Kept:
@@ -114,7 +114,8 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
     trial that crossed, and only its failure is a stall.  So is a kink
     element that a later relinearization has to switch back: the active set
     then cycles, each one-sided model putting the root on the other side.
-    Both errors count the elements at the kink.
+    Both errors count the elements at the kink; a cycling one also names
+    them.
 
     A full step whose contraction Theta = |simplified step| / |step| is at
     most ``_CHORD_CONTRACTION`` keeps its factorization: its simplified
@@ -191,11 +192,11 @@ def semismooth_newton(residual, factorize, x, tol, max_iter, what,
                     f"{what} line search needs a damping below "
                     f"{_MIN_DAMPING:.1e} at residual {rnorm:.3e}{at_kink}",
                     history, kind="stall")
-            cycling = int(np.sum(kink & flipped))
-            if cycling:
+            cycling = np.flatnonzero(kink & flipped)
+            if cycling.size:
                 raise SolverError(
                     f"{what} active set cycles at residual {rnorm:.3e}: "
-                    f"{cycling} element(s) at the "
+                    f"{cycling.size} element(s) at the "
                     "determinant-penalty kink cross eta_det back and forth",
                     history, kind="stall", cycling=cycling)
             flipped, active = kink, crossed

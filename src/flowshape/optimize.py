@@ -141,9 +141,9 @@ def run_direct(mesh: Mesh, params: KktParams,
     partial log is attached to the raised error when that fails too.  The
     bisection is at most five levels deep, so one alpha level costs at most
     63 ``solve_kkt`` attempts (1 + 2 + 4 + ... + 32); it has no time budget.
-    A solve whose determinant-penalty active set cycles (``err.cycling`` > 0)
-    is not bisected: a smaller alpha step does not move the kink it stalls
-    on, so the error is raised at once.
+    A solve whose determinant-penalty active set cycles (``err.cycling``
+    names elements) is not bisected: a smaller alpha step does not move the
+    kink it stalls on, so the error is raised at once.
 
     Every level but the last only gives the next one its start, so it is
     solved to the relative target ``rtol`` of :mod:`flowshape.newton` that

@@ -337,6 +337,87 @@ def test_block_elimination_matches_direct_lu(request, mesh_name, names,
     assert np.linalg.norm(A @ step - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
 
+def _elimination_case(mesh, names, alpha, rng):
+    """The layout, matrix and Newton right-hand side of
+    ``test_block_elimination_matches_direct_lu`` at (mesh, names, alpha)."""
+    sp = Spaces.build(mesh)
+    params = KktParams(alpha=alpha)
+    dm, dofs, values = _dirichlet(sp, params, names)
+    y = _random_vector(sp, rng, w_scale=1e-3)
+    u = dm.pack(y)
+    u[dofs] = values
+    y = dm.unpack(u, y)
+    A = kkt_matrix(mesh, y, params, sp, names=names)
+    return dm, dofs, A, -kkt_residual(mesh, y, params, sp, names=names)
+
+
+def test_a_solve_refines_only_where_its_first_pass_misses_the_target(
+        request, rng, monkeypatch):
+    """At the points and alphas of ``test_block_elimination_matches_direct_lu``
+    a factorization with the target ``newton_tol`` returns either the
+    two-pass step of the default target 0 bit for bit, or the first pass's
+    step, whose residual meets the target; both happen."""
+    passes = [0]
+    solve_once = kkt._BlockFactor._solve_once
+
+    def counted(self, rhs):
+        passes[0] += 1
+        return solve_once(self, rhs)
+
+    monkeypatch.setattr(kkt._BlockFactor, "_solve_once", counted)
+    start, target, taken = rng.bit_generator.state, KktParams().newton_tol, []
+    for mesh_name in ("circle_mesh", "holdall_mesh"):
+        for names in (BLOCK_NAMES, _SHAPE_BLOCKS):
+            for alpha in (1e-2, 1e-8):
+                rng.bit_generator.state = start  # the parametrized test's rng
+                dm, dofs, A, rhs = _elimination_case(
+                    request.getfixturevalue(mesh_name), names, alpha, rng)
+                elimination = _StateElimination(dm, dofs)
+                both = elimination.factorize(A, alpha)(rhs)
+                passes[0] = 0
+                step = elimination.factorize(A, alpha, target)(rhs)
+                taken.append(passes[0])
+                if passes[0] == 1:
+                    assert np.linalg.norm(A @ step - rhs) <= target
+                else:
+                    assert passes[0] == 2 and np.array_equal(step, both)
+    assert set(taken) == {1, 2}, taken
+
+
+def test_blocks_are_cut_by_a_plan_kept_per_pattern(circle_mesh, spaces, rng):
+    """The blocks a factorization reads, cut from ``A.data`` by the kept
+    plan, equal SciPy's A[L][:, Y] and A[L][:, K] and the image and reduced
+    matrix of A[read] @ basis bit for bit: at the first factorization, at a
+    later one on the same pattern, which keeps the plan, and on a copy of
+    the matrix, whose new arrays get a new plan."""
+    params = KktParams(alpha=1e-3)
+    dm, dofs, values = _dirichlet(spaces, params)
+    elimination = _StateElimination(dm, dofs)
+    plans = []
+    for w_scale in (1e-3, 2e-3, None):
+        if w_scale is not None:
+            y = _random_vector(spaces, rng, w_scale=w_scale)
+            u = dm.pack(y)
+            u[dofs] = values
+            A = kkt_matrix(circle_mesh, dm.unpack(u, y), params, spaces)
+        else:
+            A = A.copy()
+        factor = elimination.factorize(A, params.alpha)
+        plans.append(elimination.plan)
+        blocks = elimination.cut(A)
+        for i, (_, Y, L, K) in enumerate(elimination.groups):
+            assert _same_csr(blocks[2 * i], A[L][:, Y])
+            assert _same_csr(blocks[2 * i + 1], A[L][:, K])
+        basis, P = factor.basis, elimination.primal
+        image = A[elimination.read] @ basis
+        assert np.array_equal(blocks[-1] @ basis[P], image)
+        k = elimination.control.size
+        assert np.array_equal(factor.reduced[:k, :k],
+                              basis[P].T @ image[:P.size])
+        assert np.array_equal(factor.reduced[k:, :k], image[P.size:])
+    assert plans[0] is plans[1] and plans[2] is not plans[1]
+
+
 @pytest.mark.parametrize("names", [BLOCK_NAMES, _SHAPE_BLOCKS],
                          ids=["full", "shape"])
 def test_shifted_factorization_matches_a_fresh_one(circle_mesh, spaces,

@@ -274,7 +274,7 @@ def test_run_iterative_reports_a_level_at_the_pass_cap(circle_mesh, spaces):
         run_iterative(circle_mesh, params, sched, eps=1e-12, inner_cap=2,
                       spaces=spaces)
     err = info.value
-    assert err.kind == "divergence" and err.cycling == 0
+    assert err.kind == "divergence" and err.cycling == ()
     assert "alpha = 1.000e-01: 2 passes" in str(err)
     assert "last ratio of successive control changes" in str(err)
     assert [r.alpha for r in err.log.records] == [1e-1, 1e-1]
@@ -360,14 +360,15 @@ def test_shape_subsolve_requests_only_shape_blocks(circle_mesh, spaces, spy):
 
 
 def _fake_solve_kkt(stall_alpha, cycling, attempts):
-    """A solve_kkt that converges in place, except at ``stall_alpha``."""
+    """A solve_kkt that converges in place, except at ``stall_alpha``, where
+    it stalls with the elements ``cycling`` cycling."""
 
     def solve(mesh, y, params, spaces=None, names=BLOCK_NAMES, kept=None,
               rtol=0.0):
         attempts.append(params.alpha)
         if np.isclose(params.alpha, stall_alpha, rtol=1e-12):
             raise SolverError("KKT active set cycles at residual 1.000e-05: "
-                              f"{cycling} element(s) at the "
+                              f"{len(cycling)} element(s) at the "
                               "determinant-penalty kink cross eta_det back "
                               "and forth", kind="stall", cycling=cycling)
         return y, [0.0]
@@ -379,11 +380,11 @@ def test_run_direct_does_not_bisect_a_cycling_stall(circle_mesh, spaces,
                                                      monkeypatch):
     attempts = []
     monkeypatch.setattr(optimize_module, "solve_kkt",
-                        _fake_solve_kkt(1e-3, 1, attempts))
+                        _fake_solve_kkt(1e-3, (7,), attempts))
     with pytest.raises(SolverError) as info:
         run_direct(circle_mesh, KktParams(nu=0.05),
                    ContinuationSchedule(1e-2, 0.1, 1e-3), spaces)
-    assert info.value.kind == "stall" and info.value.cycling == 1
+    assert info.value.kind == "stall" and info.value.cycling == (7,)
     assert attempts == pytest.approx([1e-2, 1e-3], rel=1e-12)
     assert [r.alpha for r in info.value.log.records] == [1e-2]
 
@@ -392,11 +393,11 @@ def test_run_direct_bisects_a_stall_without_cycling(circle_mesh, spaces,
                                                      monkeypatch):
     attempts = []
     monkeypatch.setattr(optimize_module, "solve_kkt",
-                        _fake_solve_kkt(1e-3, 0, attempts))
+                        _fake_solve_kkt(1e-3, (), attempts))
     with pytest.raises(SolverError) as info:
         run_direct(circle_mesh, KktParams(nu=0.05),
                    ContinuationSchedule(1e-2, 0.1, 1e-3), spaces)
-    assert info.value.cycling == 0
+    assert info.value.cycling == ()
     at_level = [a for a in attempts if np.isclose(a, 1e-3, rtol=1e-12)]
     between = [a for a in attempts if 1e-3 * (1 + 1e-9) < a < 1e-2]
     assert len(at_level) > 1 and between
@@ -417,6 +418,33 @@ def test_run_direct_solves_only_the_last_level_to_newton_tol(
     assert (np.linalg.norm(kkt_module.kkt_residual(circle_mesh, y, final,
                                                    spaces))
             < params.newton_tol)
+
+
+def test_run_direct_takes_the_same_path_without_one_pass_solves(
+        circle_mesh, spaces, monkeypatch):
+    """With the second pass of every KKT solve forced (target 0), a
+    three-level run makes the same Newton iterations and factorizations as
+    with the default target ``newton_tol``, and J agrees to 1e-12."""
+    params = KktParams(nu=0.05, eta_ext=1.0)
+    sched = ContinuationSchedule(1e-2, 0.1, 1e-4)
+    factorize = kkt_module._StateElimination.factorize
+    runs = []
+    for forced in (False, True):
+        made = []
+
+        def counted(self, A, alpha, target=0.0):
+            made.append(target)
+            return factorize(self, A, alpha, 0.0 if forced else target)
+
+        monkeypatch.setattr(kkt_module._StateElimination, "factorize",
+                            counted)
+        _, log = run_direct(circle_mesh, params, sched, spaces=spaces)
+        assert made and set(made) == {params.newton_tol}
+        runs.append(([r.newton_iters for r in log.records], len(made),
+                     log.records[-1].objective))
+    (iters, made, j), (iters0, made0, j0) = runs
+    assert iters == iters0 and made == made0
+    assert abs(j - j0) <= 1e-12 * abs(j0)
 
 
 @pytest.mark.parametrize("failing, expected", [

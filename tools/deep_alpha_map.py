@@ -14,9 +14,9 @@ both semi-axes of the obstacle).  The record, printed or written to
   first level fails);
 - ``failure``: the ``SolverError`` kind and message, or None;
 - ``cycling``: for a stall whose determinant-penalty active set cycles, the
-  element(s) at the kink, each with its index among the extension elements
-  and the centroid of its reference triangle (the elements that switched
-  membership most often in the failed solve), else an empty list;
+  element(s) at the kink that the ``SolverError`` names, each with its
+  index among the extension elements and the centroid of its reference
+  triangle, else an empty list;
 - ``min_det``: the smallest det(DF) over the extension elements at the
   last converged level;
 - ``solve_kkt_attempts``: the calls of ``solve_kkt``, bisection midpoints
@@ -44,7 +44,6 @@ import scipy
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-import flowshape.kkt as kkt  # noqa: E402
 import flowshape.optimize as optimize  # noqa: E402
 from flowshape import meshgen  # noqa: E402
 from flowshape.kkt import KktParams  # noqa: E402
@@ -59,43 +58,26 @@ ALPHA_INIT, ALPHA_DEC, ALPHA_TARGET = 1e-4, 0.1, 1e-10
 
 class _Watch:
     """Counts the ``solve_kkt`` calls of one run and keeps, per alpha, the
-    min det of its last successful solve and, for the solve in progress,
-    every determinant-penalty active set it evaluated."""
+    min det of its last successful solve."""
 
     def __init__(self):
         self.attempts = 0
         self.min_det = {}
-        self.sets = []
-        self._solve, self._active = optimize.solve_kkt, kkt.penalty_active_set
+        self._solve = optimize.solve_kkt
 
     def __enter__(self):
         def solve(mesh, y, params, spaces=None, *args, **kwargs):
             self.attempts += 1
-            self.sets = []
             y, history = self._solve(mesh, y, params, spaces, *args, **kwargs)
             _, det, _ = element_kinematics(spaces.geo_ext, y.w)
             self.min_det[params.alpha] = float(det.min())
             return y, history
 
-        def active(spaces, w, eta_det):
-            mask = self._active(spaces, w, eta_det)
-            self.sets.append(mask)
-            return mask
-
-        optimize.solve_kkt, kkt.penalty_active_set = solve, active
+        optimize.solve_kkt = solve
         return self
 
     def __exit__(self, *exc):
-        optimize.solve_kkt, kkt.penalty_active_set = self._solve, self._active
-
-    def switching(self, count):
-        """The ``count`` elements that switched most often in the last
-        solve, most often first."""
-        if count == 0 or len(self.sets) < 2:
-            return []
-        switches = np.abs(np.diff(np.array(self.sets, dtype=int),
-                                   axis=0)).sum(axis=0)
-        return [int(e) for e in np.argsort(-switches, kind="stable")[:count]]
+        optimize.solve_kkt = self._solve
 
 
 def map_seed(seed: int) -> dict:
@@ -116,7 +98,7 @@ def map_seed(seed: int) -> dict:
             failure = {"kind": err.kind, "message": str(err)}
             cycling = [{"element": e,
                         "centroid": spaces.geo_ext.centroid[e].tolist()}
-                       for e in watch.switching(err.cycling)]
+                       for e in err.cycling]
         wall = time.perf_counter() - t0
     last = log.records[-1].alpha if log.records else None
     return {
